@@ -26,7 +26,6 @@ from .divergences import (
     renyi_discrete,
     renyi_gaussian,
     renyi_poisson,
-    renyi_product_average,
 )
 from .measures import (
     BoundedFunction,
@@ -38,7 +37,7 @@ from .measures import (
     normalize,
     risk_sensitive,
 )
-from .montecarlo import EstimateWithCI, PathGrid, PoissonLaw, mc_mean_ci
+from .montecarlo import EstimateWithCI, PathGrid, PoissonLaw
 from .specfun import Bracket, ConvergenceError, convolve_at, erfc, log_bessel_i0, minimize_scalar
 from .variational import (
     IdentityReport,
@@ -74,7 +73,6 @@ __all__ = [
     "renyi_discrete",
     "renyi_gaussian",
     "renyi_poisson",
-    "renyi_product_average",
     "IdentityReport",
     "alpha_zero_limit_check",
     "inf_identity",
@@ -88,5 +86,4 @@ __all__ = [
     "EstimateWithCI",
     "PathGrid",
     "PoissonLaw",
-    "mc_mean_ci",
 ]

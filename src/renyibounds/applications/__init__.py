@@ -15,10 +15,8 @@ from .queueing import (
     QueueModel,
     RateResult,
     lindley_path,
-    lindley_step,
     overflow_decay_rate,
     poisson_rate_ell,
-    queue_overflow_event,
     scaled_event_sandwich,
 )
 
@@ -36,9 +34,7 @@ __all__ = [
     "QueueModel",
     "RateResult",
     "lindley_path",
-    "lindley_step",
     "overflow_decay_rate",
     "poisson_rate_ell",
-    "queue_overflow_event",
     "scaled_event_sandwich",
 ]

@@ -29,9 +29,7 @@ __all__ = [
     "RateResult",
     "poisson_rate_ell",
     "overflow_decay_rate",
-    "lindley_step",
     "lindley_path",
-    "queue_overflow_event",
     "scaled_event_sandwich",
 ]
 
@@ -107,11 +105,6 @@ def overflow_decay_rate(
     return RateResult(t_star=t_star, m_star=m_star, c=m_star, branch="interior")
 
 
-def lindley_step(q: float, x: float, C: float) -> float:
-    """One reflected workload update, max(q + x - C, 0)."""
-    return max(q + x - C, 0.0)
-
-
 def lindley_path(arrivals, C: float) -> np.ndarray:
     """Workload Q_1..Q_n from Q_0 = 0 for an arrival vector."""
     x = np.asarray(arrivals, dtype=float)
@@ -125,19 +118,6 @@ def lindley_path(arrivals, C: float) -> np.ndarray:
         q = max(q + x[k] - C, 0.0)
         out[k] = q
     return out
-
-
-def queue_overflow_event(arrivals, C: float, b: float, n: int) -> bool:
-    """Whether the scaled workload maximum exceeds b on horizon n.
-
-    The workload runs from zero through n steps of the reflected
-    recursion; overflow means max_k Q_k > n * b.
-    """
-    x = np.asarray(arrivals, dtype=float)
-    if x.shape != (int(n),):
-        raise ValueError("arrival vector length must equal the horizon")
-    path = lindley_path(x, C)
-    return bool(np.max(path) > n * float(b))
 
 
 def scaled_event_sandwich(

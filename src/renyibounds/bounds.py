@@ -31,7 +31,7 @@ from typing import Callable
 
 import numpy as np
 
-from .divergences import DivergenceBudget
+from .divergences import DivergenceBudget, check_budget
 from .specfun import Bracket, minimize_scalar
 
 __all__ = [
@@ -61,13 +61,6 @@ class BoundResult:
     upper_clamped: bool = False
 
 
-def _check_budget_piece(name: str, d: float) -> float:
-    d = float(d)
-    if math.isnan(d) or d < 0.0:
-        raise ValueError(f"{name} must be a nonnegative budget (inf allowed)")
-    return d
-
-
 def rs_upper(nominal_alpha_value: float, d1: float, alpha: float) -> float:
     """Upper side: nominal order-alpha value plus the budget d1.
 
@@ -76,7 +69,7 @@ def rs_upper(nominal_alpha_value: float, d1: float, alpha: float) -> float:
     """
     if not alpha > 1.0:
         raise ValueError("the upper bound needs alpha > 1")
-    d1 = _check_budget_piece("d1", d1)
+    d1 = check_budget("d1", d1)
     nominal = float(nominal_alpha_value)
     if math.isnan(nominal):
         raise ValueError("nominal value must not be nan")
@@ -94,7 +87,7 @@ def rs_lower(nominal_alpha_minus2_value: float, d2: float, alpha: float) -> floa
     """
     if not alpha > 2.0:
         raise ValueError("the lower bound needs alpha > 2")
-    d2 = _check_budget_piece("d2", d2)
+    d2 = check_budget("d2", d2)
     nominal = float(nominal_alpha_minus2_value)
     if math.isnan(nominal):
         raise ValueError("nominal value must not be nan")

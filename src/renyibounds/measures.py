@@ -227,16 +227,6 @@ class OrderParams:
     def alpha(self) -> float:
         return self.gamma / (self.gamma - self.beta)
 
-    @staticmethod
-    def from_alpha(alpha: float) -> "OrderParams":
-        """Adjacent orders (alpha - 1, alpha) for a plain divergence order."""
-        a = float(alpha)
-        if not math.isfinite(a):
-            raise ValueError("alpha must be finite")
-        if min(abs(a), abs(a - 1.0)) <= 1e-8:
-            raise ValueError("alpha must stay away from 0 and 1")
-        return OrderParams(beta=a - 1.0, gamma=a)
-
 
 def risk_sensitive(nu: FiniteMeasure, g: FunctionLike, beta: float) -> float:
     """(1/beta) log integral exp(beta g) d nu, computed in the log domain."""

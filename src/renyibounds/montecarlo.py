@@ -14,7 +14,11 @@ consequences are load-bearing for the tests:
   bridge-corrected crossing indicator dominates the skeleton-only one
   pathwise, not just on average.
 
-The path simulations cover the three studies: queue overflow under iid
+One engine, ``_stream``, runs a per-study kernel on each chunk: a
+``*_samples`` function concatenates the chunks, and an estimate reduces
+them one at a time, never holding the per-path arrays of a whole run.
+
+The kernels cover the three studies: queue overflow under iid
 arrivals, Brownian level crossing with an exact bridge correction for
 the parts of the path the grid does not see, and the argmax time of a
 drifted path. Girsanov reweighting turns driftless path samples into
@@ -25,24 +29,22 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator
 
 import numpy as np
 
+from .divergences import check_alpha
 from .measures import logsumexp
 
 __all__ = [
     "EstimateWithCI",
     "PathGrid",
     "PoissonLaw",
-    "mc_mean_ci",
     "simulate_queue_overflow_prob",
     "bm_crossing_samples",
     "bm_exceedance_estimate",
-    "argmax_time_of_path",
     "argmax_time_samples",
     "argmax_laplace_estimate",
-    "simulate_sde_path",
     "girsanov_log_lr_samples",
     "girsanov_renyi_estimate",
 ]
@@ -51,26 +53,27 @@ _QUEUE_CHUNK = 1 << 16
 _PATH_DRAW_BUDGET = 1 << 21
 _Z95 = 1.959963984540054
 
+_Kernel = Callable[[np.random.Generator, int], np.ndarray]
+
 
 def _rng(seed: int, stream: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=seed + (stream << 64)))
 
 
-def _check_seed(seed: int) -> int:
-    seed = int(seed)
+def _stream(kernel: _Kernel, n: int, chunk: int, seed: int) -> Iterator[np.ndarray]:
+    """Yield kernel(generator, take) for consecutive chunks of n samples.
+
+    Chunk i draws from stream i and keeps its first take samples, so
+    the chunks of a longer run start with the chunks of a shorter one.
+    """
+    n, seed = int(n), int(seed)
+    if n < 1:
+        raise ValueError("need at least one sample")
     if not 0 <= seed < 1 << 64:
         raise ValueError("seed must fit in an unsigned 64-bit integer")
-    return seed
-
-
-def _chunks(total: int, chunk: int) -> Iterator[tuple[int, int]]:
-    """Yield (stream index, number of samples to keep) pairs."""
-    stream, done = 0, 0
-    while done < total:
-        take = min(chunk, total - done)
-        yield stream, take
-        stream += 1
-        done += take
+    for stream, done in enumerate(range(0, n, chunk)):
+        # _rng is looked up per chunk so it can be swapped for a counting proxy
+        yield kernel(_rng(seed, stream), min(chunk, n - done))
 
 
 @dataclass(frozen=True)
@@ -91,13 +94,29 @@ class EstimateWithCI:
         }
 
 
-def _estimate_from_moments(total: float, total_sq: float, n: int, seed: int) -> EstimateWithCI:
-    mean = total / n
-    var = max(total_sq - n * mean * mean, 0.0) / (n - 1)
-    se = math.sqrt(var / n)
+def _estimate(mean: float, se: float, n: int, seed: int) -> EstimateWithCI:
     return EstimateWithCI(mean=mean, std_error=se,
                           ci95=(mean - _Z95 * se, mean + _Z95 * se),
-                          n_samples=n, seed=seed)
+                          n_samples=n, seed=int(seed))
+
+
+def _at_least_two(n: int) -> int:
+    n = int(n)
+    if n < 2:
+        raise ValueError("need at least two samples for a standard error")
+    return n
+
+
+def _mean_ci(chunks: Iterable[np.ndarray], n: int, seed: int) -> EstimateWithCI:
+    """Sample mean with a normal-approximation 95% CI, from per-chunk moments."""
+    n = _at_least_two(n)
+    total = total_sq = 0.0
+    for x in chunks:
+        total += float(np.sum(x))
+        total_sq += float(np.sum(x * x))
+    mean = total / n
+    var = max(total_sq - n * mean * mean, 0.0) / (n - 1)
+    return _estimate(mean, math.sqrt(var / n), n, seed)
 
 
 @dataclass(frozen=True)
@@ -122,31 +141,13 @@ class PathGrid:
         return self.horizon / self.n_steps
 
 
-def _path_chunk(n_steps: int) -> int:
-    return max(1, _PATH_DRAW_BUDGET // n_steps)
+def _path_chunk(grid: PathGrid) -> int:
+    return max(1, _PATH_DRAW_BUDGET // grid.n_steps)
 
 
-def mc_mean_ci(
-    sampler: Callable[[np.random.Generator], float],
-    n_samples: int,
-    seed: int = 0,
-) -> EstimateWithCI:
-    """Mean of a scalar sampler with a normal-approximation 95% CI.
-
-    The sampler receives its own generator per sample (stream = sample
-    index), so single samples can be reproduced in isolation. Meant for
-    cheap scalar experiments; the path estimators below draw in bulk.
-    """
-    seed = _check_seed(seed)
-    n = int(n_samples)
-    if n < 2:
-        raise ValueError("need at least two samples for a standard error")
-    total = total_sq = 0.0
-    for i in range(n):
-        x = float(sampler(_rng(seed, i)))
-        total += x
-        total_sq += x * x
-    return _estimate_from_moments(total, total_sq, n, seed)
+def _increments(gen: np.random.Generator, grid: PathGrid, take: int) -> np.ndarray:
+    """Driftless increments sqrt(dt) z; the whole chunk is drawn so prefixes never move."""
+    return math.sqrt(grid.dt) * gen.standard_normal((_path_chunk(grid), grid.n_steps))[:take]
 
 
 class PoissonLaw:
@@ -197,6 +198,19 @@ def _per_step_laws(arrival_law, n: int) -> list[PoissonLaw]:
     return laws
 
 
+def _queue_kernel(laws: list[PoissonLaw], C: float, level: float) -> _Kernel:
+    def kernel(gen: np.random.Generator, take: int) -> np.ndarray:
+        u = gen.random((_QUEUE_CHUNK, len(laws)))[:take]
+        q = np.zeros(take)
+        peak = np.zeros(take)
+        for k, law in enumerate(laws):
+            q = np.maximum(q + law.quantile(u[:, k]) - C, 0.0)
+            np.maximum(peak, q, out=peak)
+        return peak > level
+
+    return kernel
+
+
 def simulate_queue_overflow_prob(
     arrival_law,
     C: float,
@@ -211,58 +225,39 @@ def simulate_queue_overflow_prob(
     sequence of n laws. Each replication draws its uniforms as one
     (paths, steps) block and maps them through the per-step quantile
     tables, so a constant law and the equivalent per-step list produce
-    identical sample paths.
+    identical sample paths. Overflow is strict: max_k Q_k > n b.
     """
-    C, b = float(C), float(b)
     n = int(n)
-    reps = int(reps)
-    seed = _check_seed(seed)
     if n < 1:
         raise ValueError("horizon n must be at least 1")
-    if reps < 2:
-        raise ValueError("need at least two replications")
-    laws = _per_step_laws(arrival_law, n)
-    level = n * b
-    hits = 0
-    for stream, take in _chunks(reps, _QUEUE_CHUNK):
-        u = _rng(seed, stream).random((_QUEUE_CHUNK, n))[:take]
-        q = np.zeros(take)
-        peak = np.zeros(take)
-        for k in range(n):
-            x = laws[k].quantile(u[:, k])
-            q = np.maximum(q + x - C, 0.0)
-            np.maximum(peak, q, out=peak)
-        hits += int(np.count_nonzero(peak > level))
-    return _estimate_from_moments(float(hits), float(hits), reps, seed)
+    kernel = _queue_kernel(_per_step_laws(arrival_law, n), float(C), n * float(b))
+    return _mean_ci(_stream(kernel, reps, _QUEUE_CHUNK, seed), reps, seed)
 
 
-def _bm_crossing_chunk(
-    gen: np.random.Generator,
-    level: float,
-    mu: float,
-    grid: PathGrid,
-    chunk_m: int,
-    take: int,
-    bridge: bool,
-) -> np.ndarray:
-    z = gen.standard_normal((chunk_m, grid.n_steps))[:take]
-    u = gen.random(chunk_m)[:take] if bridge else None
+def _crossing_kernel(level: float, mu: float, grid: PathGrid, bridge: bool) -> _Kernel:
+    level, mu = float(level), float(mu)
+    if not level > 0.0:
+        raise ValueError("level must be positive")
     dt = grid.dt
-    path = np.cumsum(math.sqrt(dt) * z + mu * dt, axis=1)
-    crossed = np.max(path, axis=1) >= level
-    if not bridge:
-        return crossed
-    left = np.concatenate([np.zeros((take, 1)), path[:, :-1]], axis=1)
-    # Conditional on its endpoints a segment is a Brownian bridge whatever
-    # the constant drift, and the bridge crosses the level with probability
-    # exp(-2 (K - a)(K - b) / dt); exponents clamped at 0 cover segments
-    # whose endpoints already reach the level.
-    log_cross = np.minimum(-2.0 * (level - left) * (level - path) / dt, 0.0)
-    with np.errstate(divide="ignore"):
-        log_no_cross = np.log1p(-np.exp(log_cross))
-    total = np.sum(log_no_cross, axis=1)
-    p_unseen = -np.expm1(total)
-    return crossed | (u < p_unseen)
+
+    def kernel(gen: np.random.Generator, take: int) -> np.ndarray:
+        path = np.cumsum(_increments(gen, grid, take) + mu * dt, axis=1)
+        crossed = np.max(path, axis=1) >= level
+        if not bridge:
+            return crossed
+        u = gen.random(_path_chunk(grid))[:take]
+        left = np.concatenate([np.zeros((take, 1)), path[:, :-1]], axis=1)
+        # Conditional on its endpoints a segment is a Brownian bridge whatever
+        # the constant drift, and the bridge crosses the level with probability
+        # exp(-2 (K - a)(K - b) / dt); exponents clamped at 0 cover segments
+        # whose endpoints already reach the level.
+        log_cross = np.minimum(-2.0 * (level - left) * (level - path) / dt, 0.0)
+        with np.errstate(divide="ignore"):
+            log_no_cross = np.log1p(-np.exp(log_cross))
+        p_unseen = -np.expm1(np.sum(log_no_cross, axis=1))
+        return crossed | (u < p_unseen)
+
+    return kernel
 
 
 def bm_crossing_samples(
@@ -281,22 +276,8 @@ def bm_crossing_samples(
     normals in each stream's layout, so bridge=False sees the same
     paths and its indicator is dominated pathwise.
     """
-    level, mu = float(level), float(mu)
-    if not level > 0.0:
-        raise ValueError("level must be positive")
-    n_paths = int(n_paths)
-    if n_paths < 1:
-        raise ValueError("need at least one path")
-    seed = _check_seed(seed)
-    chunk_m = _path_chunk(grid.n_steps)
-    out = np.empty(n_paths, dtype=bool)
-    done = 0
-    for stream, take in _chunks(n_paths, chunk_m):
-        out[done:done + take] = _bm_crossing_chunk(
-            _rng(seed, stream), level, mu, grid, chunk_m, take, bridge
-        )
-        done += take
-    return out
+    kernel = _crossing_kernel(level, mu, grid, bridge)
+    return np.concatenate(list(_stream(kernel, n_paths, _path_chunk(grid), seed)))
 
 
 def bm_exceedance_estimate(
@@ -308,47 +289,19 @@ def bm_exceedance_estimate(
     bridge: bool = True,
 ) -> EstimateWithCI:
     """Crossing probability estimate with a binomial standard error."""
-    level, mu = float(level), float(mu)
-    if not level > 0.0:
-        raise ValueError("level must be positive")
-    n_paths = int(n_paths)
-    if n_paths < 2:
-        raise ValueError("need at least two paths")
-    seed = _check_seed(seed)
-    chunk_m = _path_chunk(grid.n_steps)
-    hits = 0
-    for stream, take in _chunks(n_paths, chunk_m):
-        ind = _bm_crossing_chunk(_rng(seed, stream), level, mu, grid, chunk_m, take, bridge)
-        hits += int(np.count_nonzero(ind))
-    return _estimate_from_moments(float(hits), float(hits), n_paths, seed)
+    kernel = _crossing_kernel(level, mu, grid, bridge)
+    return _mean_ci(_stream(kernel, n_paths, _path_chunk(grid), seed), n_paths, seed)
 
 
-def argmax_time_of_path(path: np.ndarray, dt: float) -> float:
-    """Time of the running maximum of a skeleton, start point included.
+def _argmax_kernel(mu: float, grid: PathGrid) -> _Kernel:
+    mu, dt = float(mu), grid.dt
 
-    path holds the values at dt, 2 dt, ...; the start value 0 at time 0
-    participates, so a path that never goes positive has argmax time 0.
-    Ties resolve to the earliest time.
-    """
-    p = np.asarray(path, dtype=float)
-    if p.ndim != 1 or p.size == 0:
-        raise ValueError("path must be a nonempty vector")
-    values = np.concatenate([[0.0], p])
-    return float(np.argmax(values)) * float(dt)
+    def kernel(gen: np.random.Generator, take: int) -> np.ndarray:
+        path = np.cumsum(_increments(gen, grid, take) + mu * dt, axis=1)
+        values = np.concatenate([np.zeros((take, 1)), path], axis=1)
+        return np.argmax(values, axis=1) * dt
 
-
-def _argmax_chunk(
-    gen: np.random.Generator,
-    mu: float,
-    grid: PathGrid,
-    chunk_m: int,
-    take: int,
-) -> np.ndarray:
-    z = gen.standard_normal((chunk_m, grid.n_steps))[:take]
-    dt = grid.dt
-    path = np.cumsum(math.sqrt(dt) * z + mu * dt, axis=1)
-    values = np.concatenate([np.zeros((take, 1)), path], axis=1)
-    return np.argmax(values, axis=1) * dt
+    return kernel
 
 
 def argmax_time_samples(
@@ -357,19 +310,13 @@ def argmax_time_samples(
     n_paths: int,
     seed: int = 0,
 ) -> np.ndarray:
-    """Skeleton argmax times of drifted Brownian paths."""
-    mu = float(mu)
-    n_paths = int(n_paths)
-    if n_paths < 1:
-        raise ValueError("need at least one path")
-    seed = _check_seed(seed)
-    chunk_m = _path_chunk(grid.n_steps)
-    out = np.empty(n_paths)
-    done = 0
-    for stream, take in _chunks(n_paths, chunk_m):
-        out[done:done + take] = _argmax_chunk(_rng(seed, stream), mu, grid, chunk_m, take)
-        done += take
-    return out
+    """Skeleton argmax times of drifted Brownian paths.
+
+    The start value 0 at time 0 takes part, so a path that never goes
+    positive has argmax time 0; ties resolve to the earliest grid time.
+    """
+    kernel = _argmax_kernel(mu, grid)
+    return np.concatenate(list(_stream(kernel, n_paths, _path_chunk(grid), seed)))
 
 
 def argmax_laplace_estimate(
@@ -386,55 +333,29 @@ def argmax_laplace_estimate(
     2^12 steps push that bias well under the Monte Carlo noise at 1e5
     paths for the gammas used in the studies.
     """
-    gamma, mu = float(gamma), float(mu)
-    n_paths = int(n_paths)
-    if n_paths < 2:
-        raise ValueError("need at least two paths")
-    seed = _check_seed(seed)
-    chunk_m = _path_chunk(grid.n_steps)
-    total = total_sq = 0.0
-    for stream, take in _chunks(n_paths, chunk_m):
-        h = _argmax_chunk(_rng(seed, stream), mu, grid, chunk_m, take)
-        vals = np.exp(-gamma * h)
-        total += float(np.sum(vals))
-        total_sq += float(np.sum(vals * vals))
-    return _estimate_from_moments(total, total_sq, n_paths, seed)
+    gamma = float(gamma)
+    times = _stream(_argmax_kernel(mu, grid), n_paths, _path_chunk(grid), seed)
+    return _mean_ci((np.exp(-gamma * h) for h in times), n_paths, seed)
 
 
-def _girsanov_chunk(
-    gen: np.random.Generator,
-    drift: Callable[[np.ndarray], np.ndarray],
-    grid: PathGrid,
-    chunk_m: int,
-    take: int,
-) -> tuple[np.ndarray, np.ndarray]:
-    z = gen.standard_normal((chunk_m, grid.n_steps))[:take]
-    dt = grid.dt
-    db = math.sqrt(dt) * z
-    path = np.cumsum(db, axis=1)
-    pre = np.concatenate([np.zeros((take, 1)), path[:, :-1]], axis=1)
-    m = np.asarray(drift(pre), dtype=float)
-    if m.shape != pre.shape:
-        raise ValueError("drift must map a path array to an array of the same shape")
-    llr = np.sum(m * db, axis=1) - 0.5 * dt * np.sum(m * m, axis=1)
-    return path, llr
+def _girsanov_kernel(drift: Callable[[np.ndarray], np.ndarray], grid: PathGrid) -> _Kernel:
+    """Euler log likelihood ratio sum(m(X_k) dB_k) - (dt/2) sum(m(X_k)^2).
 
-
-def simulate_sde_path(
-    drift: Callable[[np.ndarray], np.ndarray],
-    grid: PathGrid,
-    seed: int = 0,
-) -> tuple[np.ndarray, float]:
-    """One driftless path and its Girsanov log likelihood ratio.
-
-    The path is sampled under the driftless nominal model; the returned
-    log ratio reweights it to the law of dX = drift(X) dt + dB through
-    the Euler discretization sum(m(X_k) dB_k) - (dt/2) sum(m(X_k)^2).
+    Paths are sampled under the driftless nominal model; the ratio
+    reweights them to the law of dX = drift(X) dt + dB.
     """
-    seed = _check_seed(seed)
-    chunk_m = _path_chunk(grid.n_steps)
-    path, llr = _girsanov_chunk(_rng(seed, 0), drift, grid, chunk_m, 1)
-    return path[0], float(llr[0])
+    dt = grid.dt
+
+    def kernel(gen: np.random.Generator, take: int) -> np.ndarray:
+        db = _increments(gen, grid, take)
+        path = np.cumsum(db, axis=1)
+        pre = np.concatenate([np.zeros((take, 1)), path[:, :-1]], axis=1)
+        m = np.asarray(drift(pre), dtype=float)
+        if m.shape != pre.shape:
+            raise ValueError("drift must map a path array to an array of the same shape")
+        return np.sum(m * db, axis=1) - 0.5 * dt * np.sum(m * m, axis=1)
+
+    return kernel
 
 
 def girsanov_log_lr_samples(
@@ -444,18 +365,8 @@ def girsanov_log_lr_samples(
     seed: int = 0,
 ) -> np.ndarray:
     """Log likelihood ratio samples under the driftless nominal model."""
-    n_paths = int(n_paths)
-    if n_paths < 1:
-        raise ValueError("need at least one path")
-    seed = _check_seed(seed)
-    chunk_m = _path_chunk(grid.n_steps)
-    out = np.empty(n_paths)
-    done = 0
-    for stream, take in _chunks(n_paths, chunk_m):
-        _, llr = _girsanov_chunk(_rng(seed, stream), drift, grid, chunk_m, take)
-        out[done:done + take] = llr
-        done += take
-    return out
+    kernel = _girsanov_kernel(drift, grid)
+    return np.concatenate(list(_stream(kernel, n_paths, _path_chunk(grid), seed)))
 
 
 def girsanov_renyi_estimate(
@@ -473,27 +384,16 @@ def girsanov_renyi_estimate(
     1e5 paths resolve; the studies stay at alpha <= 3 where the
     estimator is well behaved for the drifts considered.
     """
-    alpha = float(alpha)
-    if not math.isfinite(alpha) or min(abs(alpha), abs(alpha - 1.0)) <= 1e-8:
-        raise ValueError("alpha must be finite and away from 0 and 1")
-    n_paths = int(n_paths)
-    if n_paths < 2:
-        raise ValueError("need at least two paths")
-    seed = _check_seed(seed)
-    chunk_m = _path_chunk(grid.n_steps)
-    lse1 = -math.inf
-    lse2 = -math.inf
-    for stream, take in _chunks(n_paths, chunk_m):
-        _, llr = _girsanov_chunk(_rng(seed, stream), drift, grid, chunk_m, take)
+    alpha = check_alpha(alpha)
+    n = _at_least_two(n_paths)
+    lse1 = lse2 = -math.inf
+    for llr in _stream(_girsanov_kernel(drift, grid), n, _path_chunk(grid), seed):
         lse1 = float(np.logaddexp(lse1, logsumexp(alpha * llr)))
         lse2 = float(np.logaddexp(lse2, logsumexp(2.0 * alpha * llr)))
-    log_n = math.log(n_paths)
+    log_n = math.log(n)
     l1 = lse1 - log_n
     l2 = lse2 - log_n
     denom = abs(alpha * (alpha - 1.0))
     mean = l1 / (alpha * (alpha - 1.0))
     rel_var = max(math.expm1(l2 - 2.0 * l1), 0.0)
-    se = math.sqrt(rel_var / n_paths) / denom
-    return EstimateWithCI(mean=mean, std_error=se,
-                          ci95=(mean - _Z95 * se, mean + _Z95 * se),
-                          n_samples=n_paths, seed=seed)
+    return _estimate(mean, math.sqrt(rel_var / n) / denom, n, seed)

@@ -40,6 +40,13 @@ class TestRsSides:
         assert rs_upper(0.3, math.inf, 3.0) == math.inf
         assert rs_lower(0.3, math.inf, 3.0) == -math.inf
 
+    def test_budget_validation(self):
+        for bad in (-0.1, math.nan):
+            with pytest.raises(ValueError):
+                rs_upper(0.3, bad, 3.0)
+            with pytest.raises(ValueError):
+                rs_lower(0.3, bad, 3.0)
+
     def test_inf_minus_inf_collapses_down(self):
         # a diverging nominal value with a diverging budget must give the
         # vacuous lower bound, not nan

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
@@ -14,13 +15,13 @@ from renyibounds.divergences import (
     GaussianParams,
     PoissonParams,
     check_alpha,
+    check_budget,
     kl_discrete,
     renyi_bm_drift,
     renyi_discrete,
     renyi_gaussian,
     renyi_log_integral_rows,
     renyi_poisson,
-    renyi_product_average,
 )
 from renyibounds.measures import FiniteMeasure
 
@@ -231,6 +232,26 @@ class TestPoisson:
                 got = renyi_poisson(PoissonParams(l1), PoissonParams(l2), a)
                 assert got == pytest.approx(want, rel=1e-12, abs=1e-12), (l1, l2, a)
 
+    def test_against_mpmath(self):
+        # orders next to 1, below 1/2 and far out, and nearly equal rates
+        rates = ((1.1, 1.0), (1.0, 1.1), (1.0, 1.0001), (3.0, 0.5), (30.0, 0.01), (1e-3, 2.0))
+        orders = (-30.0, -1.0, 1e-6, 0.25, 1.0 - 1e-6, 1.0 + 1e-6, 2.0, 6.0, 50.0)
+        for l1, l2 in rates:
+            for a in orders:
+                with mpmath.workdps(50):
+                    m1, m2, ma = mpmath.mpf(l1), mpmath.mpf(l2), mpmath.mpf(a)
+                    want = (m1 ** ma * m2 ** (1 - ma) - ma * m1 - (1 - ma) * m2) / (ma * (ma - 1))
+                got = renyi_poisson(PoissonParams(l1), PoissonParams(l2), a)
+                assert got == pytest.approx(float(want), rel=1e-10), (l1, l2, a)
+
+    def test_large_order_is_finite(self):
+        # the tilted rate 3^50 0.5^-49 is about 4e36: far too many terms
+        # for any summation over the support
+        got = renyi_poisson(PoissonParams(3.0), PoissonParams(0.5), 50.0)
+        want = (3.0 ** 50 * 0.5 ** -49 - 150.0 + 24.5) / 2450.0
+        assert math.isfinite(got)
+        assert got == pytest.approx(want, rel=1e-12)
+
     def test_self_zero(self):
         p = PoissonParams(2.5)
         assert renyi_poisson(p, p, 3.0) == pytest.approx(0.0, abs=1e-12)
@@ -243,15 +264,6 @@ class TestPoisson:
 
 
 class TestHelpers:
-    def test_product_average(self):
-        assert renyi_product_average([1.0, 2.0, 3.0]) == pytest.approx(2.0)
-        assert renyi_product_average([0.5]) == 0.5
-        assert renyi_product_average([1.0, math.inf]) == math.inf
-        with pytest.raises(ValueError):
-            renyi_product_average([])
-        with pytest.raises(ValueError):
-            renyi_product_average([1.0, -0.1])
-
     def test_bm_drift_budget(self):
         assert renyi_bm_drift(0.1) == pytest.approx(0.005, rel=1e-15)
         assert renyi_bm_drift(-2.0) == pytest.approx(2.0, rel=1e-15)
@@ -262,13 +274,17 @@ class TestHelpers:
     def test_check_alpha(self):
         assert check_alpha(2.0) == 2.0
         assert check_alpha(-3.5) == -3.5
-        for bad in (0.0, 1.0, 1e-9, 1.0 - 1e-9, math.inf, math.nan):
+        for bad in (0.0, 1.0, 1e-9, 1.0 - 1e-9, 1.0 + 1e-9, math.inf, math.nan):
             with pytest.raises(ValueError):
                 check_alpha(bad)
 
     def test_budget_validation(self):
         b = DivergenceBudget(0.0, math.inf)
         assert b.d1 == 0.0 and b.d2 == math.inf
+        assert check_budget("d1", 2) == 2.0
+        for bad in (-0.1, math.nan, -math.inf):
+            with pytest.raises(ValueError):
+                check_budget("d1", bad)
         with pytest.raises(ValueError):
             DivergenceBudget(-0.1, 1.0)
         with pytest.raises(ValueError):

@@ -120,19 +120,18 @@ class TestOrderParams:
         assert p.alpha == 3.0
 
     def test_from_alpha_adjacent(self):
-        p = OrderParams.from_alpha(2.5)
-        assert (p.beta, p.gamma) == (1.5, 2.5)
-        assert p.alpha == pytest.approx(2.5, rel=1e-15)
+        # adjacent orders (alpha - 1, alpha) induce the order alpha in
+        # every regime: above 1, in (0, 1) and below 0
+        for alpha in (2.5, 40.0, 0.5, -1.5):
+            p = OrderParams(beta=alpha - 1.0, gamma=alpha)
+            assert p.span == 1.0
+            assert p.alpha == pytest.approx(alpha, rel=1e-15)
 
     def test_rejects_degenerate(self):
         with pytest.raises(ValueError):
             OrderParams(beta=0.0, gamma=1.0)
         with pytest.raises(ValueError):
             OrderParams(beta=2.0, gamma=2.0)
-        with pytest.raises(ValueError):
-            OrderParams.from_alpha(1.0)
-        with pytest.raises(ValueError):
-            OrderParams.from_alpha(1.0 + 1e-9)
 
 
 class TestRiskSensitive:

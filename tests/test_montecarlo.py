@@ -12,20 +12,18 @@ from renyibounds.applications.brownian import (
     bm_exceedance_nominal,
     laplace_h_wiener,
 )
+from renyibounds.measures import logsumexp
 from renyibounds.montecarlo import (
     EstimateWithCI,
     PathGrid,
     PoissonLaw,
     argmax_laplace_estimate,
-    argmax_time_of_path,
     argmax_time_samples,
     bm_crossing_samples,
     bm_exceedance_estimate,
     girsanov_log_lr_samples,
     girsanov_renyi_estimate,
-    mc_mean_ci,
     simulate_queue_overflow_prob,
-    simulate_sde_path,
 )
 
 _GRID64 = PathGrid(n_steps=64)
@@ -87,9 +85,17 @@ class TestPrefixProperty:
 
 
 class TestMcMeanCi:
+    # one step at C = 1.5, b = 0.25 overflows iff the Poisson(1) arrival
+    # exceeds 1.75, so the overflow indicator is Bernoulli(1 - 2/e)
+    P_EXACT = 1.0 - 2.0 / math.e
+
+    @staticmethod
+    def _bernoulli(reps, seed):
+        return simulate_queue_overflow_prob(PoissonLaw(1.0), 1.5, 0.25, 1, reps, seed)
+
     def test_bernoulli_mean(self):
-        est = mc_mean_ci(lambda gen: float(gen.random() < 0.3), 4000, seed=0)
-        assert abs(est.mean - 0.3) <= 3.0 * est.std_error
+        est = self._bernoulli(4000, seed=0)
+        assert abs(est.mean - self.P_EXACT) <= 3.0 * est.std_error
         assert est.std_error == pytest.approx(
             math.sqrt(est.mean * (1.0 - est.mean) / 4000), rel=0.02)
 
@@ -98,20 +104,50 @@ class TestMcMeanCi:
         # independent replications
         covered = 0
         for seed in range(200):
-            est = mc_mean_ci(lambda gen: float(gen.random() < 0.3), 200, seed=seed)
-            if est.ci95[0] <= 0.3 <= est.ci95[1]:
+            est = self._bernoulli(200, seed=seed)
+            if est.ci95[0] <= self.P_EXACT <= est.ci95[1]:
                 covered += 1
         assert covered >= 180
 
     def test_json_dict(self):
-        est = mc_mean_ci(lambda gen: gen.random(), 10, seed=1)
-        d = est.to_json_dict()
+        d = self._bernoulli(10, seed=1).to_json_dict()
         assert set(d) == {"mean", "se", "ci95", "n", "seed"}
         assert d["n"] == 10
 
     def test_needs_two_samples(self):
         with pytest.raises(ValueError):
-            mc_mean_ci(lambda gen: gen.random(), 1)
+            self._bernoulli(1, seed=0)
+
+
+class TestEstimatesReduceSamples:
+    # 33000 paths of 64 steps span two chunks of 32768
+    N = 33000
+
+    def test_crossing(self):
+        for bridge in (True, False):
+            hits = bm_crossing_samples(1.0, 0.1, _GRID64, self.N, seed=4, bridge=bridge)
+            est = bm_exceedance_estimate(1.0, 0.1, _GRID64, self.N, seed=4, bridge=bridge)
+            assert est.mean * self.N == hits.sum()
+            assert est.std_error == pytest.approx(
+                math.sqrt(est.mean * (1.0 - est.mean) / (self.N - 1)), rel=1e-12)
+
+    def test_argmax_laplace(self):
+        vals = np.exp(-1.5 * argmax_time_samples(0.1, _GRID64, self.N, seed=4))
+        est = argmax_laplace_estimate(1.5, 0.1, _GRID64, self.N, seed=4)
+        assert est.mean == pytest.approx(vals.mean(), rel=1e-12)
+        assert est.std_error == pytest.approx(vals.std(ddof=1) / math.sqrt(self.N), rel=1e-9)
+
+    def test_girsanov(self):
+        alpha = 2.5
+        llr = girsanov_log_lr_samples(_tanh_drift(0.3), _GRID64, self.N, seed=4)
+        est = girsanov_renyi_estimate(_tanh_drift(0.3), _GRID64, alpha, self.N, seed=4)
+        scale = alpha * (alpha - 1.0)
+        want = (logsumexp(alpha * llr) - math.log(self.N)) / scale
+        assert est.mean == pytest.approx(want, rel=1e-12)
+        w = np.exp(alpha * (llr - llr.max()))
+        rel_var = np.mean(w * w) / np.mean(w) ** 2 - 1.0
+        assert est.std_error == pytest.approx(math.sqrt(rel_var / self.N) / scale, rel=1e-9)
+        assert est.n_samples == self.N and est.seed == 4
 
 
 class TestPoissonLaw:
@@ -209,17 +245,22 @@ class TestBridgeCrossing:
 
 class TestArgmax:
     def test_path_that_stays_negative(self):
-        assert argmax_time_of_path(np.array([-1.0, -2.0, -0.5]), 0.25) == 0.0
+        # the start point takes part, so paths that fall at once peak at 0
+        h = argmax_time_samples(-50.0, PathGrid(n_steps=8), 2000, seed=1)
+        assert np.all(h == 0.0)
 
     def test_interior_maximum(self):
-        assert argmax_time_of_path(np.array([1.0, 2.0, 1.0]), 0.25) == 0.5
-
-    def test_ties_resolve_early(self):
-        assert argmax_time_of_path(np.array([2.0, 2.0]), 0.5) == 0.5
+        # argmax times are grid times, and every one of them occurs
+        grid = PathGrid(n_steps=8, horizon=2.0)
+        h = argmax_time_samples(0.0, grid, 5000, seed=1)
+        assert set(np.unique(h)) == set(0.25 * np.arange(9))
 
     def test_validation(self):
-        with pytest.raises(ValueError):
-            argmax_time_of_path(np.array([]), 0.5)
+        for bad in (-1, 1 << 64):
+            with pytest.raises(ValueError):
+                argmax_time_samples(0.0, _GRID64, 10, seed=bad)
+            with pytest.raises(ValueError):
+                argmax_laplace_estimate(1.0, 0.0, _GRID64, 10, seed=bad)
 
     def test_driftless_mean_is_half(self):
         # path reversal swaps the argmax index k with n - k, so the
@@ -246,11 +287,12 @@ class TestArgmax:
 
 class TestGirsanov:
     def test_single_path_constant_drift_llr(self):
+        # a constant drift m gives LLR = m B_1 - m^2/2 on every path, so
+        # two drifts at one seed must recover the same endpoint B_1
         grid = PathGrid(n_steps=128)
-        path, llr = simulate_sde_path(_const_drift(0.4), grid, seed=5)
-        assert path.shape == (128,)
-        want = 0.4 * path[-1] - 0.5 * 0.4 ** 2
-        assert llr == pytest.approx(want, rel=1e-12)
+        a = girsanov_log_lr_samples(_const_drift(0.4), grid, 500, seed=5)
+        b = girsanov_log_lr_samples(_const_drift(-1.3), grid, 500, seed=5)
+        assert a / 0.4 + 0.2 == pytest.approx(b / -1.3 - 0.65, rel=1e-12)
 
     def test_likelihood_ratio_is_martingale(self):
         llr = girsanov_log_lr_samples(_tanh_drift(0.5), _GRID64, 100_000, seed=0)

@@ -11,14 +11,13 @@ from hypothesis import given, strategies as st
 from renyibounds.applications.queueing import (
     QueueModel,
     lindley_path,
-    lindley_step,
     overflow_decay_rate,
     poisson_rate_ell,
-    queue_overflow_event,
     scaled_event_sandwich,
 )
 from renyibounds.bounds import event_bounds
 from renyibounds.divergences import DivergenceBudget
+from renyibounds.montecarlo import PoissonLaw, simulate_queue_overflow_prob
 
 
 def _grid_rate(C: float, b: float, step: float = 1e-5, t_max: float = 60.0) -> float:
@@ -115,8 +114,8 @@ class TestDecayRate:
 
 class TestLindley:
     def test_single_step(self):
-        assert lindley_step(0.0, 3.0, 2.0) == 1.0
-        assert lindley_step(1.0, 0.0, 2.0) == 0.0
+        assert np.array_equal(lindley_path([3.0], 2.0), [1.0])
+        assert np.array_equal(lindley_path([3.0, 0.0], 2.0), [1.0, 0.0])
 
     def test_path_example(self):
         path = lindley_path([3.0, 0.0, 5.0, 0.0], 2.0)
@@ -148,15 +147,12 @@ class TestLindley:
 
 class TestOverflowEvent:
     def test_threshold_is_strict(self):
-        # arrivals driving the peak workload exactly to n*b do not overflow
-        x = np.array([4.0, 0.0, 0.0])
-        assert not queue_overflow_event(x, 2.0, 2.0 / 3.0, 3)
-        x2 = np.array([4.1, 0.0, 0.0])
-        assert queue_overflow_event(x2, 2.0, 2.0 / 3.0, 3)
-
-    def test_length_check(self):
-        with pytest.raises(ValueError):
-            queue_overflow_event(np.array([1.0, 2.0]), 2.0, 1.0, 3)
+        # one step at C = 1, b = 1: an arrival of 2 drives the workload
+        # exactly to n*b and must not overflow, so only arrivals >= 3 count
+        strict = 1.0 - 2.5 / math.e
+        est = simulate_queue_overflow_prob(PoissonLaw(1.0), 1.0, 1.0, 1, 20_000, seed=0)
+        assert abs(est.mean - strict) <= 4.0 * est.std_error
+        assert est.mean < (1.0 - 2.0 / math.e) - 20.0 * est.std_error
 
 
 class TestScaledSandwich:
