@@ -154,6 +154,11 @@ class TestOverflowEvent:
         assert abs(est.mean - strict) <= 4.0 * est.std_error
         assert est.mean < (1.0 - 2.0 / math.e) - 20.0 * est.std_error
 
+    def test_length_check(self):
+        # one arrival law per step: two laws cannot drive three steps
+        with pytest.raises(ValueError):
+            simulate_queue_overflow_prob([PoissonLaw(1.0)] * 2, 2.0, 1.0, 3, 100)
+
 
 class TestScaledSandwich:
     def test_budgets_scale_with_horizon(self):
