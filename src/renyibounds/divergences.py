@@ -21,6 +21,7 @@ forms used by the application studies.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -39,6 +40,9 @@ __all__ = [
 ]
 
 _ALPHA_EXCLUSION = 1e-8
+_POISSON_SERIES_LIMIT = 1e-2
+_POISSON_EXP_LIMIT = 700.0
+_LOG_FLOAT_MAX = math.log(sys.float_info.max)
 
 
 def check_alpha(alpha: float) -> float:
@@ -183,14 +187,36 @@ def renyi_poisson(theta1: PoissonParams, nu1: PoissonParams, alpha: float) -> fl
     l2 (e^r expm1((alpha - 1) r) - (alpha - 1) expm1(r)), which stays
     accurate as alpha -> 1, where the plain form cancels. Orders below
     1/2 go through the skew identity, which keeps alpha -> 0 accurate too.
+    For nearly equal rates (|alpha r| < 1e-2) that numerator still cancels
+    to second order in r, so the divergence is summed as the series
+    l2 * sum over k >= 2 of (1 + alpha + ... + alpha^(k-2)) r^k / k!,
+    whose terms carry no cancellation. Once r or alpha r passes 700 the
+    value is taken through its logarithm and is +inf beyond the float range.
     """
     alpha = check_alpha(alpha)
     if alpha < 0.5:
         return renyi_poisson(nu1, theta1, 1.0 - alpha)
     l2 = nu1.rate
-    r = math.log(theta1.rate / l2)
+    ratio = theta1.rate / l2
+    # rates whose ratio leaves the float range still have a finite log ratio
+    r = math.log(ratio) if 0.0 < ratio < math.inf else math.log(theta1.rate) - math.log(l2)
     am1 = alpha - 1.0
-    return l2 * (math.exp(r) * math.expm1(am1 * r) - am1 * math.expm1(r)) / (alpha * am1)
+    if abs(alpha * r) < _POISSON_SERIES_LIMIT:
+        # the rate difference is exact here, so log1p keeps r to full precision
+        r = math.log1p((theta1.rate - l2) / l2)
+        power = term = total = 0.5 * r * r
+        for k in range(3, 11):
+            # term k from term k-1: (1 + ... + alpha^(k-2)) = 1 + alpha (1 + ... + alpha^(k-3))
+            term = r / k * (power + alpha * term)
+            power *= r / k
+            total += term
+        return l2 * total
+    if max(r, alpha * r) < _POISSON_EXP_LIMIT:
+        return l2 * (math.exp(r) * math.expm1(am1 * r) - am1 * math.expm1(r)) / (alpha * am1)
+    # the numerator is l2 e^(alpha r) (expm1(-alpha r) - alpha expm1(-(alpha - 1) r) / (alpha - 1))
+    log_value = math.log(l2) + alpha * r - math.log(alpha) + math.log(
+        math.expm1(-alpha * r) - alpha * math.expm1(-am1 * r) / am1)
+    return math.exp(log_value) if log_value < _LOG_FLOAT_MAX else math.inf
 
 
 def renyi_bm_drift(mu: float) -> float:

@@ -42,11 +42,19 @@ def logsumexp(a, axis=None):
     if a.size == 0:
         raise ValueError("logsumexp of an empty array")
     m = np.max(a, axis=axis, keepdims=True)
-    shift = np.where(np.isfinite(m), m, 0.0)
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        s = np.log(np.sum(np.exp(a - shift), axis=axis, keepdims=True)) + shift
-    s = np.where(np.isneginf(m), -math.inf, s)
-    s = np.where(np.isposinf(m), math.inf, s)
+        if np.isfinite(m).all():
+            # every shifted entry is <= 0 and every slice sum >= 1: no masking
+            s = a - m
+            np.exp(s, out=s)
+            s = np.sum(s, axis=axis, keepdims=True)
+            np.log(s, out=s)
+            s += m
+        else:
+            shift = np.where(np.isfinite(m), m, 0.0)
+            s = np.log(np.sum(np.exp(a - shift), axis=axis, keepdims=True)) + shift
+            s = np.where(np.isneginf(m), -math.inf, s)
+            s = np.where(np.isposinf(m), math.inf, s)
     if axis is None:
         return float(s.reshape(()))
     return np.squeeze(s, axis=axis)

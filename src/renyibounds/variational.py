@@ -29,7 +29,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import combinations
 
 import numpy as np
 
@@ -114,19 +113,19 @@ class IdentityReport:
 
 def _grid_simplex(dim: int, step: float) -> np.ndarray:
     m = int(round(1.0 / step))
-    if dim == 1:
-        return np.ones((1, 1))
-    # compositions of m into dim parts via stars and bars
-    rows = []
-    for cuts in combinations(range(m + dim - 1), dim - 1):
-        prev = -1
-        parts = []
-        for c in cuts:
-            parts.append(c - prev - 1)
-            prev = c
-        parts.append(m + dim - 2 - prev)
-        rows.append(parts)
-    return np.asarray(rows, dtype=float) / m
+    # compositions of each total n <= m into k parts, totals descending and
+    # lexicographic within a total; the rows summing to at most n are then a
+    # suffix, and prepending the part n - sum to it gives the total-n block
+    rows = np.zeros((1, 0), dtype=np.int64)
+    for k in range(1, dim + 1):
+        totals = np.arange(m, -1, -1) if k < dim else np.array([m])
+        sums = rows.sum(axis=1)
+        start = np.searchsorted(-sums, -totals)
+        lengths = len(rows) - start
+        ends = np.cumsum(lengths)
+        idx = np.arange(ends[-1]) - np.repeat(ends - lengths - start, lengths)
+        rows = np.column_stack([np.repeat(totals, lengths) - sums[idx], rows[idx]])
+    return rows / m
 
 
 def _candidates(dim: int, grid_step: float, samples: int, seed: int) -> tuple[np.ndarray, str, float]:

@@ -221,6 +221,16 @@ class TestGaussian:
             GaussianParams(math.nan, 1.0)
 
 
+_NEAR_ORDERS = (0.5, 0.9, 2.0, 5.0, 50.0)
+
+
+def _mp_poisson(l1, l2, a):
+    """R_a(P(l1) || P(l2)) at 120 digits from the uncancelled closed form."""
+    with mpmath.workdps(120):
+        m1, m2, ma = mpmath.mpf(l1), mpmath.mpf(l2), mpmath.mpf(a)
+        return (m1 ** ma * m2 ** (1 - ma) - ma * m1 - (1 - ma) * m2) / (ma * (ma - 1))
+
+
 class TestPoisson:
     def test_against_closed_form(self):
         # sum_k e^{-(a l1 + (1-a) l2)} (l1^a l2^{1-a})^k / k! gives
@@ -251,6 +261,50 @@ class TestPoisson:
         want = (3.0 ** 50 * 0.5 ** -49 - 150.0 + 24.5) / 2450.0
         assert math.isfinite(got)
         assert got == pytest.approx(want, rel=1e-12)
+
+    def test_beyond_float_range_is_inf(self):
+        # alpha r = 200 log 3000 is about 1601: e^(alpha r) overflows
+        assert renyi_poisson(PoissonParams(30.0), PoissonParams(0.01), 200.0) == math.inf
+        # the skew mirror R_-199(P(0.01) || P(30)) is the same divergence
+        assert renyi_poisson(PoissonParams(0.01), PoissonParams(30.0), -199.0) == math.inf
+
+    def test_large_finite_values_against_mpmath(self):
+        # r or alpha r above 700 with the value still inside the float range
+        cases = ((30.0, 0.01, 88.0), (30.0, 0.01, 90.0), (3.0, 0.5, 400.0),
+                 (1e3, 1.0, 102.0), (5e3, 1e-300, 1.2), (1e300, 1e-5, 0.6),
+                 # l1 / l2 itself overflows or underflows
+                 (1e300, 1e-10, 0.7), (1e300, 1e-10, 1.0 + 1e-6), (1e-200, 1e200, 2.0),
+                 (1e-200, 1e200, 0.7), (1e-200, 1e200, -0.2))
+        for l1, l2, a in cases:
+            got = renyi_poisson(PoissonParams(l1), PoissonParams(l2), a)
+            assert math.isfinite(got), (l1, l2, a)
+            assert got == pytest.approx(float(_mp_poisson(l1, l2, a)), rel=1e-12), (l1, l2, a)
+
+    @pytest.mark.parametrize("l2", [1.0, 0.3, 2.5])
+    def test_nearly_equal_rates_against_mpmath(self, l2):
+        for e in range(4, 13):
+            for sign in (1.0, -1.0):
+                l1 = l2 * (1.0 + sign * 10.0 ** -e)
+                for a in _NEAR_ORDERS:
+                    got = renyi_poisson(PoissonParams(l1), PoissonParams(l2), a)
+                    want = float(_mp_poisson(l1, l2, a))
+                    assert abs(got - want) <= 1e-13 * want, (l1, l2, a)
+
+    @pytest.mark.parametrize("a", _NEAR_ORDERS)
+    def test_continuous_at_series_switch(self, a):
+        # the series takes over below |alpha r| = 1e-2; the floats around
+        # that point straddle it, and each side must match mpmath
+        for sign in (1.0, -1.0):
+            centre = math.exp(sign * 1e-2 / a)
+            l1s = [centre * (1.0 + k * 2.0 ** -52) for k in range(-6, 7)]
+            sides = {abs(a * math.log(l1)) < 1e-2 for l1 in l1s}
+            assert sides == {True, False}
+            errs = []
+            for l1 in l1s:
+                got = renyi_poisson(PoissonParams(l1), PoissonParams(1.0), a)
+                want = float(_mp_poisson(l1, 1.0, a))
+                errs.append((got - want) / want)
+            assert max(abs(e) for e in errs) <= 1e-13, (a, sign, errs)
 
     def test_self_zero(self):
         p = PoissonParams(2.5)

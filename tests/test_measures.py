@@ -8,6 +8,7 @@ import math
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
+from hypothesis.extra.numpy import arrays
 
 from renyibounds.measures import (
     BoundedFunction,
@@ -48,6 +49,69 @@ class TestLogsumexp:
     def test_empty(self):
         with pytest.raises(ValueError):
             logsumexp(np.array([]))
+
+
+def masked_logsumexp(a, axis=None):
+    """Reference: the masked formula (three np.where passes) on every input.
+
+    logsumexp keeps it for slices whose maximum is not finite and must
+    match it bit for bit everywhere else too."""
+    a = np.asarray(a, dtype=float)
+    m = np.max(a, axis=axis, keepdims=True)
+    shift = np.where(np.isfinite(m), m, 0.0)
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        s = np.log(np.sum(np.exp(a - shift), axis=axis, keepdims=True)) + shift
+    s = np.where(np.isneginf(m), -math.inf, s)
+    s = np.where(np.isposinf(m), math.inf, s)
+    if axis is None:
+        return float(s.reshape(()))
+    return np.squeeze(s, axis=axis)
+
+
+_EXTENDED_REALS = st.one_of(
+    st.floats(-50.0, 50.0),
+    st.floats(allow_nan=False),
+    st.sampled_from([-math.inf, math.inf]),
+)
+_SHAPES = st.tuples(st.integers(1, 5), st.integers(1, 5))
+extended_matrices = arrays(np.float64, _SHAPES, elements=_EXTENDED_REALS)
+finite_matrices = arrays(np.float64, _SHAPES, elements=st.floats(-1e6, 1e6))
+_AXES = (None, 0, -1)
+
+
+def _slices(a, axis):
+    """The input slices that produce each output entry, in output order."""
+    if axis is None:
+        return [a.ravel()]
+    return list(np.moveaxis(a, axis, -1))
+
+
+class TestLogsumexpExtendedReals:
+    @given(extended_matrices)
+    def test_slice_conventions(self, a):
+        for axis in _AXES:
+            out = np.atleast_1d(logsumexp(a, axis=axis))
+            for value, piece in zip(out, _slices(a, axis), strict=True):
+                assert not math.isnan(value)
+                if np.any(np.isposinf(piece)):
+                    assert value == math.inf
+                elif np.all(np.isneginf(piece)):
+                    assert value == -math.inf
+
+    @given(st.one_of(finite_matrices, extended_matrices))
+    def test_bitwise_equal_to_masked_formula(self, a):
+        for axis in _AXES:
+            got = np.asarray(logsumexp(a, axis=axis))
+            want = np.asarray(masked_logsumexp(a, axis=axis))
+            assert got.shape == want.shape
+            assert got.tobytes() == want.tobytes()
+
+    def test_input_is_not_modified(self):
+        a = np.array([[0.5, -1.0], [2.0, 3.0]])
+        before = a.copy()
+        logsumexp(a, axis=-1)
+        logsumexp(a)
+        assert np.array_equal(a, before)
 
 
 class TestFiniteMeasure:

@@ -16,7 +16,7 @@ from renyibounds.applications.queueing import (
     scaled_event_sandwich,
 )
 from renyibounds.bounds import event_bounds
-from renyibounds.divergences import DivergenceBudget
+from renyibounds.divergences import DivergenceBudget, PoissonParams, renyi_poisson
 from renyibounds.montecarlo import PoissonLaw, simulate_queue_overflow_prob
 
 
@@ -171,3 +171,16 @@ class TestScaledSandwich:
     def test_horizon_validation(self):
         with pytest.raises(ValueError):
             scaled_event_sandwich(1e-4, 0, 3.0, 0.1, 0.1)
+
+    def test_infinite_per_step_budget(self):
+        # R_200(P(30) || P(1/100)) exceeds the float range
+        d1 = renyi_poisson(PoissonParams(30.0), PoissonParams(0.01), 200.0)
+        d2 = renyi_poisson(PoissonParams(0.01), PoissonParams(30.0), 199.0)
+        assert d1 == math.inf
+        assert math.isfinite(d2)
+        res = scaled_event_sandwich(0.3, 50, 200.0, d1, d2)
+        assert res.budget.d1 == math.inf
+        assert not math.isnan(res.lower)
+        assert not math.isnan(res.upper)
+        assert res.upper == 1.0
+        assert 0.0 <= res.lower <= 1.0

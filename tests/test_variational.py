@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+from itertools import combinations
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from hypothesis import given, strategies as st
 from renyibounds.divergences import renyi_discrete
 from renyibounds.measures import FiniteMeasure, OrderParams, risk_sensitive
 from renyibounds.variational import (
+    _grid_simplex,
     alpha_zero_limit_check,
     inf_identity,
     kl_limit_identities,
@@ -96,6 +98,50 @@ class TestWorkedTwoPoint:
             "dominance_margin", "near_optimal_max_distance",
         }
         assert d["optimizer"]["labels"] == ["a", "b"]
+
+
+def stars_and_bars_grid(dim, step):
+    """Reference grid: compositions of m = round(1/step) into dim parts
+    read off the bar positions, in itertools.combinations order."""
+    m = int(round(1.0 / step))
+    if dim == 1:
+        return np.ones((1, 1))
+    rows = []
+    for cuts in combinations(range(m + dim - 1), dim - 1):
+        prev = -1
+        parts = []
+        for c in cuts:
+            parts.append(c - prev - 1)
+            prev = c
+        parts.append(m + dim - 2 - prev)
+        rows.append(parts)
+    return np.asarray(rows, dtype=float) / m
+
+
+_GRID_CASES = [(dim, step) for dim in (1, 2, 3, 4) for step in (1e-2, 0.3, 0.7)]
+# 2.2e-3 at dim 4 would be 1.6e7 rows, too many for the loop reference
+_GRID_CASES += [(1, 2.2e-3), (2, 2.2e-3), (3, 2.2e-3), (2, 1e-5)]
+
+
+class TestGridSimplex:
+    @pytest.mark.parametrize("dim,step", _GRID_CASES)
+    def test_matches_stars_and_bars_bitwise(self, dim, step):
+        got = _grid_simplex(dim, step)
+        want = stars_and_bars_grid(dim, step)
+        assert got.dtype == want.dtype
+        assert got.shape == want.shape
+        # same bits in the same row order
+        assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
+    @pytest.mark.parametrize("dim,step", [(2, 1e-5), (2, 1e-2), (3, 2.2e-3), (3, 1e-2)])
+    def test_oracle_points_count_the_grid(self, dim, step):
+        nu = measure_from_weights(range(1, dim + 1))
+        g = np.linspace(-1.0, 1.0, dim)
+        rep = inf_identity(nu, g, OrderParams(1.0, 2.0), grid_step=step)
+        m = int(round(1.0 / step))
+        # the grid plus the optimizer and nu themselves
+        assert rep.oracle_kind == "grid"
+        assert rep.oracle_points == math.comb(m + dim - 1, dim - 1) + 2
 
 
 class TestScalingInvariance:
