@@ -183,7 +183,8 @@ def renyi_poisson(theta1: PoissonParams, nu1: PoissonParams, alpha: float) -> fl
 
     Summing the tilted series gives
     (l1^alpha l2^(1 - alpha) - alpha l1 - (1 - alpha) l2) / (alpha (alpha - 1)).
-    With r = log(l1 / l2) the numerator is evaluated as
+    With r = log(l1 / l2), taken as log1p((l1 - l2) / l2) whenever the
+    rates lie within a factor of 2, the numerator is evaluated as
     l2 (e^r expm1((alpha - 1) r) - (alpha - 1) expm1(r)), which stays
     accurate as alpha -> 1, where the plain form cancels. Orders below
     1/2 go through the skew identity, which keeps alpha -> 0 accurate too.
@@ -196,14 +197,19 @@ def renyi_poisson(theta1: PoissonParams, nu1: PoissonParams, alpha: float) -> fl
     alpha = check_alpha(alpha)
     if alpha < 0.5:
         return renyi_poisson(nu1, theta1, 1.0 - alpha)
-    l2 = nu1.rate
-    ratio = theta1.rate / l2
-    # rates whose ratio leaves the float range still have a finite log ratio
-    r = math.log(ratio) if 0.0 < ratio < math.inf else math.log(theta1.rate) - math.log(l2)
+    l1, l2 = theta1.rate, nu1.rate
+    ratio = l1 / l2
+    if 0.5 * l2 <= l1 <= 2.0 * l2:
+        # l1 - l2 is exact here (Sterbenz), so log1p keeps r to full precision,
+        # where log(ratio) carries the rounding of the ratio, eps / |r| in r
+        r = math.log1p((l1 - l2) / l2)
+    elif 0.0 < ratio < math.inf:
+        r = math.log(ratio)
+    else:
+        # rates whose ratio leaves the float range still have a finite log ratio
+        r = math.log(l1) - math.log(l2)
     am1 = alpha - 1.0
     if abs(alpha * r) < _POISSON_SERIES_LIMIT:
-        # the rate difference is exact here, so log1p keeps r to full precision
-        r = math.log1p((theta1.rate - l2) / l2)
         power = term = total = 0.5 * r * r
         for k in range(3, 11):
             # term k from term k-1: (1 + ... + alpha^(k-2)) = 1 + alpha (1 + ... + alpha^(k-3))

@@ -3,9 +3,13 @@
 All randomness comes from counter-based Philox streams keyed by
 (seed, stream index), so every estimate is a pure function of its
 arguments. Work is processed in fixed-size chunks, one stream per
-chunk, and each chunk always draws its full layout (normal variates
-first, then uniforms) even when only a prefix is consumed. Two
-consequences are load-bearing for the tests:
+chunk. A chunk that keeps only its first rows draws just those rows
+when nothing is drawn after them: generators fill an array in
+row-major order, so the prefix holds the same bits. The crossing
+kernel draws its bridge uniforms after the normals, and the ziggurat
+normal sampler consumes a variable number of words, so that kernel
+always draws the normals of a full chunk. Two consequences are
+load-bearing for the tests:
 
 * results are reproducible bit for bit across runs and platforms that
   share a numpy version, and growing the sample count only appends
@@ -50,6 +54,7 @@ __all__ = [
 ]
 
 _QUEUE_CHUNK = 1 << 16
+_GUIDE_BUCKETS = 1 << 12
 _PATH_DRAW_BUDGET = 1 << 21
 _Z95 = 1.959963984540054
 
@@ -145,11 +150,6 @@ def _path_chunk(grid: PathGrid) -> int:
     return max(1, _PATH_DRAW_BUDGET // grid.n_steps)
 
 
-def _increments(gen: np.random.Generator, grid: PathGrid, take: int) -> np.ndarray:
-    """Driftless increments sqrt(dt) z; the whole chunk is drawn so prefixes never move."""
-    return math.sqrt(grid.dt) * gen.standard_normal((_path_chunk(grid), grid.n_steps))[:take]
-
-
 class PoissonLaw:
     """Poisson arrival law sampled by inverting a cached CDF table.
 
@@ -158,9 +158,22 @@ class PoissonLaw:
     double precision. Inversion maps a uniform u to the smallest k with
     u < P(X <= k), which makes arrival samples a deterministic function
     of the uniform layout shared by every law.
+
+    Inversion is an indexed search (Chen & Asau 1974; Devroye 1986,
+    III.2.4) that returns exactly what a binary search of the table
+    returns. For u in [0, 1) that answer is the count of entries <= u,
+    since every entry below 1 sits in the sorted prefix of the table
+    (cumulative sums may round above the final 1.0 before reaching it).
+    [0, 1) is cut into _GUIDE_BUCKETS equal buckets; their number is a
+    power of two, so u * _GUIDE_BUCKETS and each edge j / _GUIDE_BUCKETS
+    are exact. The count is the same for every u in bucket j, and the
+    guide stores it, unless an entry lies strictly inside the bucket.
+    Such buckets are marked -1 and fall back to the binary search, as
+    does every u outside [0, 1), nan included, through a last marked
+    slot. For rate 1, 7 of the 4096 buckets are marked.
     """
 
-    __slots__ = ("rate", "_cdf")
+    __slots__ = ("rate", "_cdf", "_guide")
 
     MAX_RATE = 30.0
 
@@ -177,11 +190,26 @@ class PoissonLaw:
         cdf = np.cumsum(pmf)
         cdf[-1] = 1.0
         self._cdf = cdf
+        # every entry below 1 sits in the sorted prefix, so both counts are exact
+        edges = np.arange(_GUIDE_BUCKETS + 1) / _GUIDE_BUCKETS
+        at_or_below = np.searchsorted(cdf, edges, side="right")
+        below_next = np.searchsorted(cdf, edges[1:], side="left")
+        guide = at_or_below.astype(float)
+        guide[:-1][below_next > at_or_below[:-1]] = -1.0
+        guide[-1] = -1.0
+        self._guide = guide
 
     def quantile(self, u: np.ndarray) -> np.ndarray:
         """Smallest k with u < P(X <= k), as floats for workload math."""
-        idx = np.searchsorted(self._cdf, np.asarray(u), side="right")
-        return np.minimum(idx, self._cdf.size - 1).astype(float)
+        u = np.asarray(u, dtype=float)
+        t = u * _GUIDE_BUCKETS
+        inside = (t >= 0.0) & (t < _GUIDE_BUCKETS)
+        k = self._guide[np.where(inside, t, _GUIDE_BUCKETS).astype(np.intp)]
+        search = k < 0.0
+        if search.any():
+            idx = np.searchsorted(self._cdf, u[search], side="right")
+            k[search] = np.minimum(idx, self._cdf.size - 1)
+        return k
 
     def __repr__(self) -> str:
         return f"PoissonLaw(rate={self.rate!r})"
@@ -200,11 +228,14 @@ def _per_step_laws(arrival_law, n: int) -> list[PoissonLaw]:
 
 def _queue_kernel(laws: list[PoissonLaw], C: float, level: float) -> _Kernel:
     def kernel(gen: np.random.Generator, take: int) -> np.ndarray:
-        u = gen.random((_QUEUE_CHUNK, len(laws)))[:take]
+        u = gen.random((take, len(laws)))
         q = np.zeros(take)
         peak = np.zeros(take)
         for k, law in enumerate(laws):
-            q = np.maximum(q + law.quantile(u[:, k]) - C, 0.0)
+            # Lindley step max(q + a - C, 0), rounded in that order
+            q += law.quantile(u[:, k])
+            q -= C
+            np.maximum(q, 0.0, out=q)
             np.maximum(peak, q, out=peak)
         return peak > level
 
@@ -241,7 +272,10 @@ def _crossing_kernel(level: float, mu: float, grid: PathGrid, bridge: bool) -> _
     dt = grid.dt
 
     def kernel(gen: np.random.Generator, take: int) -> np.ndarray:
-        path = np.cumsum(_increments(gen, grid, take) + mu * dt, axis=1)
+        # the bridge uniforms come after a full chunk of normals; no name holds
+        # that chunk, so it is freed as soon as its first take rows are scaled
+        normals = (_path_chunk(grid), grid.n_steps)
+        path = np.cumsum(math.sqrt(dt) * gen.standard_normal(normals)[:take] + mu * dt, axis=1)
         crossed = np.max(path, axis=1) >= level
         if not bridge:
             return crossed
@@ -297,9 +331,15 @@ def _argmax_kernel(mu: float, grid: PathGrid) -> _Kernel:
     mu, dt = float(mu), grid.dt
 
     def kernel(gen: np.random.Generator, take: int) -> np.ndarray:
-        path = np.cumsum(_increments(gen, grid, take) + mu * dt, axis=1)
-        values = np.concatenate([np.zeros((take, 1)), path], axis=1)
-        return np.argmax(values, axis=1) * dt
+        path = gen.standard_normal((take, grid.n_steps))
+        path *= math.sqrt(dt)
+        path += mu * dt
+        np.cumsum(path, axis=1, out=path)
+        # the start value 0 wins unless the path rises above it; argmax takes
+        # the earliest of tied steps
+        i = np.argmax(path, axis=1)
+        peak = np.take_along_axis(path, i[:, None], axis=1)[:, 0]
+        return np.where(peak > 0.0, (i + 1) * dt, 0.0)
 
     return kernel
 
@@ -347,7 +387,8 @@ def _girsanov_kernel(drift: Callable[[np.ndarray], np.ndarray], grid: PathGrid) 
     dt = grid.dt
 
     def kernel(gen: np.random.Generator, take: int) -> np.ndarray:
-        db = _increments(gen, grid, take)
+        db = gen.standard_normal((take, grid.n_steps))
+        db *= math.sqrt(dt)
         path = np.cumsum(db, axis=1)
         pre = np.concatenate([np.zeros((take, 1)), path[:, :-1]], axis=1)
         m = np.asarray(drift(pre), dtype=float)

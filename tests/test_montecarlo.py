@@ -7,6 +7,7 @@ import math
 import numpy as np
 import pytest
 
+from renyibounds import montecarlo as mc
 from renyibounds.applications.brownian import (
     bm_exceedance_drift,
     bm_exceedance_nominal,
@@ -35,6 +36,26 @@ def _const_drift(mu):
 
 def _tanh_drift(mu):
     return lambda x: mu * np.tanh(x)
+
+
+def _searchsorted_quantile(law, u):
+    """The binary-search inversion that the guide table must reproduce."""
+    idx = np.searchsorted(law._cdf, np.asarray(u), side="right")
+    return np.minimum(idx, law._cdf.size - 1).astype(float)
+
+
+def _reference_queue_kernel(laws, C, level):
+    """Queue kernel that draws a full chunk and searches the table per step."""
+    def kernel(gen, take):
+        u = gen.random((mc._QUEUE_CHUNK, len(laws)))[:take]
+        q = np.zeros(take)
+        peak = np.zeros(take)
+        for k, law in enumerate(laws):
+            q = np.maximum(q + _searchsorted_quantile(law, u[:, k]) - C, 0.0)
+            np.maximum(peak, q, out=peak)
+        return peak > level
+
+    return kernel
 
 
 class TestDeterminism:
@@ -176,6 +197,23 @@ class TestPoissonLaw:
                 PoissonLaw(bad)
         PoissonLaw(30.0)
 
+    # at rate log 2, P(X = 0) is 1/2 exactly: a table entry on a bucket edge
+    @pytest.mark.parametrize("rate", [1e-3, math.log(2.0), 1.0, 1.1, 7.5, 30.0])
+    def test_quantile_matches_searchsorted(self, rate):
+        law = PoissonLaw(rate)
+        cdf = law._cdf
+        edges = np.arange(mc._GUIDE_BUCKETS + 1) / mc._GUIDE_BUCKETS
+        special = np.array([0.0, 1.0 - 2.0 ** -53, 1.0, -0.5, 2.0, math.nan])
+        u = np.concatenate([
+            special,
+            cdf, np.nextafter(cdf, -math.inf), np.nextafter(cdf, math.inf),
+            edges, np.nextafter(edges, -math.inf), np.nextafter(edges, math.inf),
+            np.random.default_rng(5).random(100_000),
+        ])
+        got = law.quantile(u)
+        assert np.array_equal(got, _searchsorted_quantile(law, u))
+        assert got.dtype == np.float64
+
 
 class TestQueueSimulation:
     def test_against_exact_enumeration(self):
@@ -195,6 +233,25 @@ class TestQueueSimulation:
         a = simulate_queue_overflow_prob(law, 2.0, 0.3, 5, 20_000, seed=3)
         b = simulate_queue_overflow_prob([law] * 5, 2.0, 0.3, 5, 20_000, seed=3)
         assert a.mean == b.mean
+
+    @pytest.mark.parametrize("laws, C, b", [
+        ([PoissonLaw(1.0)] * 50, 2.25, 0.05),
+        ([PoissonLaw(r) for r in np.linspace(0.05, 30.0, 50)], 24.5, 0.4),
+    ], ids=["constant", "per-step"])
+    def test_matches_reference_kernel(self, laws, C, b):
+        # two chunks, the second a 1000-row prefix of its stream
+        reps, seed = mc._QUEUE_CHUNK + 1000, 11
+        level = len(laws) * b
+        kernel = mc._queue_kernel(laws, C, level)
+        reference = _reference_queue_kernel(laws, C, level)
+        got = list(mc._stream(kernel, reps, mc._QUEUE_CHUNK, seed))
+        want = list(mc._stream(reference, reps, mc._QUEUE_CHUNK, seed))
+        assert [g.size for g in got] == [mc._QUEUE_CHUNK, 1000]
+        for g, w in zip(got, want):
+            assert np.array_equal(g, w)
+        est = simulate_queue_overflow_prob(laws, C, b, len(laws), reps, seed=seed)
+        assert 0.0 < est.mean < 1.0
+        assert est == mc._mean_ci(iter(want), reps, seed)
 
     def test_validation(self):
         law = PoissonLaw(1.0)
