@@ -100,24 +100,23 @@ class DivergenceBudget:
 
 
 def renyi_log_integral_rows(log_num: np.ndarray, log_den: np.ndarray, alpha: float) -> np.ndarray:
-    """Row-wise log int (num'/den')^alpha d den on a shared finite support.
+    """Column-wise log int (num'/den')^alpha d den on a shared finite support.
 
-    log_num and log_den broadcast against each other; the last axis runs
-    over atoms. Atoms with zero mass under both measures are dropped.
-    The remaining -inf arithmetic encodes the support conventions on its
-    own: a numerator atom outside the denominator support drives the sum
-    to +inf when alpha > 1, the joint-support restriction happens
-    automatically when 0 < alpha < 1, and for alpha < 0 the roles of the
-    two measures swap exactly as in the skew identity.
+    log_num and log_den broadcast against each other; the first axis runs
+    over atoms, so (dim, N) arrays give one value per column. Atoms with
+    zero mass under both measures are dropped. The remaining -inf
+    arithmetic encodes the support conventions on its own: a numerator
+    atom outside the denominator support drives the sum to +inf when
+    alpha > 1, the joint-support restriction happens automatically when
+    0 < alpha < 1, and for alpha < 0 the roles of the two measures swap
+    exactly as in the skew identity.
     """
     ln = np.asarray(log_num, dtype=float)
     lt = np.asarray(log_den, dtype=float)
     with np.errstate(invalid="ignore"):
         w = alpha * ln + (1.0 - alpha) * lt
-    both_zero = np.isneginf(ln) & np.isneginf(lt)
-    if np.any(both_zero):
-        w = np.where(both_zero, -math.inf, w)
-    return logsumexp(w, axis=-1)
+    w[np.isneginf(ln) & np.isneginf(lt)] = -math.inf
+    return logsumexp(w, axis=0)
 
 
 def _shared_support(nu: FiniteMeasure, theta: FiniteMeasure) -> None:

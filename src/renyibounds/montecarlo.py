@@ -161,9 +161,10 @@ class PoissonLaw:
 
     Inversion is an indexed search (Chen & Asau 1974; Devroye 1986,
     III.2.4) that returns exactly what a binary search of the table
-    returns. For u in [0, 1) that answer is the count of entries <= u,
-    since every entry below 1 sits in the sorted prefix of the table
-    (cumulative sums may round above the final 1.0 before reaching it).
+    returns. The table is sorted: cumulative sums may round above 1.0
+    before the last entry, so they are clamped to 1.0, which moves no
+    entry below 1 and keeps the quantile monotone for u >= 1 too. For u
+    in [0, 1) the answer is therefore the count of entries <= u.
     [0, 1) is cut into _GUIDE_BUCKETS equal buckets; their number is a
     power of two, so u * _GUIDE_BUCKETS and each edge j / _GUIDE_BUCKETS
     are exact. The count is the same for every u in bucket j, and the
@@ -187,10 +188,9 @@ class PoissonLaw:
         pmf[0] = math.exp(-rate)
         for k in range(1, kmax + 1):
             pmf[k] = pmf[k - 1] * (rate / k)
-        cdf = np.cumsum(pmf)
+        cdf = np.minimum(np.cumsum(pmf), 1.0)
         cdf[-1] = 1.0
         self._cdf = cdf
-        # every entry below 1 sits in the sorted prefix, so both counts are exact
         edges = np.arange(_GUIDE_BUCKETS + 1) / _GUIDE_BUCKETS
         at_or_below = np.searchsorted(cdf, edges, side="right")
         below_next = np.searchsorted(cdf, edges[1:], side="left")

@@ -111,29 +111,40 @@ class IdentityReport:
         }
 
 
-def _grid_simplex(dim: int, step: float) -> np.ndarray:
+def _grid_simplex(dim: int, step: float, spare: int = 0) -> np.ndarray:
+    """Grid points of the simplex as columns of a (dim, N + spare) array;
+    the last spare columns are left for the caller to fill."""
     m = int(round(1.0 / step))
-    # compositions of each total n <= m into k parts, totals descending and
-    # lexicographic within a total; the rows summing to at most n are then a
-    # suffix, and prepending the part n - sum to it gives the total-n block
-    rows = np.zeros((1, 0), dtype=np.int64)
+    # compositions of each total n <= m into k parts, one per column, totals
+    # descending and lexicographic within a total; the columns summing to at
+    # most n are then a suffix, and stacking the head part n - sum on top of
+    # it gives the total-n block
+    cols = np.zeros((0, 1), dtype=np.int64)
     for k in range(1, dim + 1):
         totals = np.arange(m, -1, -1) if k < dim else np.array([m])
-        sums = rows.sum(axis=1)
+        sums = cols.sum(axis=0)
         start = np.searchsorted(-sums, -totals)
-        lengths = len(rows) - start
+        lengths = cols.shape[1] - start
         ends = np.cumsum(lengths)
         idx = np.arange(ends[-1]) - np.repeat(ends - lengths - start, lengths)
-        rows = np.column_stack([np.repeat(totals, lengths) - sums[idx], rows[idx]])
-    return rows / m
+        cols = np.vstack([np.repeat(totals, lengths) - sums[idx], cols[:, idx]])
+    pts = np.empty((dim, cols.shape[1] + spare))
+    np.divide(cols, m, out=pts[:, :cols.shape[1]])
+    return pts
 
 
-def _candidates(dim: int, grid_step: float, samples: int, seed: int) -> tuple[np.ndarray, str, float]:
+def _candidates(
+    dim: int, grid_step: float, samples: int, seed: int, spare: int
+) -> tuple[np.ndarray, str, float]:
+    """Oracle points as the columns of a (dim, N + spare) array."""
     if dim <= 3:
-        pts = _grid_simplex(dim, grid_step)
-        return pts, "grid", grid_step
+        return _grid_simplex(dim, grid_step, spare), "grid", grid_step
     rng = np.random.Generator(np.random.Philox(key=int(seed)))
-    pts = rng.dirichlet(np.ones(dim), size=int(samples))
+    # draw before allocating the buffer: the other order grew the process's
+    # peak memory by a few kB per certificate
+    draws = rng.dirichlet(np.ones(dim), size=int(samples))
+    pts = np.empty((dim, len(draws) + spare))
+    pts[:, :len(draws)] = draws.T
     # nominal spacing of a uniform sample of the (dim-1)-simplex
     resolution = float(samples) ** (-1.0 / (dim - 1))
     return pts, "dirichlet", resolution
@@ -149,11 +160,11 @@ def _rhs_values(
     alpha = params.alpha
     span = params.span
     if direction == "infimum":
-        risk = logsumexp(log_candidates + params.gamma * values, axis=-1) / params.gamma
-        div = renyi_log_integral_rows(nu.log_weights, log_candidates, alpha)
+        risk = logsumexp(log_candidates + params.gamma * values[:, None], axis=0) / params.gamma
+        div = renyi_log_integral_rows(nu.log_weights[:, None], log_candidates, alpha)
     else:
-        risk = logsumexp(log_candidates + params.beta * values, axis=-1) / params.beta
-        div = renyi_log_integral_rows(log_candidates, nu.log_weights, alpha)
+        risk = logsumexp(log_candidates + params.beta * values[:, None], axis=0) / params.beta
+        div = renyi_log_integral_rows(log_candidates, nu.log_weights[:, None], alpha)
     denom = alpha * (alpha - 1.0)
     with np.errstate(invalid="ignore"):
         div = np.where(np.isneginf(div), math.inf, div / denom)
@@ -185,8 +196,10 @@ def _certify(
             renyi_discrete(optimizer, nu, params.alpha) / params.span
         )
 
-    pts, kind, resolution = _candidates(nu.dim, grid_step, oracle_samples, seed)
-    pts = np.vstack([pts, optimizer.probs, nu.probs])
+    # one column per candidate; the tilted optimizer and nu itself go last
+    pts, kind, resolution = _candidates(nu.dim, grid_step, oracle_samples, seed, spare=2)
+    pts[:, -2] = optimizer.probs
+    pts[:, -1] = nu.probs
     with np.errstate(divide="ignore"):
         log_pts = np.log(pts)
     rhs = _rhs_values(direction, log_pts, nu, values, params)
@@ -205,7 +218,7 @@ def _certify(
         # the localization certificate is trivially satisfied
         max_dist = 0.0
     elif np.any(near):
-        diffs = np.abs(pts[near] - optimizer.probs[None, :])
+        diffs = np.abs(pts[:, near] - optimizer.probs[:, None])
         max_dist = float(np.max(diffs))
     else:
         max_dist = 0.0
@@ -216,7 +229,7 @@ def _certify(
         rhs_at_optimizer=rhs_opt,
         optimizer=optimizer,
         oracle_kind=kind,
-        oracle_points=int(pts.shape[0]),
+        oracle_points=int(pts.shape[1]),
         oracle_resolution=resolution,
         oracle_min_or_max=best,
         dominance_margin=float(margin),

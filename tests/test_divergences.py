@@ -155,9 +155,11 @@ class TestDiscrete:
 
 class TestRowsKernel:
     def test_broadcasting_rows(self):
+        # atoms run down the first axis: one candidate theta per column
         nu = measure_from_weights([1, 3])
-        thetas = np.log(np.array([[0.5, 0.5], [0.25, 0.75]]))
-        out = renyi_log_integral_rows(nu.log_weights, thetas, 2.0)
+        thetas = np.log(np.array([[0.5, 0.5], [0.25, 0.75]]).T)
+        out = renyi_log_integral_rows(nu.log_weights[:, None], thetas, 2.0)
+        assert out.shape == (2,)
         for row, t in zip(out, [[0.5, 0.5], [0.25, 0.75]]):
             want = math.log(float(np.sum(nu.probs ** 2 / np.array(t))))
             assert row == pytest.approx(want, rel=1e-13)

@@ -215,6 +215,28 @@ class TestPoissonLaw:
         assert got.dtype == np.float64
 
 
+    def test_cdf_table_is_sorted(self):
+        # cumulative sums can round above 1.0 before the last entry; the
+        # clamp keeps the table sorted at every rate (7.5 first passes 1 at k = 38)
+        rates = np.append(np.linspace(30.0 / 2000, 30.0, 2000), 7.5)
+        for rate in rates:
+            law = PoissonLaw(rate)
+            assert np.all(np.diff(law._cdf) >= 0.0), rate
+            assert law._cdf[-1] == 1.0
+        law = PoissonLaw(7.5)
+        k = law.quantile(np.array([1.0, np.nextafter(1.0, 2.0), 2.0]))
+        assert np.all(np.diff(k) >= 0.0)
+
+    def test_clamp_leaves_queue_estimate_unchanged(self):
+        # the values the unclamped table gave: no uniform in [0, 1) moves
+        est = simulate_queue_overflow_prob(PoissonLaw(7.5), 8.0, 0.2, 50, 20_000, seed=0)
+        assert est.mean == 0.64765
+        assert est.std_error == 0.0033779497335247777
+        est = simulate_queue_overflow_prob(PoissonLaw(1.1), 2.0, 0.1, 50, 20_000, seed=0)
+        assert est.mean == 0.0183
+        assert est.std_error == 0.0009477871148210189
+
+
 class TestQueueSimulation:
     def test_against_exact_enumeration(self):
         # n = 2, C = 2, b = 0.5: overflow means the integer workload peak

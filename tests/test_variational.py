@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import json
 import math
 from itertools import combinations
 
@@ -10,9 +11,20 @@ import pytest
 from hypothesis import given, strategies as st
 
 from renyibounds.divergences import renyi_discrete
-from renyibounds.measures import FiniteMeasure, OrderParams, risk_sensitive
+from renyibounds.measures import (
+    FiniteMeasure,
+    OrderParams,
+    aligned_values,
+    exp_tilt,
+    logsumexp,
+    risk_sensitive,
+)
 from renyibounds.variational import (
+    NEAR_OPTIMAL_WINDOW,
+    IdentityReport,
+    _candidates,
     _grid_simplex,
+    _rhs_values,
     alpha_zero_limit_check,
     inf_identity,
     kl_limit_identities,
@@ -126,11 +138,12 @@ _GRID_CASES += [(1, 2.2e-3), (2, 2.2e-3), (3, 2.2e-3), (2, 1e-5)]
 class TestGridSimplex:
     @pytest.mark.parametrize("dim,step", _GRID_CASES)
     def test_matches_stars_and_bars_bitwise(self, dim, step):
+        # one grid point per column, atoms down the first axis
         got = _grid_simplex(dim, step)
-        want = stars_and_bars_grid(dim, step)
+        want = np.ascontiguousarray(stars_and_bars_grid(dim, step).T)
         assert got.dtype == want.dtype
         assert got.shape == want.shape
-        # same bits in the same row order
+        # same bits in the same column order
         assert np.array_equal(got.view(np.int64), want.view(np.int64))
 
     @pytest.mark.parametrize("dim,step", [(2, 1e-5), (2, 1e-2), (3, 2.2e-3), (3, 1e-2)])
@@ -142,6 +155,191 @@ class TestGridSimplex:
         # the grid plus the optimizer and nu themselves
         assert rep.oracle_kind == "grid"
         assert rep.oracle_points == math.comb(m + dim - 1, dim - 1) + 2
+
+
+# -- row-major reference ------------------------------------------------------
+# The oracle as it was written with one candidate per row and every reduction
+# over atoms on the last axis. The library now stores candidates as columns
+# and reduces over axis 0; up to dim 7 both sum the atoms left to right, so
+# the certificates must agree bit for bit.
+
+
+def reference_candidates(dim, grid_step, samples, seed):
+    if dim <= 3:
+        return stars_and_bars_grid(dim, grid_step), "grid", grid_step
+    rng = np.random.Generator(np.random.Philox(key=int(seed)))
+    pts = rng.dirichlet(np.ones(dim), size=int(samples))
+    return pts, "dirichlet", float(samples) ** (-1.0 / (dim - 1))
+
+
+def reference_log_integral_rows(log_num, log_den, alpha):
+    ln = np.asarray(log_num, dtype=float)
+    lt = np.asarray(log_den, dtype=float)
+    with np.errstate(invalid="ignore"):
+        w = alpha * ln + (1.0 - alpha) * lt
+    both_zero = np.isneginf(ln) & np.isneginf(lt)
+    if np.any(both_zero):
+        w = np.where(both_zero, -math.inf, w)
+    return logsumexp(w, axis=-1)
+
+
+def reference_rhs_values(direction, log_candidates, nu, values, params):
+    alpha = params.alpha
+    span = params.span
+    if direction == "infimum":
+        risk = logsumexp(log_candidates + params.gamma * values, axis=-1) / params.gamma
+        div = reference_log_integral_rows(nu.log_weights, log_candidates, alpha)
+    else:
+        risk = logsumexp(log_candidates + params.beta * values, axis=-1) / params.beta
+        div = reference_log_integral_rows(log_candidates, nu.log_weights, alpha)
+    denom = alpha * (alpha - 1.0)
+    with np.errstate(invalid="ignore"):
+        div = np.where(np.isneginf(div), math.inf, div / denom)
+    if direction == "infimum":
+        return risk + div / span
+    return risk - div / span
+
+
+def reference_certify(direction, nu, g, params, grid_step=1e-2,
+                      oracle_samples=100_000, seed=0):
+    values = aligned_values(nu, g)
+    sign = -1.0 if direction == "infimum" else 1.0
+    optimizer = exp_tilt(nu, values, sign * params.span)
+    if direction == "infimum":
+        lhs = risk_sensitive(nu, values, params.beta)
+        rhs_opt = risk_sensitive(optimizer, values, params.gamma) + (
+            renyi_discrete(nu, optimizer, params.alpha) / params.span
+        )
+    else:
+        lhs = risk_sensitive(nu, values, params.gamma)
+        rhs_opt = risk_sensitive(optimizer, values, params.beta) - (
+            renyi_discrete(optimizer, nu, params.alpha) / params.span
+        )
+
+    pts, kind, resolution = reference_candidates(nu.dim, grid_step, oracle_samples, seed)
+    pts = np.vstack([pts, optimizer.probs, nu.probs])
+    with np.errstate(divide="ignore"):
+        log_pts = np.log(pts)
+    rhs = reference_rhs_values(direction, log_pts, nu, values, params)
+
+    if direction == "infimum":
+        best = float(np.min(rhs))
+        margin = best - lhs
+        near = rhs <= lhs + NEAR_OPTIMAL_WINDOW
+    else:
+        best = float(np.max(rhs))
+        margin = lhs - best
+        near = rhs >= lhs - NEAR_OPTIMAL_WINDOW
+
+    if np.ptp(values) == 0.0:
+        max_dist = 0.0
+    elif np.any(near):
+        diffs = np.abs(pts[near] - optimizer.probs[None, :])
+        max_dist = float(np.max(diffs))
+    else:
+        max_dist = 0.0
+
+    return IdentityReport(
+        direction=direction,
+        lhs=lhs,
+        rhs_at_optimizer=rhs_opt,
+        optimizer=optimizer,
+        oracle_kind=kind,
+        oracle_points=int(pts.shape[0]),
+        oracle_resolution=resolution,
+        oracle_min_or_max=best,
+        dominance_margin=float(margin),
+        near_optimal_max_distance=max_dist,
+    )
+
+
+_FORMS = {"infimum": inf_identity, "supremum": sup_identity}
+
+
+def random_instance(dim, seed):
+    rng = np.random.default_rng(seed)
+    nu = FiniteMeasure.from_probs([str(j) for j in range(dim)], rng.dirichlet(np.ones(dim)))
+    return nu, rng.uniform(-3.0, 3.0, dim), int(rng.integers(0, 2**32))
+
+
+def assert_same_report(nu, g, params, **kwargs):
+    for direction, form in _FORMS.items():
+        got = form(nu, g, params, **kwargs)
+        want = reference_certify(direction, nu, g, params, **kwargs)
+        # repr keeps every bit of a float, the sign of zero included
+        assert json.dumps(got.to_json_dict()) == json.dumps(want.to_json_dict())
+        assert got.oracle_points == want.oracle_points
+
+
+class TestAtomsMajorOracle:
+    @pytest.mark.parametrize("regime", range(len(_PARAM_SET)))
+    @pytest.mark.parametrize("dim", [2, 3, 4, 5, 6, 7])
+    def test_bitwise_equal_to_row_major(self, dim, regime):
+        # dims 2-3 scan the grid, dims 4-7 a Dirichlet sample
+        nu, g, seed = random_instance(dim, 100 * dim + regime)
+        assert_same_report(nu, g, _PARAM_SET[regime], grid_step={2: 1e-3}.get(dim, 1e-2),
+                           oracle_samples=20_000, seed=seed)
+
+    @pytest.mark.parametrize("direction", ["infimum", "supremum"])
+    @pytest.mark.parametrize("dim", [2, 3, 4, 5, 6, 7])
+    def test_objective_bitwise_at_every_candidate(self, dim, direction):
+        # the report mostly reflects the optimizer column, so compare the
+        # candidates and the objective at each of them as well
+        nu, g, seed = random_instance(dim, 7 * dim)
+        # a zero atom meets the grid's zero coordinates: both-zero atoms are dropped
+        zeroed = measure_from_weights(np.r_[0.0, nu.probs[1:]])
+        step = {2: 1e-3}.get(dim, 1e-2)
+        pts, kind, _ = _candidates(dim, step, 20_000, seed, spare=0)
+        rows, want_kind, _ = reference_candidates(dim, step, 20_000, seed)
+        assert kind == want_kind
+        assert np.array_equal(pts.view(np.int64), np.ascontiguousarray(rows.T).view(np.int64))
+        with np.errstate(divide="ignore"):
+            log_pts, log_rows = np.log(pts), np.log(rows)
+        for measure in (nu, zeroed):
+            for params in _PARAM_SET:
+                got = _rhs_values(direction, log_pts, measure, g, params)
+                want = reference_rhs_values(direction, log_rows, measure, g, params)
+                assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
+    @pytest.mark.parametrize("weights,g", [
+        ([1, 1, 0], [0.0, 1.0, -2.0]),
+        ([2, 0, 3, 0, 1], [0.5, -1.0, 2.0, 0.0, -0.5]),
+        ([1, 3], [0.7, 0.7]),
+    ])
+    def test_bitwise_equal_with_zero_atoms_and_flat_payoff(self, weights, g):
+        for params in _PARAM_SET:
+            assert_same_report(measure_from_weights(weights), np.asarray(g), params,
+                               oracle_samples=20_000, seed=3)
+
+    @pytest.mark.parametrize("weights,g,distance", [
+        ([1, 22, 1, 1, 1], [-1.0, 3.0, 0.0, 0.0, -1.0], 0.06831755599885064),
+        ([1, 10, 1], [0.0, 3.0, -1.0], 0.05526956849081932),
+    ])
+    def test_unlocalized_instances_keep_their_distance(self, weights, g, distance):
+        # the flat-objective instances behind test_full_certificate's flakes
+        nu = measure_from_weights(weights)
+        params = OrderParams(2.0, 3.0)
+        assert_same_report(nu, np.asarray(g), params, oracle_samples=20_000)
+        rep = inf_identity(nu, np.asarray(g), params, oracle_samples=20_000)
+        assert rep.near_optimal_max_distance == distance
+        assert not rep.passes()
+
+    @pytest.mark.parametrize("regime", range(len(_PARAM_SET)))
+    @pytest.mark.parametrize("dim", [8, 10, 13])
+    def test_close_to_row_major_from_dim_8(self, dim, regime):
+        # numpy's last-axis sum unrolls 8 ways from 8 atoms on, so the row-major
+        # order can move the last digits; the verdict may not move
+        nu, g, seed = random_instance(dim, 100 * dim + regime)
+        params = _PARAM_SET[regime]
+        for direction, form in _FORMS.items():
+            got = form(nu, g, params, oracle_samples=20_000, seed=seed)
+            want = reference_certify(direction, nu, g, params, oracle_samples=20_000, seed=seed)
+            assert got.oracle_points == want.oracle_points
+            assert np.array_equal(got.optimizer.log_weights, want.optimizer.log_weights)
+            for name in ("lhs", "rhs_at_optimizer", "oracle_min_or_max",
+                         "dominance_margin", "near_optimal_max_distance"):
+                assert getattr(got, name) == pytest.approx(getattr(want, name), rel=0, abs=1e-14)
+            assert got.passes() == want.passes()
 
 
 class TestScalingInvariance:
