@@ -22,6 +22,17 @@ One engine, ``_stream``, runs a per-study kernel on each chunk: a
 ``*_samples`` function concatenates the chunks, and an estimate reduces
 them one at a time, never holding the per-path arrays of a whole run.
 
+The Brownian kernels walk their chunk in row blocks of about
+``_PATH_BLOCK`` draws (``_block_rows`` rows, at least one) and do all
+arithmetic in place inside a block, so their working set stays in cache
+and nothing of chunk size is allocated apart from per-path vectors.
+The blocks change no bit of any sample: consecutive draws from one
+generator concatenate bitwise, ziggurat normals included, and every
+row is scaled, summed and reduced in the same order as a whole chunk
+would be. The crossing kernel still draws the normals of every row of
+its chunk before its uniforms; rows past take are drawn block by block
+and thrown away.
+
 The kernels cover the three studies: queue overflow under iid
 arrivals, Brownian level crossing with an exact bridge correction for
 the parts of the path the grid does not see, and the argmax time of a
@@ -56,6 +67,7 @@ __all__ = [
 _QUEUE_CHUNK = 1 << 16
 _GUIDE_BUCKETS = 1 << 12
 _PATH_DRAW_BUDGET = 1 << 21
+_PATH_BLOCK = 1 << 15
 _Z95 = 1.959963984540054
 
 _Kernel = Callable[[np.random.Generator, int], np.ndarray]
@@ -148,6 +160,10 @@ class PathGrid:
 
 def _path_chunk(grid: PathGrid) -> int:
     return max(1, _PATH_DRAW_BUDGET // grid.n_steps)
+
+
+def _block_rows(grid: PathGrid) -> int:
+    return max(1, _PATH_BLOCK // grid.n_steps)
 
 
 class PoissonLaw:
@@ -269,27 +285,51 @@ def _crossing_kernel(level: float, mu: float, grid: PathGrid, bridge: bool) -> _
     level, mu = float(level), float(mu)
     if not level > 0.0:
         raise ValueError("level must be positive")
-    dt = grid.dt
+    dt, chunk, rows = grid.dt, _path_chunk(grid), _block_rows(grid)
 
     def kernel(gen: np.random.Generator, take: int) -> np.ndarray:
-        # the bridge uniforms come after a full chunk of normals; no name holds
-        # that chunk, so it is freed as soon as its first take rows are scaled
-        normals = (_path_chunk(grid), grid.n_steps)
-        path = np.cumsum(math.sqrt(dt) * gen.standard_normal(normals)[:take] + mu * dt, axis=1)
-        crossed = np.max(path, axis=1) >= level
+        z = np.empty((rows, grid.n_steps))
+        crossed = np.empty(take, dtype=bool)
+        if bridge:
+            bridge_terms, log_no_cross = np.empty_like(z), np.empty(take)
+        # the bridge uniforms come after a full chunk of normals, so the rows
+        # past take are drawn too, block by block, and thrown away
+        for lo in range(0, chunk, rows):
+            block = z[:min(rows, chunk - lo)]
+            gen.standard_normal(out=block)
+            if lo >= take:
+                continue
+            path = block[:min(rows, take - lo)]
+            hi = lo + len(path)
+            path *= math.sqrt(dt)
+            path += mu * dt
+            np.cumsum(path, axis=1, out=path)
+            np.greater_equal(np.max(path, axis=1), level, out=crossed[lo:hi])
+            if not bridge:
+                continue
+            # Conditional on its endpoints a segment is a Brownian bridge
+            # whatever the constant drift, and the bridge crosses the level
+            # with probability exp(-2 (K - a)(K - b) / dt); exponents clamped
+            # at 0 cover segments whose endpoints already reach the level.
+            # K - a is K - b one column to the left, and K - 0.0 = K at the start.
+            gap = np.subtract(level, path, out=path)
+            terms = bridge_terms[:len(path)]
+            terms[:, 0] = -2.0 * level
+            np.multiply(gap[:, :-1], -2.0, out=terms[:, 1:])
+            terms *= gap
+            terms /= dt
+            np.minimum(terms, 0.0, out=terms)
+            np.exp(terms, out=terms)
+            np.negative(terms, out=terms)
+            with np.errstate(divide="ignore"):
+                np.log1p(terms, out=terms)
+            np.sum(terms, axis=1, out=log_no_cross[lo:hi])
         if not bridge:
             return crossed
-        u = gen.random(_path_chunk(grid))[:take]
-        left = np.concatenate([np.zeros((take, 1)), path[:, :-1]], axis=1)
-        # Conditional on its endpoints a segment is a Brownian bridge whatever
-        # the constant drift, and the bridge crosses the level with probability
-        # exp(-2 (K - a)(K - b) / dt); exponents clamped at 0 cover segments
-        # whose endpoints already reach the level.
-        log_cross = np.minimum(-2.0 * (level - left) * (level - path) / dt, 0.0)
-        with np.errstate(divide="ignore"):
-            log_no_cross = np.log1p(-np.exp(log_cross))
-        p_unseen = -np.expm1(np.sum(log_no_cross, axis=1))
-        return crossed | (u < p_unseen)
+        p_unseen = np.expm1(log_no_cross, out=log_no_cross)
+        np.negative(p_unseen, out=p_unseen)
+        crossed |= gen.random(chunk)[:take] < p_unseen
+        return crossed
 
     return kernel
 
@@ -328,18 +368,23 @@ def bm_exceedance_estimate(
 
 
 def _argmax_kernel(mu: float, grid: PathGrid) -> _Kernel:
-    mu, dt = float(mu), grid.dt
+    mu, dt, rows = float(mu), grid.dt, _block_rows(grid)
 
     def kernel(gen: np.random.Generator, take: int) -> np.ndarray:
-        path = gen.standard_normal((take, grid.n_steps))
-        path *= math.sqrt(dt)
-        path += mu * dt
-        np.cumsum(path, axis=1, out=path)
-        # the start value 0 wins unless the path rises above it; argmax takes
-        # the earliest of tied steps
-        i = np.argmax(path, axis=1)
-        peak = np.take_along_axis(path, i[:, None], axis=1)[:, 0]
-        return np.where(peak > 0.0, (i + 1) * dt, 0.0)
+        z = np.empty((rows, grid.n_steps))
+        times = np.empty(take)
+        for lo in range(0, take, rows):
+            path = z[:min(rows, take - lo)]
+            gen.standard_normal(out=path)
+            path *= math.sqrt(dt)
+            path += mu * dt
+            np.cumsum(path, axis=1, out=path)
+            # the start value 0 wins unless the path rises above it; argmax
+            # takes the earliest of tied steps
+            i = np.argmax(path, axis=1)
+            peak = np.take_along_axis(path, i[:, None], axis=1)[:, 0]
+            times[lo:lo + len(path)] = np.where(peak > 0.0, (i + 1) * dt, 0.0)
+        return times
 
     return kernel
 
@@ -382,19 +427,32 @@ def _girsanov_kernel(drift: Callable[[np.ndarray], np.ndarray], grid: PathGrid) 
     """Euler log likelihood ratio sum(m(X_k) dB_k) - (dt/2) sum(m(X_k)^2).
 
     Paths are sampled under the driftless nominal model; the ratio
-    reweights them to the law of dX = drift(X) dt + dB.
+    reweights them to the law of dX = drift(X) dt + dB. drift sees one
+    row block of pre-step values at a time.
     """
-    dt = grid.dt
+    dt, rows = grid.dt, _block_rows(grid)
 
     def kernel(gen: np.random.Generator, take: int) -> np.ndarray:
-        db = gen.standard_normal((take, grid.n_steps))
-        db *= math.sqrt(dt)
-        path = np.cumsum(db, axis=1)
-        pre = np.concatenate([np.zeros((take, 1)), path[:, :-1]], axis=1)
-        m = np.asarray(drift(pre), dtype=float)
-        if m.shape != pre.shape:
-            raise ValueError("drift must map a path array to an array of the same shape")
-        return np.sum(m * db, axis=1) - 0.5 * dt * np.sum(m * m, axis=1)
+        z = np.empty((rows, grid.n_steps))
+        x = np.empty_like(z)
+        llr = np.empty(take)
+        for lo in range(0, take, rows):
+            db = z[:min(rows, take - lo)]
+            pre = x[:len(db)]
+            gen.standard_normal(out=db)
+            db *= math.sqrt(dt)
+            # the value before step k is the sum of the first k increments
+            pre[:, 0] = 0.0
+            np.cumsum(db[:, :-1], axis=1, out=pre[:, 1:])
+            m = np.asarray(drift(pre), dtype=float)
+            if m.shape != pre.shape:
+                raise ValueError("drift must map a path array to an array of the same shape")
+            # m may be pre itself, so db takes both products
+            np.multiply(m, db, out=db)
+            drift_term = np.sum(db, axis=1)
+            np.multiply(m, m, out=db)
+            llr[lo:lo + len(db)] = drift_term - 0.5 * dt * np.sum(db, axis=1)
+        return llr
 
     return kernel
 
@@ -405,7 +463,12 @@ def girsanov_log_lr_samples(
     n_paths: int,
     seed: int = 0,
 ) -> np.ndarray:
-    """Log likelihood ratio samples under the driftless nominal model."""
+    """Log likelihood ratio samples under the driftless nominal model.
+
+    drift maps an array of pre-step path values, one path per row, to the
+    drift at each of them. It is applied to row blocks of a few paths at
+    a time, so it must act on each row on its own.
+    """
     kernel = _girsanov_kernel(drift, grid)
     return np.concatenate(list(_stream(kernel, n_paths, _path_chunk(grid), seed)))
 
@@ -423,7 +486,9 @@ def girsanov_renyi_estimate(
     with a delta-method standard error from the second empirical moment
     of exp(alpha LLR). Orders very far from 1 need heavier tails than
     1e5 paths resolve; the studies stay at alpha <= 3 where the
-    estimator is well behaved for the drifts considered.
+    estimator is well behaved for the drifts considered. drift is
+    applied to row blocks of paths, as in girsanov_log_lr_samples, so
+    it must act on each path row on its own.
     """
     alpha = check_alpha(alpha)
     n = _at_least_two(n_paths)

@@ -36,6 +36,13 @@ _FPMIN = 1e-300
 # z = x*x comfortably above a + 1 = 1.5; at x = 1.25, z = 1.5625.
 _ERFC_SPLIT = 1.25
 
+# Largest x*x handed to the continued fraction. Near x*x = 1e308 its 1/b
+# terms go subnormal and Lentz's method stops converging, and at inf it
+# never can. Past this cut erfc(x) has long underflowed to 0, and
+# log erfc(x) = -x*x - log(x sqrt(pi)) + O(1/x^2) rounds to -x*x, since
+# the log term (about -346) is far below half an ulp of x*x.
+_ERFC_CF_MAX = 1e300
+
 
 class ConvergenceError(RuntimeError):
     """An iterative routine failed to reach its tolerance."""
@@ -104,7 +111,8 @@ def erfc(x: float) -> float:
     """Complementary error function, (2/sqrt(pi)) * int_x^inf exp(-v^2) dv.
 
     Relative accuracy is a few ulp over the range used by the bound
-    studies (|x| up to roughly 25; beyond that use log_erfc).
+    studies (|x| up to roughly 25; beyond that use log_erfc). Extended
+    reals follow the limits: erfc(inf) = 0 and erfc(-inf) = 2.
     """
     x = float(x)
     if math.isnan(x):
@@ -115,6 +123,8 @@ def erfc(x: float) -> float:
         return 2.0 - erfc(-x)
     if x < _ERFC_SPLIT:
         return 1.0 - _erf_small(x)
+    if x * x > _ERFC_CF_MAX:
+        return 0.0
     return x * math.exp(-x * x) * _erfc_cf_factor(x) / _SQRT_PI
 
 
@@ -123,15 +133,18 @@ def log_erfc(x: float) -> float:
 
     For x >= 1.25 the continued fraction gives the scaled value
     exp(x^2) * erfc(x) directly, so the logarithm stays finite out to
-    arbitrarily large arguments. Needed by the drifted level-crossing
-    probability, where exp(2*mu*K) * erfc(...) must be formed in the
-    log domain.
+    arbitrarily large arguments; it is -inf only once x*x overflows,
+    and log_erfc(-inf) is log 2. Needed by the drifted
+    level-crossing probability, where exp(2*mu*K) * erfc(...) must be
+    formed in the log domain.
     """
     x = float(x)
     if math.isnan(x):
         raise ValueError("log_erfc: nan argument")
     if x < _ERFC_SPLIT:
         return math.log(erfc(x))
+    if x * x > _ERFC_CF_MAX:
+        return -x * x
     return -x * x + math.log(x * _erfc_cf_factor(x) / _SQRT_PI)
 
 

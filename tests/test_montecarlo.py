@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -56,6 +57,67 @@ def _reference_queue_kernel(laws, C, level):
         return peak > level
 
     return kernel
+
+
+def _reference_crossing_kernel(level, mu, grid, bridge):
+    """Whole-chunk crossing kernel that the row-block kernel must reproduce."""
+    dt = grid.dt
+
+    def kernel(gen, take):
+        normals = (mc._path_chunk(grid), grid.n_steps)
+        path = np.cumsum(math.sqrt(dt) * gen.standard_normal(normals)[:take] + mu * dt, axis=1)
+        crossed = np.max(path, axis=1) >= level
+        if not bridge:
+            return crossed
+        u = gen.random(mc._path_chunk(grid))[:take]
+        left = np.concatenate([np.zeros((take, 1)), path[:, :-1]], axis=1)
+        log_cross = np.minimum(-2.0 * (level - left) * (level - path) / dt, 0.0)
+        with np.errstate(divide="ignore"):
+            log_no_cross = np.log1p(-np.exp(log_cross))
+        p_unseen = -np.expm1(np.sum(log_no_cross, axis=1))
+        return crossed | (u < p_unseen)
+
+    return kernel
+
+
+def _reference_argmax_kernel(mu, grid):
+    """Whole-chunk argmax kernel that the row-block kernel must reproduce."""
+    dt = grid.dt
+
+    def kernel(gen, take):
+        path = gen.standard_normal((take, grid.n_steps))
+        path *= math.sqrt(dt)
+        path += mu * dt
+        np.cumsum(path, axis=1, out=path)
+        i = np.argmax(path, axis=1)
+        peak = np.take_along_axis(path, i[:, None], axis=1)[:, 0]
+        return np.where(peak > 0.0, (i + 1) * dt, 0.0)
+
+    return kernel
+
+
+def _reference_girsanov_kernel(drift, grid):
+    """Whole-chunk Girsanov kernel that the row-block kernel must reproduce."""
+    dt = grid.dt
+
+    def kernel(gen, take):
+        db = gen.standard_normal((take, grid.n_steps))
+        db *= math.sqrt(dt)
+        path = np.cumsum(db, axis=1)
+        pre = np.concatenate([np.zeros((take, 1)), path[:, :-1]], axis=1)
+        m = np.asarray(drift(pre), dtype=float)
+        return np.sum(m * db, axis=1) - 0.5 * dt * np.sum(m * m, axis=1)
+
+    return kernel
+
+
+def _row_blocks_and_reference(monkeypatch, factory, reference, call):
+    """call() as it runs, then again with the whole-chunk reference kernel."""
+    got = call()
+    with monkeypatch.context() as m:
+        m.setattr(mc, factory, reference)
+        want = call()
+    return got, want
 
 
 class TestDeterminism:
@@ -402,6 +464,121 @@ class TestGirsanov:
     def test_drift_shape_check(self):
         with pytest.raises(ValueError):
             girsanov_log_lr_samples(lambda x: np.zeros(3), _GRID64, 10)
+
+
+# Grids run to t = 1.5, so dt is not a power of two and any change in the
+# rounding order shows. (n_steps, n_paths): fewer paths than one block's rows (1 and 64 steps);
+# two chunks plus a remainder that is not a multiple of the block rows
+# (64 steps); a chunk plus 13 paths at 8 rows per block (4096 steps); and
+# more steps than a block holds, one row per block
+_BLOCK_CASES = [
+    (1, 5000),
+    (64, 300),
+    (64, 2 * 32768 + 777),
+    (4096, 512 + 13),
+    (mc._PATH_BLOCK + 7232, 52 + 3),
+]
+
+
+def _assert_same_bits(got, want):
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
+
+
+class TestRowBlocksMatchWholeChunks:
+    """The row-block kernels keep every sample of the whole-chunk kernels."""
+
+    def test_cases_cover_the_layouts(self):
+        rows = [mc._block_rows(PathGrid(n_steps)) for n_steps, _ in _BLOCK_CASES]
+        chunks = [mc._path_chunk(PathGrid(n_steps)) for n_steps, _ in _BLOCK_CASES]
+        assert rows == [32768, 512, 512, 8, 1]
+        assert chunks == [1 << 21, 32768, 32768, 512, 52]
+        assert [n % r for (_, n), r in zip(_BLOCK_CASES, rows)] == [5000, 300, 265, 5, 0]
+
+    @pytest.mark.parametrize("n_steps, n_paths", _BLOCK_CASES)
+    @pytest.mark.parametrize("mu", [-2.0, 0.0, 0.3])
+    def test_crossing(self, monkeypatch, n_steps, n_paths, mu):
+        grid = PathGrid(n_steps, horizon=1.5)
+        seed = 1000 + n_steps
+        for bridge in (True, False):
+            def call():
+                return (bm_crossing_samples(0.5, mu, grid, n_paths, seed=seed, bridge=bridge),
+                        bm_exceedance_estimate(0.5, mu, grid, n_paths, seed=seed, bridge=bridge))
+            got, want = _row_blocks_and_reference(
+                monkeypatch, "_crossing_kernel", _reference_crossing_kernel, call)
+            _assert_same_bits(got[0], want[0])
+            assert repr(got[1].to_json_dict()) == repr(want[1].to_json_dict())
+
+    @pytest.mark.parametrize("n_steps, n_paths", _BLOCK_CASES)
+    @pytest.mark.parametrize("mu", [-2.0, 0.0, 0.3])
+    def test_argmax(self, monkeypatch, n_steps, n_paths, mu):
+        grid = PathGrid(n_steps, horizon=1.5)
+        seed = 2000 + n_steps
+
+        def call():
+            return (argmax_time_samples(mu, grid, n_paths, seed=seed),
+                    argmax_laplace_estimate(1.5, mu, grid, n_paths, seed=seed))
+        got, want = _row_blocks_and_reference(
+            monkeypatch, "_argmax_kernel", _reference_argmax_kernel, call)
+        _assert_same_bits(got[0], want[0])
+        assert repr(got[1].to_json_dict()) == repr(want[1].to_json_dict())
+
+    @pytest.mark.parametrize("n_steps, n_paths", _BLOCK_CASES)
+    @pytest.mark.parametrize("drift", [_const_drift(0.3), _tanh_drift(-2.0)],
+                             ids=["const", "tanh"])
+    def test_girsanov(self, monkeypatch, n_steps, n_paths, drift):
+        grid = PathGrid(n_steps, horizon=1.5)
+        seed = 3000 + n_steps
+
+        def call():
+            return (girsanov_log_lr_samples(drift, grid, n_paths, seed=seed),
+                    girsanov_renyi_estimate(drift, grid, 2.5, n_paths, seed=seed))
+        got, want = _row_blocks_and_reference(
+            monkeypatch, "_girsanov_kernel", _reference_girsanov_kernel, call)
+        _assert_same_bits(got[0], want[0])
+        assert repr(got[1].to_json_dict()) == repr(want[1].to_json_dict())
+
+    def test_drift_mutating_its_input(self, monkeypatch):
+        # each block hands drift a fresh start column, as whole chunks did
+        def clobber(x):
+            m = np.tanh(x)
+            x[:] = 5.0
+            return m
+
+        got, want = _row_blocks_and_reference(
+            monkeypatch, "_girsanov_kernel", _reference_girsanov_kernel,
+            lambda: girsanov_log_lr_samples(clobber, PathGrid(256), 700, seed=4))
+        _assert_same_bits(got, want)
+
+
+def _traced_peak_mib(run) -> float:
+    tracemalloc.start()
+    try:
+        run()
+        return tracemalloc.get_traced_memory()[1] / 2**20
+    finally:
+        tracemalloc.stop()
+
+
+class TestPathMemory:
+    """Path kernels hold row blocks, not whole chunks (numpy reports to tracemalloc)."""
+
+    # whole-chunk kernels peaked at 80, 80 and 16 MiB on these runs
+    LIMIT_MIB = 8.0
+
+    def test_crossing_estimate(self):
+        peak = _traced_peak_mib(lambda: bm_exceedance_estimate(1.0, 0.1, _GRID64, 70_000, seed=1))
+        assert peak < self.LIMIT_MIB
+
+    def test_girsanov_estimate(self):
+        peak = _traced_peak_mib(lambda: girsanov_renyi_estimate(
+            _tanh_drift(0.1), PathGrid(256), 2.0, 20_000, seed=1))
+        assert peak < self.LIMIT_MIB
+
+    def test_argmax_estimate(self):
+        peak = _traced_peak_mib(lambda: argmax_laplace_estimate(
+            1.0, 0.1, PathGrid(4096), 1000, seed=1))
+        assert peak < self.LIMIT_MIB
 
 
 class TestPathGrid:

@@ -56,6 +56,25 @@ class TestErfc:
     def test_reflection(self, x):
         assert erfc(-x) == pytest.approx(2.0 - erfc(x), abs=1e-14)
 
+    def test_extended_reals(self):
+        # the continued fraction cannot run once x*x overflows
+        assert erfc(math.inf) == 0.0
+        assert erfc(-math.inf) == 2.0
+        assert erfc(1e308) == 0.0
+        assert erfc(-1e308) == 2.0
+        assert log_erfc(math.inf) == -math.inf
+        assert log_erfc(-math.inf) == math.log(2.0)
+        assert log_erfc(1.4e154) == -math.inf
+        assert log_erfc(1.3e154) == -1.3e154 * 1.3e154
+
+    @given(st.floats(allow_nan=False))
+    def test_total_on_non_nan_doubles(self, x):
+        value = erfc(x)
+        assert 0.0 <= value <= 2.0
+        log_value = log_erfc(x)
+        assert not math.isnan(log_value)
+        assert log_value <= math.log(2.0)
+
     def test_branch_continuity(self):
         lo = erfc(1.25 - 1e-12)
         hi = erfc(1.25 + 1e-12)
