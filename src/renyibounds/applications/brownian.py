@@ -39,6 +39,13 @@ __all__ = [
 ]
 
 
+def _require(message: str, positive: Sequence[float] = (), finite: Sequence[float] = ()) -> None:
+    """Raise ValueError(message) unless every value in positive is > 0
+    and every value in finite is finite; nan fails either check."""
+    if not (all(v > 0.0 for v in positive) and all(math.isfinite(v) for v in finite)):
+        raise ValueError(message)
+
+
 @dataclass(frozen=True)
 class BrownianModel:
     """Exceedance level, constant alternative drift and time horizon."""
@@ -49,12 +56,9 @@ class BrownianModel:
 
     def __post_init__(self) -> None:
         k, m, t = float(self.level), float(self.drift), float(self.horizon)
-        if not (math.isfinite(k) and k > 0.0):
-            raise ValueError("level must be positive and finite")
-        if not math.isfinite(m):
-            raise ValueError("drift must be finite")
-        if not (math.isfinite(t) and t > 0.0):
-            raise ValueError("horizon must be positive and finite")
+        _require("level must be positive and finite", positive=(k,), finite=(k,))
+        _require("drift must be finite", finite=(m,))
+        _require("horizon must be positive and finite", positive=(t,), finite=(t,))
         object.__setattr__(self, "level", k)
         object.__setattr__(self, "drift", m)
         object.__setattr__(self, "horizon", t)
@@ -79,8 +83,7 @@ def bm_exceedance_nominal(level: float, horizon: float = 1.0) -> float:
     """P(max_{s <= t} B_s >= level) = erfc(level / sqrt(2 t)) for a
     driftless Brownian motion, by the reflection principle."""
     k, t = float(level), float(horizon)
-    if not (k > 0.0 and t > 0.0):
-        raise ValueError("level and horizon must be positive")
+    _require("level and horizon must be positive", positive=(k, t))
     return erfc(k / math.sqrt(2.0 * t))
 
 
@@ -88,15 +91,13 @@ def log_bm_exceedance_nominal(level: float, horizon: float = 1.0) -> float:
     """Log of the driftless exceedance probability; safe for levels far
     into the tail where the probability itself underflows."""
     k, t = float(level), float(horizon)
-    if not (k > 0.0 and t > 0.0):
-        raise ValueError("level and horizon must be positive")
+    _require("level and horizon must be positive", positive=(k, t))
     return log_erfc(k / math.sqrt(2.0 * t))
 
 
 def _log_drift_terms(level: float, mu: float, horizon: float) -> tuple[float, float]:
     k, t = float(level), float(horizon)
-    if not (k > 0.0 and t > 0.0):
-        raise ValueError("level and horizon must be positive")
+    _require("level and horizon must be positive", positive=(k, t))
     root = math.sqrt(2.0 * t)
     log_half = math.log(0.5)
     first = log_half + log_erfc((k - mu * t) / root)
@@ -162,8 +163,7 @@ def laplace_h_wiener(gamma: float, horizon: float = 1.0) -> float:
     """E exp(-gamma H) for the argmax time H of a driftless Brownian
     motion on [0, horizon]."""
     g, t = float(gamma), float(horizon)
-    if not (math.isfinite(g) and math.isfinite(t) and t > 0.0):
-        raise ValueError("gamma must be finite and the horizon positive")
+    _require("gamma must be finite and the horizon positive", positive=(t,), finite=(g, t))
     return math.exp(_log_laplace_h_wiener(g, t))
 
 
@@ -206,8 +206,8 @@ def laplace_h_drift(
     the total mass of the argmax density, which is 1.
     """
     g, t, m = float(gamma), float(horizon), float(mu)
-    if not (math.isfinite(g) and math.isfinite(m) and math.isfinite(t) and t > 0.0):
-        raise ValueError("gamma and mu must be finite and the horizon positive")
+    _require("gamma and mu must be finite and the horizon positive",
+             positive=(t,), finite=(g, m, t))
     before = _max_split_kernel(m)
     after = _max_split_kernel(-m)
 
@@ -238,8 +238,8 @@ def laplace_h_bounds(
     alpha = float(alpha)
     if not alpha > 1.0:
         raise ValueError("the upper bound needs alpha > 1")
-    if not (math.isfinite(g) and math.isfinite(m) and math.isfinite(t) and t > 0.0):
-        raise ValueError("gamma and mu must be finite and the horizon positive")
+    _require("gamma and mu must be finite and the horizon positive",
+             positive=(t,), finite=(g, m, t))
     d = renyi_bm_drift(m) * t
     budget = DivergenceBudget(d1=d, d2=d)
     upper = rs_upper(_log_laplace_h_wiener(alpha * g, t) / alpha, d, alpha)

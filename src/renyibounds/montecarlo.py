@@ -29,9 +29,10 @@ and nothing of chunk size is allocated apart from per-path vectors.
 The blocks change no bit of any sample: consecutive draws from one
 generator concatenate bitwise, ziggurat normals included, and every
 row is scaled, summed and reduced in the same order as a whole chunk
-would be. The crossing kernel still draws the normals of every row of
-its chunk before its uniforms; rows past take are drawn block by block
-and thrown away.
+would be. With the bridge on, the crossing kernel still draws the
+normals of every row of its chunk before its uniforms; rows past take
+are drawn block by block and thrown away. Without the bridge it draws
+only the rows it keeps.
 
 The kernels cover the three studies: queue overflow under iid
 arrivals, Brownian level crossing with an exact bridge correction for
@@ -292,10 +293,12 @@ def _crossing_kernel(level: float, mu: float, grid: PathGrid, bridge: bool) -> _
         crossed = np.empty(take, dtype=bool)
         if bridge:
             bridge_terms, log_no_cross = np.empty_like(z), np.empty(take)
-        # the bridge uniforms come after a full chunk of normals, so the rows
-        # past take are drawn too, block by block, and thrown away
-        for lo in range(0, chunk, rows):
-            block = z[:min(rows, chunk - lo)]
+        # the bridge uniforms come after a full chunk of normals, so with the
+        # bridge on the rows past take are drawn too, block by block, and
+        # thrown away; without it only the kept rows are drawn
+        drawn = chunk if bridge else take
+        for lo in range(0, drawn, rows):
+            block = z[:min(rows, drawn - lo)]
             gen.standard_normal(out=block)
             if lo >= take:
                 continue

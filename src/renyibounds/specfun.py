@@ -1,11 +1,12 @@
 """Scalar special functions and small numerical routines.
 
 Everything downstream that needs erfc, log I0, a one dimensional
-minimizer, or an endpoint-singular convolution goes through this module,
-so the implementations here are deliberately self contained: series plus
-continued fraction for the error function, series plus asymptotic
-expansion for the Bessel term, golden section search, and a composite
-Simpson rule on square-root-substituted grids.
+minimizer, or an endpoint-singular convolution goes through this module.
+erfc is the standard library's, and log_erfc keeps a continued fraction
+only for the far tail where that value underflows. The rest is written
+here: series plus asymptotic expansion for the Bessel term, golden
+section search, and a composite Simpson rule on square-root-substituted
+grids.
 """
 
 from __future__ import annotations
@@ -31,10 +32,11 @@ _SQRT_PI = 1.7724538509055160273
 _EPS = 2.220446049250313e-16
 _FPMIN = 1e-300
 
-# Branch point between the error-function power series and the continued
-# fraction. The continued fraction for the upper incomplete gamma needs
-# z = x*x comfortably above a + 1 = 1.5; at x = 1.25, z = 1.5625.
-_ERFC_SPLIT = 1.25
+# Branch point of log_erfc between log(math.erfc(x)) and the continued
+# fraction. erfc(26) = 5.7e-296 is still a normal double, so below it the
+# log of the stdlib value is accurate to an ulp or so; at 27 erfc is
+# subnormal and its log is already off by 6.5e-10 relative.
+_LOG_ERFC_SPLIT = 26.0
 
 # Largest x*x handed to the continued fraction. Near x*x = 1e308 its 1/b
 # terms go subnormal and Lentz's method stops converging, and at inf it
@@ -62,28 +64,10 @@ class Bracket:
             raise ValueError(f"bracket must satisfy lo < hi, got [{self.lo}, {self.hi}]")
 
 
-def _erf_small(x: float) -> float:
-    # erf(x) = P(1/2, x^2) via the regularized lower incomplete gamma
-    # series. All terms are positive, so there is no cancellation.
-    z = x * x
-    ap = 0.5
-    total = 2.0  # 1/a
-    term = 2.0
-    for _ in range(500):
-        ap += 1.0
-        term *= z / ap
-        total += term
-        if abs(term) < abs(total) * _EPS:
-            # x e^{-z} / sqrt(pi); only ever called with 0 < x < _ERFC_SPLIT,
-            # where this form neither overflows nor loses digits (and unlike
-            # the log form it survives x*x underflowing to zero).
-            return total * x * math.exp(-z) / _SQRT_PI
-    raise ConvergenceError("erf series did not converge")
-
-
 def _erfc_cf_factor(x: float) -> float:
     # Modified Lentz evaluation of the continued fraction h with
-    # Q(1/2, x^2) = x * exp(-x^2) * h / sqrt(pi). Requires x >= _ERFC_SPLIT.
+    # Q(1/2, x^2) = x * exp(-x^2) * h / sqrt(pi). Needs x*x well above 1.5;
+    # only called with x >= _LOG_ERFC_SPLIT.
     z = x * x
     a = 0.5
     b = z + 1.0 - a
@@ -110,39 +94,35 @@ def _erfc_cf_factor(x: float) -> float:
 def erfc(x: float) -> float:
     """Complementary error function, (2/sqrt(pi)) * int_x^inf exp(-v^2) dv.
 
-    Relative accuracy is a few ulp over the range used by the bound
-    studies (|x| up to roughly 25; beyond that use log_erfc). Extended
-    reals follow the limits: erfc(inf) = 0 and erfc(-inf) = 2.
+    This is math.erfc with a nan check. Against mpmath on 4001 points in
+    [-6, 26] its worst relative error is 3.0e-16. Past x = 26.54 the value
+    is subnormal and loses relative precision, and past about 27.23 it
+    is 0; use log_erfc there. Extended reals follow the limits:
+    erfc(inf) = 0 and erfc(-inf) = 2.
     """
     x = float(x)
     if math.isnan(x):
         raise ValueError("erfc: nan argument")
-    if x == 0.0:
-        return 1.0
-    if x < 0.0:
-        return 2.0 - erfc(-x)
-    if x < _ERFC_SPLIT:
-        return 1.0 - _erf_small(x)
-    if x * x > _ERFC_CF_MAX:
-        return 0.0
-    return x * math.exp(-x * x) * _erfc_cf_factor(x) / _SQRT_PI
+    return math.erfc(x)
 
 
 def log_erfc(x: float) -> float:
     """log(erfc(x)) without underflow for large positive x.
 
-    For x >= 1.25 the continued fraction gives the scaled value
-    exp(x^2) * erfc(x) directly, so the logarithm stays finite out to
-    arbitrarily large arguments; it is -inf only once x*x overflows,
-    and log_erfc(-inf) is log 2. Needed by the drifted
-    level-crossing probability, where exp(2*mu*K) * erfc(...) must be
-    formed in the log domain.
+    Below x = 26 this is log(math.erfc(x)). From there on the continued
+    fraction gives the scaled value exp(x^2) * erfc(x) directly, so the
+    logarithm stays finite out to arbitrarily large arguments; it is
+    -inf only once x*x overflows, and log_erfc(-inf) is log 2. Against
+    mpmath it is within an ulp on [0.5, 40], on both sides of the split;
+    near 0, where erfc is close to 1, the log magnifies erfc's rounding.
+    Needed by the drifted level-crossing probability, where
+    exp(2*mu*K) * erfc(...) must be formed in the log domain.
     """
     x = float(x)
     if math.isnan(x):
         raise ValueError("log_erfc: nan argument")
-    if x < _ERFC_SPLIT:
-        return math.log(erfc(x))
+    if x < _LOG_ERFC_SPLIT:
+        return math.log(math.erfc(x))
     if x * x > _ERFC_CF_MAX:
         return -x * x
     return -x * x + math.log(x * _erfc_cf_factor(x) / _SQRT_PI)

@@ -510,6 +510,22 @@ class TestRowBlocksMatchWholeChunks:
             assert repr(got[1].to_json_dict()) == repr(want[1].to_json_dict())
 
     @pytest.mark.parametrize("n_steps, n_paths", _BLOCK_CASES)
+    def test_crossing_without_bridge_draws_only_kept_rows(self, n_steps, n_paths):
+        # no uniform follows the normals, so the rows past take are never
+        # drawn: the samples match the whole-chunk reference, and the
+        # generator ends where take * n_steps normals leave a fresh one
+        grid = PathGrid(n_steps, horizon=1.5)
+        take = min(n_paths, mc._path_chunk(grid))
+        seed = 4000 + n_steps
+        gen = mc._rng(seed, 0)
+        got = mc._crossing_kernel(0.5, 0.3, grid, bridge=False)(gen, take)
+        want = _reference_crossing_kernel(0.5, 0.3, grid, False)(mc._rng(seed, 0), take)
+        _assert_same_bits(got, want)
+        fresh = mc._rng(seed, 0)
+        fresh.standard_normal(take * n_steps)
+        np.testing.assert_equal(gen.bit_generator.state, fresh.bit_generator.state)
+
+    @pytest.mark.parametrize("n_steps, n_paths", _BLOCK_CASES)
     @pytest.mark.parametrize("mu", [-2.0, 0.0, 0.3])
     def test_argmax(self, monkeypatch, n_steps, n_paths, mu):
         grid = PathGrid(n_steps, horizon=1.5)

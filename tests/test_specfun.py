@@ -80,6 +80,12 @@ class TestErfc:
         hi = erfc(1.25 + 1e-12)
         assert abs(lo - hi) < 1e-10
 
+    def test_dense_mpmath_sweep(self):
+        # erfc is still a normal double at 26 (5.7e-296)
+        for x in np.linspace(-6.0, 26.0, 4001):
+            want = mpmath.erfc(mpmath.mpf(float(x)))
+            assert erfc(float(x)) == pytest.approx(float(want), rel=1e-15, abs=0.0), x
+
 
 class TestLogErfc:
     @given(st.floats(-5.0, 20.0))
@@ -94,6 +100,21 @@ class TestLogErfc:
     def test_no_underflow_where_erfc_dies(self):
         assert erfc(40.0) == 0.0
         assert math.isfinite(log_erfc(40.0))
+
+    def test_continuous_and_monotone_across_split(self):
+        # below 26 the log of the stdlib erfc, from 26 on the continued
+        # fraction: eight doubles on each side stay within two ulp of
+        # mpmath and never increase
+        xs = [26.0]
+        for _ in range(8):
+            xs.insert(0, math.nextafter(xs[0], -math.inf))
+            xs.append(math.nextafter(xs[-1], math.inf))
+        vals = [log_erfc(x) for x in xs]
+        for x, got in zip(xs, vals):
+            want = float(mpmath.log(mpmath.erfc(mpmath.mpf(x))))
+            assert abs(got - want) <= 2.0 * math.ulp(want), x
+        assert all(a >= b for a, b in zip(vals, vals[1:]))
+        assert vals[7] > vals[8] > vals[9]
 
 
 class TestLogBesselI0:
