@@ -18,12 +18,9 @@ and the mirrored supremum form
 
 attained only at d theta* propto exp(+(gamma - beta) g) d nu. Both sides
 are certified numerically: the tilted optimizer must reproduce the left
-side to tolerance, a simplex oracle (a regular grid in low dimension,
-Dirichlet sampling otherwise) must never beat it by more than a
-rounding allowance, and every oracle point whose objective comes within
-a small window of the optimum must lie within the window's quadratic
-reach about the optimizer or be joined to it by a segment that stays
-inside the window. The beta -> 0 and order -> 0 limits give the
+side to tolerance, and a simplex oracle (a regular grid in low
+dimension, Dirichlet sampling otherwise) must never beat it by more
+than a rounding allowance. The beta -> 0 and order -> 0 limits give the
 classical Kullback-Leibler dualities and the support functional, and
 small helpers check those limits directly.
 """
@@ -58,9 +55,7 @@ __all__ = [
 EQUALITY_TOL = 1e-9
 DOMINANCE_SLACK = 1e-9
 NEAR_OPTIMAL_WINDOW = 1e-6
-# pieces a segment from the optimizer is scanned in, and segments per block
-_SEGMENT_STEPS = 32
-_SEGMENT_BLOCK = 512
+NEAR_OPTIMAL_DISTANCE = 0.05
 
 
 @dataclass(frozen=True)
@@ -77,8 +72,6 @@ class IdentityReport:
     oracle_min_or_max: float
     dominance_margin: float
     near_optimal_max_distance: float
-    localization_radius: float
-    unreached_near_points: int
 
     @property
     def equality_gap(self) -> float:
@@ -88,22 +81,12 @@ class IdentityReport:
         self,
         equality_tol: float = EQUALITY_TOL,
         dominance_slack: float = DOMINANCE_SLACK,
-        distance_tol: float | None = None,
+        distance_tol: float = NEAR_OPTIMAL_DISTANCE,
     ) -> bool:
-        """Whether equality, dominance and localization hold.
-
-        Localization holds when no near-optimal oracle point is left
-        unreached; a distance_tol bounds near_optimal_max_distance
-        instead, and math.inf drops the clause.
-        """
-        if distance_tol is None:
-            localized = self.unreached_near_points == 0
-        else:
-            localized = self.near_optimal_max_distance <= distance_tol
         return (
             self.equality_gap <= equality_tol
             and self.dominance_margin >= -dominance_slack
-            and localized
+            and self.near_optimal_max_distance <= distance_tol
         )
 
     def to_json_dict(self) -> dict:
@@ -123,8 +106,6 @@ class IdentityReport:
                 "min_or_max": self.oracle_min_or_max,
                 "dominance_margin": self.dominance_margin,
                 "near_optimal_max_distance": self.near_optimal_max_distance,
-                "localization_radius": self.localization_radius,
-                "unreached_near_points": self.unreached_near_points,
             },
             "passes": self.passes(),
         }
@@ -192,82 +173,6 @@ def _rhs_values(
     return risk - div / span
 
 
-def _log_sum_hessian(coef: float, power: float, log_w: np.ndarray, theta: np.ndarray) -> np.ndarray:
-    """Hessian in theta of coef * log sum_i w_i theta_i^power, theta > 0."""
-    z = log_w + power * np.log(theta)
-    q = np.exp(z - logsumexp(z))
-    u = q / theta
-    return coef * (np.diag(power * (power - 1.0) * q / theta**2) - power**2 * np.outer(u, u))
-
-
-def _localization_radius(
-    direction: str,
-    nu: FiniteMeasure,
-    values: np.ndarray,
-    params: OrderParams,
-    theta: np.ndarray,
-) -> float:
-    """Quadratic reach sqrt(2 w / lambda) of the near-optimal window w.
-
-    lambda is the objective's smallest curvature at theta along an
-    exchange of mass between two support atoms, direction
-    (e_i - e_j)/sqrt(2), from the closed-form Hessian of its two log-sum
-    terms (negated for the supremum). It bounds the smallest curvature
-    along the simplex from above without an eigensolver, so the radius
-    never exceeds the window's quadratic reach. Zero for a single atom
-    or a curvature that is not a positive number.
-    """
-    on = theta > 0.0
-    if np.count_nonzero(on) < 2:
-        return 0.0
-    th, log_nu, v = theta[on], nu.log_weights[on], values[on]
-    alpha = params.alpha
-    c = 1.0 / (alpha * (alpha - 1.0) * params.span)
-    if direction == "infimum":
-        hess = (_log_sum_hessian(1.0 / params.gamma, 1.0, params.gamma * v, th)
-                + _log_sum_hessian(c, 1.0 - alpha, alpha * log_nu, th))
-    else:
-        hess = (_log_sum_hessian(c, alpha, (1.0 - alpha) * log_nu, th)
-                - _log_sum_hessian(1.0 / params.beta, 1.0, params.beta * v, th))
-    d = np.diag(hess)
-    with np.errstate(invalid="ignore"):
-        curv = 0.5 * (d[:, None] + d[None, :]) - hess
-    lam = float(np.min(curv[~np.eye(th.size, dtype=bool)]))
-    return math.sqrt(2.0 * NEAR_OPTIMAL_WINDOW / lam) if 0.0 < lam < math.inf else 0.0
-
-
-def _unreached(
-    direction: str,
-    nu: FiniteMeasure,
-    values: np.ndarray,
-    params: OrderParams,
-    theta: np.ndarray,
-    lhs: float,
-    far: np.ndarray,
-) -> int:
-    """How many columns of far the window does not reach from theta.
-
-    Next to a tiny atom the objective flattens well past its quadratic
-    model. A point is reached when the objective stays within the window
-    at _SEGMENT_STEPS - 1 evenly spaced points of the segment from theta
-    to it, so a point beyond a barrier is not.
-    """
-    t = np.arange(1, _SEGMENT_STEPS) / _SEGMENT_STEPS
-    unreached = 0
-    for start in range(0, far.shape[1], _SEGMENT_BLOCK):
-        ends = far[:, start:start + _SEGMENT_BLOCK]
-        seg = theta[:, None, None] + (ends - theta[:, None])[:, :, None] * t
-        with np.errstate(divide="ignore"):
-            log_seg = np.log(np.maximum(seg.reshape(theta.size, -1), 0.0))
-        rhs = _rhs_values(direction, log_seg, nu, values, params).reshape(ends.shape[1], t.size)
-        if direction == "infimum":
-            inside = rhs <= lhs + NEAR_OPTIMAL_WINDOW
-        else:
-            inside = rhs >= lhs - NEAR_OPTIMAL_WINDOW
-        unreached += int(np.count_nonzero(~inside.all(axis=1)))
-    return unreached
-
-
 def _certify(
     direction: str,
     nu: FiniteMeasure,
@@ -308,17 +213,15 @@ def _certify(
         margin = lhs - best
         near = rhs >= lhs - NEAR_OPTIMAL_WINDOW
 
-    # constant g: every candidate with zero divergence is optimal, so the
-    # localization certificate is trivially satisfied; near points within
-    # the radius are localized, and those past it must be reached
-    radius = _localization_radius(direction, nu, values, params, optimizer.probs)
-    max_dist, unreached = 0.0, 0
-    if np.ptp(values) != 0.0 and np.any(near):
-        near_pts = pts[:, near]
-        dist = np.max(np.abs(near_pts - optimizer.probs[:, None]), axis=0)
-        max_dist = float(np.max(dist))
-        unreached = _unreached(direction, nu, values, params, optimizer.probs, lhs,
-                               near_pts[:, dist > radius])
+    if np.ptp(values) == 0.0:
+        # constant g: every candidate with zero divergence is optimal, so
+        # the localization certificate is trivially satisfied
+        max_dist = 0.0
+    elif np.any(near):
+        diffs = np.abs(pts[:, near] - optimizer.probs[:, None])
+        max_dist = float(np.max(diffs))
+    else:
+        max_dist = 0.0
 
     return IdentityReport(
         direction=direction,
@@ -331,8 +234,6 @@ def _certify(
         oracle_min_or_max=best,
         dominance_margin=float(margin),
         near_optimal_max_distance=max_dist,
-        localization_radius=radius,
-        unreached_near_points=unreached,
     )
 
 

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import dataclasses
 import json
 import math
 from itertools import combinations
@@ -25,9 +24,7 @@ from renyibounds.variational import (
     IdentityReport,
     _candidates,
     _grid_simplex,
-    _localization_radius,
     _rhs_values,
-    _unreached,
     alpha_zero_limit_check,
     inf_identity,
     kl_limit_identities,
@@ -110,8 +107,7 @@ class TestWorkedTwoPoint:
         assert d["direction"] == "infimum"
         assert set(d["oracle"]) == {
             "kind", "points", "resolution", "min_or_max",
-            "dominance_margin", "near_optimal_max_distance", "localization_radius",
-            "unreached_near_points",
+            "dominance_margin", "near_optimal_max_distance",
         }
         assert d["optimizer"]["labels"] == ["a", "b"]
 
@@ -235,17 +231,11 @@ def reference_certify(direction, nu, g, params, grid_step=1e-2,
         margin = lhs - best
         near = rhs >= lhs - NEAR_OPTIMAL_WINDOW
 
-    # the oracle is what this reference pins; localization reuses the
-    # module's radius and segment scan, which are tested on their own
-    radius = _localization_radius(direction, nu, values, params, optimizer.probs)
-    unreached = 0
     if np.ptp(values) == 0.0:
         max_dist = 0.0
     elif np.any(near):
         diffs = np.abs(pts[near] - optimizer.probs[None, :])
         max_dist = float(np.max(diffs))
-        far = pts[near][np.max(diffs, axis=1) > radius]
-        unreached = _unreached(direction, nu, values, params, optimizer.probs, lhs, far.T)
     else:
         max_dist = 0.0
 
@@ -260,8 +250,6 @@ def reference_certify(direction, nu, g, params, grid_step=1e-2,
         oracle_min_or_max=best,
         dominance_margin=float(margin),
         near_optimal_max_distance=max_dist,
-        localization_radius=radius,
-        unreached_near_points=unreached,
     )
 
 
@@ -328,15 +316,13 @@ class TestAtomsMajorOracle:
         ([1, 10, 1], [0.0, 3.0, -1.0], 0.05526956849081932),
     ])
     def test_unlocalized_instances_keep_their_distance(self, weights, g, distance):
-        # the flat-objective instances behind test_full_certificate's flakes:
-        # past the old fixed 0.05, yet every near-optimal point is reached
+        # the flat-objective instances behind test_full_certificate's flakes
         nu = measure_from_weights(weights)
         params = OrderParams(2.0, 3.0)
         assert_same_report(nu, np.asarray(g), params, oracle_samples=20_000)
         rep = inf_identity(nu, np.asarray(g), params, oracle_samples=20_000)
         assert rep.near_optimal_max_distance == distance
-        assert rep.unreached_near_points == 0
-        assert rep.passes()
+        assert not rep.passes()
 
     @pytest.mark.parametrize("regime", range(len(_PARAM_SET)))
     @pytest.mark.parametrize("dim", [8, 10, 13])
@@ -374,105 +360,6 @@ class TestScalingInvariance:
                     c * r0.rhs_at_optimizer, rel=1e-12)
                 assert r1.optimizer.probs == pytest.approx(
                     r0.optimizer.probs, abs=1e-13)
-
-
-def objective(direction, nu, g, params, theta):
-    """Right side of the identity at one theta, from its definition."""
-    th = FiniteMeasure.from_probs(nu.labels, theta)
-    if direction == "infimum":
-        return (risk_sensitive(th, g, params.gamma)
-                + renyi_discrete(nu, th, params.alpha) / params.span)
-    return risk_sensitive(th, g, params.beta) - renyi_discrete(th, nu, params.alpha) / params.span
-
-
-class TestLocalization:
-    @pytest.mark.parametrize("regime", range(len(_PARAM_SET)))
-    @pytest.mark.parametrize("direction", ["infimum", "supremum"])
-    def test_radius_matches_finite_differences(self, direction, regime):
-        nu = measure_from_weights([3, 40, 17, 9])
-        g = np.array([0.4, -0.6, 0.9, -0.3])
-        params = _PARAM_SET[regime]
-        sign = -1.0 if direction == "infimum" else 1.0
-        theta = exp_tilt(nu, g, sign * params.span).probs
-        h = 1e-4
-        curvatures = []
-        for i, j in combinations(range(4), 2):
-            d = np.zeros(4)
-            d[i], d[j] = h / math.sqrt(2.0), -h / math.sqrt(2.0)
-            # second difference along the exchange; the supremum is negated
-            f = [-sign * objective(direction, nu, g, params, theta + k * d) for k in (-1, 0, 1)]
-            curvatures.append((f[0] - 2.0 * f[1] + f[2]) / (h * h))
-        want = math.sqrt(2.0 * NEAR_OPTIMAL_WINDOW / min(curvatures))
-        got = _localization_radius(direction, nu, g, params, theta)
-        assert got == pytest.approx(want, rel=1e-4)
-
-    def test_radius_is_the_quadratic_reach_where_curved(self):
-        # two atoms move along (1, -1)/sqrt(2) only, so a fine grid's
-        # near-optimal points reach radius/sqrt(2) in the largest coordinate;
-        # there the clause is far stricter than a fixed distance of 0.05
-        nu = measure_from_weights([1, 1])
-        rep = inf_identity(nu, np.array([0.0, 1.0]), OrderParams(1.0, 2.0), grid_step=1e-5)
-        assert rep.near_optimal_max_distance == pytest.approx(
-            rep.localization_radius / math.sqrt(2.0), rel=0.02)
-        assert rep.localization_radius < 1e-3
-        assert rep.unreached_near_points == 0
-        assert rep.passes()
-
-    @pytest.mark.parametrize("weights,g", [
-        ([1, 1000, 65, 429], [-2.7817697525024414, -0.16152067482471466,
-                              -1.1251778602600098, 2.6697850227355957]),
-        ([3, 3, 62, 1000], [-3.0, 0.0, -3.0, 1.7478498220443726]),
-        ([999, 177, 3], [3.0, -3.0, -2.5]),
-        ([2, 412, 2, 814], [-3.0, 3.0, -3.0, -2.5]),
-    ])
-    def test_flat_tongues_are_reached_past_the_radius(self, weights, g):
-        # next to a tiny atom the window reaches several times past the
-        # quadratic radius; the segment scan reaches those points
-        rep = inf_identity(measure_from_weights(weights), np.asarray(g), OrderParams(2.0, 3.0),
-                           oracle_samples=20_000)
-        assert rep.near_optimal_max_distance > max(rep.localization_radius, 0.05)
-        assert rep.unreached_near_points == 0
-        assert rep.passes()
-
-    def test_two_atom_supremum_next_to_a_tiny_atom(self):
-        # a falsifying example of the old fixed distance of 0.05
-        nu = measure_from_weights([1, 159])
-        rep = sup_identity(nu, np.array([3.0, -2.0]), OrderParams(-2.0, -1.0),
-                           oracle_samples=20_000)
-        assert 0.05 < rep.near_optimal_max_distance < rep.localization_radius
-        assert rep.passes()
-
-    def test_segment_scan_reaches_only_inside_the_window(self):
-        nu = measure_from_weights([1, 1])
-        g = np.array([0.0, 1.0])
-        params = OrderParams(1.0, 2.0)
-        rep = inf_identity(nu, g, params)
-        theta = rep.optimizer.probs
-        step = np.array([1.0, -1.0]) * 1e-4
-        # a step inside the window is reached; nu itself lies far outside it
-        ends = np.column_stack([theta + step, theta - step, nu.probs])
-        assert _unreached("infimum", nu, g, params, theta, rep.lhs, ends[:, :2]) == 0
-        assert _unreached("infimum", nu, g, params, theta, rep.lhs, ends) == 1
-
-    def test_clause_reads_the_unreached_count(self):
-        rep = inf_identity(measure_from_weights([1, 1]), np.array([0.0, 1.0]),
-                           OrderParams(1.0, 2.0))
-        bad = dataclasses.replace(rep, unreached_near_points=1)
-        far = dataclasses.replace(rep, near_optimal_max_distance=0.1)
-        assert rep.passes()
-        assert not bad.passes()
-        assert not bad.to_json_dict()["passes"]
-        assert far.passes()
-        # a distance_tol bounds the distance instead; inf drops the clause
-        assert not far.passes(distance_tol=0.05)
-        assert bad.passes(distance_tol=math.inf)
-
-    def test_single_atom_optimizer_has_zero_radius(self):
-        nu = measure_from_weights([0, 1, 0])
-        for form in (inf_identity, sup_identity):
-            rep = form(nu, np.array([1.0, 0.0, -1.0]), OrderParams(1.0, 2.0))
-            assert rep.localization_radius == 0.0
-            assert rep.passes()
 
 
 class TestRandomInstances:
