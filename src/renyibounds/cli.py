@@ -322,11 +322,14 @@ def cmd_queue(args) -> int:
     return code
 
 
+def _laplace_exact(gamma: float, t: float, mu: float) -> float:
+    if mu == 0.0:
+        return laplace_h_wiener(gamma, t)
+    return laplace_h_drift(gamma, t, mu)
+
+
 def cmd_laplace(args) -> int:
-    if args.mu == 0.0:
-        value = laplace_h_wiener(args.gamma, args.t)
-    else:
-        value = laplace_h_drift(args.gamma, args.t, args.mu)
+    value = _laplace_exact(args.gamma, args.t, args.mu)
     if args.alpha is None:
         if args.format == "pretty":
             _emit(_fmt(value), args)
@@ -335,10 +338,7 @@ def cmd_laplace(args) -> int:
         return 0
     bound = laplace_h_bounds(args.gamma, args.t, args.alpha, args.mu)
     inner = (args.alpha - 1.0) * args.gamma
-    if args.mu == 0.0:
-        middle = math.log(laplace_h_wiener(inner, args.t)) / (args.alpha - 1.0)
-    else:
-        middle = math.log(laplace_h_drift(inner, args.t, args.mu)) / (args.alpha - 1.0)
+    middle = math.log(_laplace_exact(inner, args.t, args.mu)) / (args.alpha - 1.0)
     slack = 1e-6
     ok = bound.lower - slack <= middle <= bound.upper + slack
     _emit_json({
@@ -372,13 +372,12 @@ def cmd_mc_bm_max(args) -> int:
 def cmd_mc_girsanov(args) -> int:
     grid = PathGrid(args.n_steps, args.t)
     mu = args.mu
+    reference = renyi_bm_drift(mu) * args.t
     if args.drift == "const":
         drift = lambda x: np.full_like(x, mu)  # noqa: E731
-        reference = renyi_bm_drift(mu) * args.t
         ref_key = "exact"
     else:
         drift = lambda x: mu * np.tanh(x)  # noqa: E731
-        reference = renyi_bm_drift(mu) * args.t
         ref_key = "budget_upper"
     est = girsanov_renyi_estimate(drift, grid, args.alpha, args.paths, seed=args.seed)
     _emit_json({"study": "girsanov", "drift": args.drift, "mu": mu,
@@ -390,10 +389,7 @@ def cmd_mc_girsanov(args) -> int:
 def cmd_mc_argmax(args) -> int:
     grid = PathGrid(args.n_steps, args.t)
     est = argmax_laplace_estimate(args.gamma, args.mu, grid, args.paths, seed=args.seed)
-    if args.mu == 0.0:
-        exact = laplace_h_wiener(args.gamma, args.t)
-    else:
-        exact = laplace_h_drift(args.gamma, args.t, args.mu)
+    exact = _laplace_exact(args.gamma, args.t, args.mu)
     _emit_json({"study": "argmax", "gamma": args.gamma, "mu": args.mu,
                 "n_steps": args.n_steps, "t": args.t,
                 "estimate": est.to_json_dict(), "exact": exact}, args)
@@ -513,34 +509,22 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _inject_config(argv: list[str]) -> list[str]:
-    """Replace --config FILE with the flags the JSON file encodes.
+_CONFIG_FINDER = argparse.ArgumentParser(prog="renyibounds", add_help=False)
+_CONFIG_FINDER.add_argument("--config")
 
-    The file holds an object whose keys are long flag names (underscores
-    allowed); values become flag arguments, booleans toggle bare flags.
-    Injected flags go right after the subcommand so explicit flags win.
+
+def _splice_config(argv: list[str]) -> list[str]:
+    """Replace --config FILE (or an abbreviation of it) with the flags the file holds.
+
+    The file holds an object keyed by long flag names: underscores become
+    dashes, a list repeats its flag, true gives the bare flag and false
+    nothing. The flags go right after the subcommand, so explicit flags
+    win, and the one real parse checks them like typed ones.
     """
-    heads = [a.split("=", 1)[0] for a in argv]
-    if "--config" not in heads:
+    found, rest = _CONFIG_FINDER.parse_known_args(argv)
+    if found.config is None:
         return argv
-    out: list[str] = []
-    path = None
-    i = 0
-    while i < len(argv):
-        a = argv[i]
-        if a == "--config":
-            if i + 1 >= len(argv):
-                raise ValueError("--config needs a file path")
-            path = argv[i + 1]
-            i += 2
-            continue
-        if a.startswith("--config="):
-            path = a.split("=", 1)[1]
-            i += 1
-            continue
-        out.append(a)
-        i += 1
-    with open(path, encoding="utf-8") as fh:
+    with open(found.config, encoding="utf-8") as fh:
         data = json.load(fh)
     if not isinstance(data, dict):
         raise ValueError("--config must hold a JSON object of flag values")
@@ -548,28 +532,19 @@ def _inject_config(argv: list[str]) -> list[str]:
     for key, value in data.items():
         flag = "--" + str(key).replace("_", "-").lstrip("-")
         if isinstance(value, bool):
-            if value:
-                flags.append(flag)
-        elif isinstance(value, (list, tuple)):
-            for v in value:
-                flags.extend([flag, str(v)])
+            flags += [flag] if value else []
         else:
-            flags.extend([flag, str(value)])
-    for j, a in enumerate(out):
-        if not a.startswith("-"):
-            # insert after the deepest leading subcommand token
-            k = j + 1
-            if k < len(out) and not out[k].startswith("-") and a == "mc":
-                k += 1
-            return out[:k] + flags + out[k:]
-    return out + flags
+            for v in value if isinstance(value, list) else [value]:
+                flags += [flag, str(v)]
+    k = 2 if rest[:1] == ["mc"] else 1
+    return rest[:k] + flags + rest[k:]
 
 
 def main(argv=None) -> int:
     if argv is None:
         argv = sys.argv[1:]
     try:
-        argv = _inject_config(list(argv))
+        argv = _splice_config(list(argv))
         parser = build_parser()
         args = parser.parse_args(argv)
     except SystemExit as exc:

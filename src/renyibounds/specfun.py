@@ -112,15 +112,18 @@ def log_erfc(x: float) -> float:
     Below x = 26 this is log(math.erfc(x)). From there on the continued
     fraction gives the scaled value exp(x^2) * erfc(x) directly, so the
     logarithm stays finite out to arbitrarily large arguments; it is
-    -inf only once x*x overflows, and log_erfc(-inf) is log 2. Against
-    mpmath it is within an ulp on [0.5, 40], on both sides of the split;
-    near 0, where erfc is close to 1, the log magnifies erfc's rounding.
+    -inf only once x*x overflows, and log_erfc(-inf) is log 2. Below
+    |x| = 0.5, where erfc is close to 1 and its log would magnify erfc's
+    rounding, it is log1p(-erf(x)) instead. Against mpmath it is within
+    an ulp or two on [-0.5, 40], on both sides of each split.
     Needed by the drifted level-crossing probability, where
     exp(2*mu*K) * erfc(...) must be formed in the log domain.
     """
     x = float(x)
     if math.isnan(x):
         raise ValueError("log_erfc: nan argument")
+    if abs(x) < 0.5:
+        return math.log1p(-math.erf(x))
     if x < _LOG_ERFC_SPLIT:
         return math.log(math.erfc(x))
     if x * x > _ERFC_CF_MAX:

@@ -4,12 +4,14 @@ from __future__ import annotations
 
 import json
 import math
+import shlex
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
-from renyibounds.cli import main
+from renyibounds.cli import build_parser, main
 from renyibounds.divergences import renyi_discrete
 from renyibounds.measures import FiniteMeasure
 
@@ -411,6 +413,58 @@ class TestOutputAndConfig:
     def test_missing_config_file(self, capsys):
         code, _, _ = run_cli(capsys, ["renyi", "--config", "/nonexistent.json"])
         assert code == 2
+
+    def test_abbreviated_config_flag_is_read(self, capsys, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"format": "json"}))
+        code, out, _ = run_cli(capsys, [
+            "renyi", "--conf", str(cfg), "--gaussian", "1,1", "--gaussian", "0,1",
+            "--alpha", "2"])
+        assert code == 0
+        assert json.loads(out) == {"alpha": 2.0, "value": 0.5}
+
+    GAUSS = ["--gaussian", "1,1", "--gaussian", "0,1"]
+
+    @pytest.mark.parametrize("config, argv, written_out", [
+        # --config=FILE, and --config ahead of the subcommand
+        ({"alpha": 2}, ["renyi", *GAUSS, "--config=CFG"], ["renyi", *GAUSS, "--alpha", "2"]),
+        ({"alpha": 2}, ["--config", "CFG", "renyi", *GAUSS], ["renyi", *GAUSS, "--alpha", "2"]),
+        # all four required identity flags come from the file
+        ({"measure": "[0.5,0.5]", "g": "[0,1]", "beta": 1, "gamma": 2, "oracle_samples": 500},
+         ["identity", "--config", "CFG"],
+         ["identity", "--measure", "[0.5,0.5]", "--g", "[0,1]", "--beta", "1", "--gamma", "2",
+          "--oracle-samples", "500"]),
+        # false adds nothing, so the bridge stays on
+        ({"paths": 500, "n_steps": 8, "no_bridge": False, "format": "json"},
+         ["mc", "bm-max", "--config", "CFG"],
+         ["mc", "bm-max", "--paths", "500", "--n-steps", "8", "--format", "json"]),
+        ({"C": 2.0, "b": 1.0}, ["queue", "--config", "CFG"], ["queue", "--C", "2.0", "--b", "1.0"]),
+        # the real parse checks what the file gives: each of these exits 2
+        ({"alpha": 2, "nope": 1}, ["renyi", *GAUSS, "--config", "CFG"], None),
+        ({"alpha": 2, "format": "xml"}, ["renyi", *GAUSS, "--config", "CFG"], None),
+        ({"alpha": "abc"}, ["renyi", *GAUSS, "--config", "CFG"], None),
+        ({"alpha": 2}, ["renyi", *GAUSS, "--config"], None),
+    ])
+    def test_config_matches_written_out_flags(self, capsys, tmp_path, config, argv,
+                                              written_out):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(config))
+        argv = [a.replace("CFG", str(cfg)) for a in argv]
+        code, out, _ = run_cli(capsys, argv)
+        if written_out is None:
+            assert code == 2
+        else:
+            assert (code, out) == (0, run_cli(capsys, written_out)[1])
+
+
+def test_readme_commands_parse():
+    readme = Path(__file__).resolve().parent.parent / "README.md"
+    blocks = readme.read_text(encoding="utf-8").split("```")[1::2]
+    commands = [shlex.split(line)[1:] for block in blocks for line in block.splitlines()
+                if line.startswith("renyibounds ")]
+    assert len(commands) == 13
+    for argv in commands:
+        build_parser().parse_args(argv)
 
 
 def test_console_script_end_to_end(console_script):

@@ -32,14 +32,14 @@ class TestErfc:
         for x in xs:
             want = float(mpmath.erfc(x))
             got = erfc(float(x))
-            assert got == pytest.approx(want, rel=1e-12), x
+            assert got == pytest.approx(want, rel=1e-12, abs=0.0), x
 
     def test_known_values(self):
         # oracle: mpmath.erfc at 50 digits, frozen
-        assert erfc(1.0) == pytest.approx(0.15729920705028513, rel=1e-13)
-        assert erfc(1.0 / math.sqrt(2.0)) == pytest.approx(0.31731050786291415, rel=1e-13)
-        assert erfc(math.sqrt(2.0)) == pytest.approx(0.045500263896358417, rel=1e-13)
-        assert erfc(2.0 * math.sqrt(2.0)) == pytest.approx(6.3342483666239937e-05, rel=1e-13)
+        assert erfc(1.0) == pytest.approx(0.15729920705028513, rel=1e-13, abs=0.0)
+        assert erfc(1.0 / math.sqrt(2.0)) == pytest.approx(0.31731050786291415, rel=1e-13, abs=0.0)
+        assert erfc(math.sqrt(2.0)) == pytest.approx(0.045500263896358417, rel=1e-13, abs=0.0)
+        assert erfc(2.0 * math.sqrt(2.0)) == pytest.approx(6.3342483666239937e-05, rel=1e-13, abs=0.0)
 
     def test_edges(self):
         assert erfc(0.0) == 1.0
@@ -95,7 +95,14 @@ class TestLogErfc:
     def test_far_tail(self):
         for x in (30.0, 100.0, 500.0):
             want = float(mpmath.log(mpmath.erfc(x)))
-            assert log_erfc(x) == pytest.approx(want, rel=1e-12)
+            assert log_erfc(x) == pytest.approx(want, rel=1e-12, abs=0.0)
+
+    def test_near_zero_mpmath_sweep(self):
+        # below |x| = 0.5 erfc is close to 1, so log1p(-erf) keeps the
+        # digits that log(erfc) would lose
+        for x in np.linspace(-0.5, 0.5, 4001):
+            want = float(mpmath.log(mpmath.erfc(mpmath.mpf(float(x)))))
+            assert log_erfc(float(x)) == pytest.approx(want, rel=1e-15, abs=0.0), x
 
     def test_no_underflow_where_erfc_dies(self):
         assert erfc(40.0) == 0.0
