@@ -38,7 +38,7 @@ from .measures import (
     risk_sensitive,
 )
 from .montecarlo import EstimateWithCI, PathGrid, PoissonLaw
-from .specfun import Bracket, ConvergenceError, convolve_at, erfc, log_bessel_i0, minimize_scalar
+from .specfun import Bracket, ConvergenceError, erfc, log_bessel_i0, minimize_scalar
 from .variational import (
     IdentityReport,
     alpha_zero_limit_check,
@@ -53,7 +53,6 @@ __all__ = [
     "__version__",
     "Bracket",
     "ConvergenceError",
-    "convolve_at",
     "erfc",
     "log_bessel_i0",
     "minimize_scalar",

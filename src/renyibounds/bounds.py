@@ -119,18 +119,8 @@ def event_bounds(
     if math.isnan(p) or p < 0.0 or p > 1.0:
         raise ValueError("p_nominal must lie in [0, 1]")
     logp = math.log(p) if p > 0.0 else -math.inf
-
-    if math.isinf(budget.d1):
-        upper_log = math.inf
-    else:
-        upper_log = logp / alpha + budget.d1
-
-    if alpha <= 2.0:
-        lower_log = -math.inf
-    elif math.isinf(budget.d2):
-        lower_log = -math.inf
-    else:
-        lower_log = logp / (alpha - 2.0) - budget.d2
+    upper_log = rs_upper(logp / alpha, budget.d1, alpha)
+    lower_log = rs_lower(logp / (alpha - 2.0), budget.d2, alpha) if alpha > 2.0 else -math.inf
 
     if scale == "log":
         return BoundResult(alpha=alpha, lower=lower_log, upper=upper_log,

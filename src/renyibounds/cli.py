@@ -36,7 +36,7 @@ from .divergences import (
     renyi_gaussian,
     renyi_poisson,
 )
-from .measures import FiniteMeasure, OrderParams, aligned_values, exp_tilt, risk_sensitive
+from .measures import FiniteMeasure, OrderParams, aligned_values, risk_sensitive
 from .montecarlo import (
     PathGrid,
     PoissonLaw,
@@ -338,7 +338,11 @@ def cmd_laplace(args) -> int:
         return 0
     bound = laplace_h_bounds(args.gamma, args.t, args.alpha, args.mu)
     inner = (args.alpha - 1.0) * args.gamma
-    middle = math.log(_laplace_exact(inner, args.t, args.mu)) / (args.alpha - 1.0)
+    inner_value = _laplace_exact(inner, args.t, args.mu)
+    if inner_value == math.inf:
+        raise ValueError(f"the transform at gamma*(alpha-1) = {inner!r} is past the "
+                         "float range, so the sandwich cannot be checked")
+    middle = math.log(inner_value) / (args.alpha - 1.0)
     slack = 1e-6
     ok = bound.lower - slack <= middle <= bound.upper + slack
     _emit_json({

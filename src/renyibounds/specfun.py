@@ -1,12 +1,12 @@
 """Scalar special functions and small numerical routines.
 
-Everything downstream that needs erfc, log I0, a one dimensional
-minimizer, or an endpoint-singular convolution goes through this module.
+Everything downstream that needs erfc, log I0 or a one dimensional
+minimizer goes through this module; only the quadrature nodes of the
+drifted argmax transform call math.erfc directly, on finite arguments.
 erfc is the standard library's, and log_erfc keeps a continued fraction
 only for the far tail where that value underflows. The rest is written
-here: series plus asymptotic expansion for the Bessel term, golden
-section search, and a composite Simpson rule on square-root-substituted
-grids.
+here: series plus asymptotic expansion for the Bessel term, and golden
+section search.
 """
 
 from __future__ import annotations
@@ -15,17 +15,13 @@ import math
 from dataclasses import dataclass
 from typing import Callable
 
-import numpy as np
-
 __all__ = [
     "Bracket",
     "ConvergenceError",
-    "ConvolveResult",
     "erfc",
     "log_erfc",
     "log_bessel_i0",
     "minimize_scalar",
-    "convolve_at",
 ]
 
 _SQRT_PI = 1.7724538509055160273
@@ -227,80 +223,3 @@ def minimize_scalar(
             return xm, fm
         hi = lo + 4.0 * (hi - lo)
     raise ConvergenceError("minimizer pinned to the right bracket edge after expansion")
-
-
-@dataclass(frozen=True)
-class ConvolveResult:
-    """Value of the convolution plus the last refinement change."""
-
-    value: float
-    error_estimate: float
-    panels: int
-
-
-# Offset used for the u = 0 node of the transformed integrand. The
-# substitution maps an integrable 1/sqrt(s) endpoint singularity of the
-# factors to a finite limit of 2u * f(u^2) * g(t - u^2); evaluating at
-# u = 1e-150 realizes that limit to full precision without special
-# casing the factor functions (1/sqrt(1e-300) is still representable).
-_TINY_U = 1e-150
-
-
-def _simpson_half(h: Callable[[float], float], upper: float, panels: int) -> float:
-    if panels % 2 == 1:
-        panels += 1
-    step = upper / panels
-    total = h(_TINY_U) + h(upper)
-    for j in range(1, panels):
-        w = 4.0 if j % 2 == 1 else 2.0
-        total += w * h(j * step)
-    return total * step / 3.0
-
-
-def convolve_at(
-    f: Callable[[float], float],
-    g: Callable[[float], float],
-    t: float,
-    panels: int = 64,
-    rel_tol: float = 1e-8,
-    max_doublings: int = 16,
-) -> ConvolveResult:
-    """Evaluate (f * g)(t) = int_0^t f(s) g(t - s) ds at a single point.
-
-    Both factors may blow up like an inverse square root at s = 0. The
-    integral is split at t/2 and each half is mapped by s = u^2
-    (respectively t - s = v^2), which turns the worst admissible
-    endpoint behaviour into a bounded smooth integrand. Composite
-    Simpson panels are then doubled until two successive estimates agree
-    to rel_tol; the last change is reported as the error estimate.
-    """
-    t = float(t)
-    if not (math.isfinite(t) and t > 0.0):
-        raise ValueError("convolution point t must be positive and finite")
-    if panels < 2:
-        raise ValueError("panels must be at least 2")
-    u_max = math.sqrt(0.5 * t)
-
-    def left(u: float) -> float:
-        s = u * u
-        return 2.0 * u * f(s) * g(t - s)
-
-    def right(v: float) -> float:
-        s = v * v
-        return 2.0 * v * f(t - s) * g(s)
-
-    n = panels
-    prev = None
-    prev_err = None
-    for _ in range(max_doublings):
-        val = _simpson_half(left, u_max, n) + _simpson_half(right, u_max, n)
-        if prev is not None:
-            err = abs(val - prev)
-            if err <= rel_tol * max(abs(val), 1e-12):
-                return ConvolveResult(value=val, error_estimate=err, panels=n)
-            if prev_err is not None and err > 1.05 * prev_err:
-                raise ConvergenceError("panel refinement stopped shrinking the change")
-            prev_err = err
-        prev = val
-        n *= 2
-    raise ConvergenceError("convolution did not reach the requested tolerance")

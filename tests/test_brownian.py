@@ -5,9 +5,11 @@ from __future__ import annotations
 import math
 
 import mpmath
+import numpy as np
 import pytest
 
 from renyibounds.applications.brownian import (
+    _gauss_legendre,
     BrownianModel,
     bm_bound_curves,
     bm_exceedance_drift,
@@ -173,21 +175,71 @@ class TestLaplaceWiener:
             laplace_h_wiener(1.0, -1.0)
 
 
+def _argmax_transform_oracle(gamma: float, horizon: float, mu: float) -> mpmath.mpf:
+    # int_0^t e^{-gamma s} a_mu(s) a_{-mu}(t - s) ds by tanh-sinh in the time
+    # variable: s = u^2 on [0, t/2] and t - s = v^2 on [t/2, t] remove the
+    # 1/sqrt endpoint singularities, with breakpoints at the e^{-gamma s} peak.
+    # mpmath.quad stops on an absolute error, so the integrand is divided by
+    # e^{max(0, -gamma t)} and then by a rough first value of the integral.
+    g, t, m = mpmath.mpf(gamma), mpmath.mpf(horizon), mpmath.mpf(mu)
+    r2 = mpmath.sqrt(2)
+
+    def a(mu, s):
+        return (mpmath.exp(-mu * mu * s / 2) / mpmath.sqrt(mpmath.pi * s)
+                + mu / r2 * mpmath.erfc(-mu * mpmath.sqrt(s) / r2))
+
+    def ua(mu, u):  # u a_mu(u^2)
+        return (mpmath.exp(-mu * mu * u * u / 2) / mpmath.sqrt(mpmath.pi)
+                + mu / r2 * u * mpmath.erfc(-mu * u / r2))
+
+    shift = max(0, -g * t)
+
+    def left(u):
+        return 2 * mpmath.exp(-g * u * u - shift) * ua(m, u) * a(-m, t - u * u)
+
+    def right(v):
+        return 2 * mpmath.exp(-g * (t - v * v) - shift) * a(m, t - v * v) * ua(-m, v)
+
+    h = mpmath.sqrt(t / 2)
+    w = 1 / mpmath.sqrt(abs(g)) if g else h
+    peak = [0] + [w * k for k in (1, 3, 9) if w * k < h] + [h]
+    lp, rp = (peak, [0, h]) if g > 0 else ([0, h], peak)
+    with mpmath.workdps(20):
+        with mpmath.workdps(10):
+            scale = mpmath.quad(left, lp) + mpmath.quad(right, rp)
+        rest = (mpmath.quad(lambda u: left(u) / scale, lp)
+                + mpmath.quad(lambda v: right(v) / scale, rp))
+        return mpmath.exp(shift) * scale * rest
+
+
 class TestLaplaceDrift:
+    def test_against_mpmath_sweep(self):
+        # worst measured error 1.0e-13, at mu sqrt(t) = 10 and gamma = 1e15, from
+        # the cancellation e^{-x^2}/sqrt(pi) - x erfc(x) in A_{-mu}; up to
+        # |mu| sqrt(t) = 5 it is 2.4e-14
+        for gamma in (-300.0, -3.0, 0.0, 0.5, 2.0, 20.0, 1e3, 1e6, 1e9, 1e12, 1e15):
+            for mu in (-5.0, -1.0, 0.0, 0.1, 1.0, 5.0):
+                for t in (0.25, 1.0, 4.0):
+                    want = float(_argmax_transform_oracle(gamma, t, mu))  # inf past the range
+                    got = laplace_h_drift(gamma, t, mu)
+                    assert got == pytest.approx(want, rel=1e-12, abs=0.0), (gamma, mu, t)
+
     def test_zero_drift_collapses_to_arcsine(self):
-        for gamma in (0.5, 1.0, 2.0):
+        for gamma in (-40.0, 0.5, 1.0, 2.0, 20.0):
             got = laplace_h_drift(gamma, 1.0, 0.0)
-            assert got == pytest.approx(laplace_h_wiener(gamma), rel=1e-7)
+            assert got == pytest.approx(laplace_h_wiener(gamma), rel=1e-13, abs=0.0)
 
     def test_zero_exponent_mass_one(self):
+        # at mu = 0 the factors are the arcsine density 1/sqrt(pi s), singular
+        # at both ends of [0, t] in the time variable
         for mu in (0.0, 0.1, -0.4, 1.0):
-            assert laplace_h_drift(0.0, 1.0, mu) == pytest.approx(1.0, rel=1e-8)
+            for t in (0.5, 1.0, 4.0):
+                assert laplace_h_drift(0.0, t, mu) == pytest.approx(1.0, rel=1e-14, abs=0.0)
 
     def test_study_value(self):
-        # frozen from this convolution at rel_tol 1e-8; the time-reversal
-        # identity below is the independent consistency check
+        # mpmath at 40 digits, by the time-domain oracle above
         assert laplace_h_drift(2.0, 1.0, 0.1) == pytest.approx(
-            0.4437550185434202, rel=1e-7)
+            0.4437550185417453182, rel=1e-14, abs=0.0)
 
     def test_time_reversal_identity(self):
         # reversing the path swaps the drift sign and maps H to t - H:
@@ -195,18 +247,45 @@ class TestLaplaceDrift:
         for gamma, mu in ((1.5, 0.2), (2.0, -0.5), (0.7, 1.0)):
             left = laplace_h_drift(gamma, 1.0, mu)
             right = math.exp(-gamma) * laplace_h_drift(-gamma, 1.0, -mu)
-            assert left == pytest.approx(right, rel=1e-7), (gamma, mu)
+            assert left == pytest.approx(right, rel=1e-14, abs=0.0), (gamma, mu)
 
     def test_positive_drift_pushes_argmax_late(self):
         # drift up makes late argmax times more likely, lowering E e^{-gH}
         vals = [laplace_h_drift(2.0, 1.0, mu) for mu in (-0.5, 0.0, 0.5)]
         assert vals[0] > vals[1] > vals[2]
 
+    def test_past_float_range_is_inf(self):
+        assert laplace_h_drift(-800.0, 1.0, 0.1) == math.inf
+        assert laplace_h_drift(-800.0, 1.0, 0.0) == math.inf
+        assert laplace_h_wiener(-800.0) == math.inf
+        # just inside the range the value is finite, not rounded to inf
+        want = float(mpmath.e ** 705 * mpmath.besseli(0, 705))
+        assert laplace_h_wiener(-1410.0) == pytest.approx(want, rel=1e-12, abs=0.0)
+
+    def test_large_exponent_is_never_zero(self):
+        # a single panel misses the e^{-gamma t sin^2} peak and sums to 0.0
+        for gamma in (1e12, 1e15):
+            got = laplace_h_drift(gamma, 1.0, 0.1)
+            assert 0.0 < got == pytest.approx(
+                float(_argmax_transform_oracle(gamma, 1.0, 0.1)), rel=1e-12, abs=0.0)
+
     def test_validation(self):
         with pytest.raises(ValueError):
             laplace_h_drift(math.nan, 1.0, 0.0)
         with pytest.raises(ValueError):
             laplace_h_drift(1.0, 0.0, 0.0)
+
+
+class TestGaussLegendre:
+    @pytest.mark.parametrize("n", [32, 64, 128, 256, 512, 1024])
+    def test_rule_integrates_cosines(self, n):
+        # an n-point rule is exact to degree 2n - 1, so cos(k x) with k up to
+        # n/2 is integrated to rounding; numpy's leggauss reaches 2.9e-14 at n = 1024
+        nodes, weights = _gauss_legendre(n)
+        assert len(nodes) == len(weights) == n
+        for k in np.linspace(0.1, n / 2, 40):
+            got = math.fsum(w * math.cos(k * x) for x, w in zip(nodes, weights))
+            assert got == pytest.approx(2.0 * math.sin(k) / k, abs=5e-15), k
 
 
 class TestLaplaceBounds:
@@ -216,7 +295,7 @@ class TestLaplaceBounds:
         assert res.scale == "log"
         assert res.lower == pytest.approx(-0.44345028081451865, rel=1e-9)
         assert res.upper == pytest.approx(-0.32873754409479466, rel=1e-9)
-        assert middle == pytest.approx(-0.4062413144314196, rel=1e-7)
+        assert middle == pytest.approx(-0.40624131443330678159, rel=1e-14, abs=0.0)
         assert res.lower <= middle <= res.upper
 
     def test_bounds_assemble_from_nominal_values(self):

@@ -260,7 +260,7 @@ class TestLaplaceCommand:
         data = json.loads(out)
         assert data["inside"] is True
         assert data["lower"] <= data["middle"] <= data["upper"]
-        assert data["middle"] == pytest.approx(-0.4062413144314196, rel=1e-7)
+        assert data["middle"] == pytest.approx(-0.40624131443330678159, rel=1e-14, abs=0.0)
 
     def test_low_order_lower_literal(self, capsys):
         code, out, _ = run_cli(capsys, [
@@ -272,6 +272,19 @@ class TestLaplaceCommand:
     def test_bad_horizon(self, capsys):
         code, _, _ = run_cli(capsys, ["laplace", "--gamma", "1", "--t", "0"])
         assert code == 2
+
+    @pytest.mark.parametrize("mu", ["0", "0.1"])
+    def test_value_past_float_range_prints_inf(self, capsys, mu):
+        code, out, err = run_cli(capsys, ["laplace", "--gamma", "-800", "--mu", mu])
+        assert (code, out) == (0, "inf\n")
+        assert "Traceback" not in err
+
+    def test_sandwich_past_float_range_is_an_input_error(self, capsys):
+        # log(inf) as the middle would report a false violation with exit 1
+        code, out, err = run_cli(capsys, [
+            "laplace", "--gamma", "-800", "--alpha", "3", "--mu", "0.1"])
+        assert (code, out) == (2, "")
+        assert err.startswith("error: ") and "Traceback" not in err
 
 
 class TestMcCommands:
@@ -317,6 +330,14 @@ class TestMcCommands:
         assert code == 0
         data = json.loads(out)
         assert data["exact"] == pytest.approx(0.4657596075936404, rel=1e-12)
+
+    def test_argmax_exact_past_float_range_is_inf(self, capsys):
+        code, out, err = run_cli(capsys, [
+            "mc", "argmax", "--gamma", "-800", "--paths", "10", "--n-steps", "4",
+            "--format", "json"])
+        assert code == 0
+        assert json.loads(out)["exact"] == "inf"
+        assert "Traceback" not in err
 
 
 class TestDeterminismAndSeeds:

@@ -12,7 +12,6 @@ from hypothesis import given, strategies as st
 from renyibounds.specfun import (
     Bracket,
     ConvergenceError,
-    convolve_at,
     erfc,
     log_bessel_i0,
     log_erfc,
@@ -183,34 +182,3 @@ class TestMinimizeScalar:
     def test_bad_bracket(self):
         with pytest.raises(ValueError):
             Bracket(2.0, 1.0)
-
-
-class TestConvolveAt:
-    def test_exponential_pair(self):
-        # (e^{-s} * e^{-s})(t) = t e^{-t}
-        f = lambda s: math.exp(-s)  # noqa: E731
-        for t in (0.3, 1.0, 2.5):
-            res = convolve_at(f, f, t)
-            assert res.value == pytest.approx(t * math.exp(-t), rel=1e-10)
-
-    def test_arcsine_mass(self):
-        # both factors 1/sqrt(pi s): the convolution is exactly 1 at any t;
-        # endpoint singularities on both sides make this the stress case,
-        # so judge it by the integrator's own tolerance target
-        f = lambda s: 1.0 / math.sqrt(math.pi * s)  # noqa: E731
-        for t in (0.5, 1.0, 4.0):
-            res = convolve_at(f, f, t)
-            assert res.value == pytest.approx(1.0, rel=5e-8)
-        tight = convolve_at(f, f, 1.0, rel_tol=1e-11)
-        assert tight.value == pytest.approx(1.0, rel=1e-9)
-
-    def test_error_estimate_reported(self):
-        f = lambda s: math.exp(-s)  # noqa: E731
-        res = convolve_at(f, f, 1.0)
-        assert res.error_estimate <= 1e-8 * abs(res.value) + 1e-15
-        assert res.panels >= 64
-
-    def test_invalid_t(self):
-        f = lambda s: 1.0  # noqa: E731
-        with pytest.raises(ValueError):
-            convolve_at(f, f, 0.0)
