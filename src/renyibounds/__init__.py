@@ -38,7 +38,14 @@ from .measures import (
     risk_sensitive,
 )
 from .montecarlo import EstimateWithCI, PathGrid, PoissonLaw
-from .specfun import Bracket, ConvergenceError, erfc, log_bessel_i0, minimize_scalar
+from .specfun import (
+    Bracket,
+    ConvergenceError,
+    erfc,
+    log_bessel_i0,
+    log_bessel_i0e,
+    minimize_scalar,
+)
 from .variational import (
     IdentityReport,
     alpha_zero_limit_check,
@@ -55,6 +62,7 @@ __all__ = [
     "ConvergenceError",
     "erfc",
     "log_bessel_i0",
+    "log_bessel_i0e",
     "minimize_scalar",
     "BoundedFunction",
     "FiniteMeasure",

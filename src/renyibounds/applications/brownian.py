@@ -25,7 +25,7 @@ import numpy as np
 
 from ..bounds import BoundResult, event_bounds, rs_lower, rs_upper
 from ..divergences import DivergenceBudget, renyi_bm_drift
-from ..specfun import ConvergenceError, erfc, log_bessel_i0, log_erfc
+from ..specfun import ConvergenceError, erfc, log_bessel_i0, log_bessel_i0e, log_erfc
 
 __all__ = [
     "BrownianModel",
@@ -167,7 +167,9 @@ def _log_laplace_h_wiener(gamma: float, horizon: float) -> float:
     # H is arcsine on [0, t]; E e^{-gamma H} = e^{-gamma t/2} I0(gamma t/2),
     # and evenness of I0 extends the expression to negative gamma.
     x = 0.5 * gamma * horizon
-    return -x + log_bessel_i0(abs(x))
+    if x >= 0.0:
+        return log_bessel_i0e(x)
+    return -x + log_bessel_i0(-x)
 
 
 def laplace_h_wiener(gamma: float, horizon: float = 1.0) -> float:

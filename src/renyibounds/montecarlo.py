@@ -34,6 +34,17 @@ normals of every row of its chunk before its uniforms; rows past take
 are drawn block by block and thrown away. Without the bridge it draws
 only the rows it keeps.
 
+The queue kernel walks its chunk the same way, in blocks of
+``_QUEUE_BLOCK`` draws, and draws each block as the 64-bit Philox words
+themselves. A word and its uniform are one value:
+``gen.random()`` returns ``(word >> 11) * 2**-53`` for the word that
+``gen.integers(0, 2**64, dtype=np.uint64)`` returns, and both leave the
+generator in the same state. So the guide bucket of a uniform is the
+top 12 bits of its word, and the arrivals of a block come from one
+gather in a small integer table. Only the few uniforms in marked
+buckets are rebuilt from their words, exactly, and searched. Each
+column then takes the Lindley step in the order of a whole chunk.
+
 The kernels cover the three studies: queue overflow under iid
 arrivals, Brownian level crossing with an exact bridge correction for
 the parts of the path the grid does not see, and the argmax time of a
@@ -66,7 +77,9 @@ __all__ = [
 ]
 
 _QUEUE_CHUNK = 1 << 16
-_GUIDE_BUCKETS = 1 << 12
+_QUEUE_BLOCK = 1 << 18
+_GUIDE_BITS = 12
+_GUIDE_BUCKETS = 1 << _GUIDE_BITS
 _PATH_DRAW_BUDGET = 1 << 21
 _PATH_BLOCK = 1 << 15
 _Z95 = 1.959963984540054
@@ -113,9 +126,10 @@ class EstimateWithCI:
 
 
 def _estimate(mean: float, se: float, n: int, seed: int) -> EstimateWithCI:
-    return EstimateWithCI(mean=mean, std_error=se,
-                          ci95=(mean - _Z95 * se, mean + _Z95 * se),
-                          n_samples=n, seed=int(seed))
+    # an infinite standard error says nothing, whatever the mean, so its
+    # interval is the whole line and never inf - inf = nan
+    ci95 = (mean - _Z95 * se, mean + _Z95 * se) if se < math.inf else (-math.inf, math.inf)
+    return EstimateWithCI(mean=mean, std_error=se, ci95=ci95, n_samples=n, seed=int(seed))
 
 
 def _at_least_two(n: int) -> int:
@@ -126,13 +140,21 @@ def _at_least_two(n: int) -> int:
 
 
 def _mean_ci(chunks: Iterable[np.ndarray], n: int, seed: int) -> EstimateWithCI:
-    """Sample mean with a normal-approximation 95% CI, from per-chunk moments."""
+    """Sample mean with a normal-approximation 95% CI, from per-chunk moments.
+
+    Samples or squares past the double range read inf, without a
+    warning, and a sum of squares that reaches inf gives se inf: an
+    infinite mean reads inf with se inf, never nan.
+    """
     n = _at_least_two(n)
     total = total_sq = 0.0
-    for x in chunks:
-        total += float(np.sum(x))
-        total_sq += float(np.sum(x * x))
+    with np.errstate(over="ignore"):
+        for x in chunks:
+            total += float(np.sum(x))
+            total_sq += float(np.sum(x * x))
     mean = total / n
+    if total_sq == math.inf:
+        return _estimate(mean, math.inf, n, seed)
     var = max(total_sq - n * mean * mean, 0.0) / (n - 1)
     return _estimate(mean, math.sqrt(var / n), n, seed)
 
@@ -159,12 +181,17 @@ class PathGrid:
         return self.horizon / self.n_steps
 
 
+def _rows(budget: int, width: int) -> int:
+    """Rows of width draws that fit in a budget of draws, at least one."""
+    return max(1, budget // width)
+
+
 def _path_chunk(grid: PathGrid) -> int:
-    return max(1, _PATH_DRAW_BUDGET // grid.n_steps)
+    return _rows(_PATH_DRAW_BUDGET, grid.n_steps)
 
 
 def _block_rows(grid: PathGrid) -> int:
-    return max(1, _PATH_BLOCK // grid.n_steps)
+    return _rows(_PATH_BLOCK, grid.n_steps)
 
 
 class PoissonLaw:
@@ -184,11 +211,13 @@ class PoissonLaw:
     in [0, 1) the answer is therefore the count of entries <= u.
     [0, 1) is cut into _GUIDE_BUCKETS equal buckets; their number is a
     power of two, so u * _GUIDE_BUCKETS and each edge j / _GUIDE_BUCKETS
-    are exact. The count is the same for every u in bucket j, and the
-    guide stores it, unless an entry lies strictly inside the bucket.
-    Such buckets are marked -1 and fall back to the binary search, as
-    does every u outside [0, 1), nan included, through a last marked
-    slot. For rate 1, 7 of the 4096 buckets are marked.
+    are exact, and the bucket of a uniform u = (word >> 11) 2^-53 drawn
+    from a 64-bit word is the word's top 12 bits. The count is the same
+    for every u in bucket j, and the int16 guide stores it, unless an
+    entry lies strictly inside the bucket. Such buckets are marked -1
+    and fall back to the binary search, as does every u outside [0, 1),
+    nan included, through a last marked slot. For rate 1, 7 of the
+    4096 buckets are marked.
     """
 
     __slots__ = ("rate", "_cdf", "_guide")
@@ -211,9 +240,9 @@ class PoissonLaw:
         edges = np.arange(_GUIDE_BUCKETS + 1) / _GUIDE_BUCKETS
         at_or_below = np.searchsorted(cdf, edges, side="right")
         below_next = np.searchsorted(cdf, edges[1:], side="left")
-        guide = at_or_below.astype(float)
-        guide[:-1][below_next > at_or_below[:-1]] = -1.0
-        guide[-1] = -1.0
+        guide = at_or_below.astype(np.int16)
+        guide[:-1][below_next > at_or_below[:-1]] = -1
+        guide[-1] = -1
         self._guide = guide
 
     def quantile(self, u: np.ndarray) -> np.ndarray:
@@ -221,7 +250,7 @@ class PoissonLaw:
         u = np.asarray(u, dtype=float)
         t = u * _GUIDE_BUCKETS
         inside = (t >= 0.0) & (t < _GUIDE_BUCKETS)
-        k = self._guide[np.where(inside, t, _GUIDE_BUCKETS).astype(np.intp)]
+        k = self._guide[np.where(inside, t, _GUIDE_BUCKETS).astype(np.intp)].astype(float)
         search = k < 0.0
         if search.any():
             idx = np.searchsorted(self._cdf, u[search], side="right")
@@ -244,17 +273,49 @@ def _per_step_laws(arrival_law, n: int) -> list[PoissonLaw]:
 
 
 def _queue_kernel(laws: list[PoissonLaw], C: float, level: float) -> _Kernel:
+    n, rows = len(laws), _rows(_QUEUE_BLOCK, len(laws))
+    # the guides of the distinct laws, stacked; column k reads the one of
+    # its law at offset[k]
+    distinct = list({id(law): law for law in laws}.values())
+    slot = {id(law): i for i, law in enumerate(distinct)}
+    law_of = np.array([slot[id(law)] for law in laws])
+    offset = law_of * _GUIDE_BUCKETS
+    guide = np.concatenate([law._guide[:_GUIDE_BUCKETS] for law in distinct])
+
     def kernel(gen: np.random.Generator, take: int) -> np.ndarray:
-        u = gen.random((take, len(laws)))
-        q = np.zeros(take)
-        peak = np.zeros(take)
-        for k, law in enumerate(laws):
-            # Lindley step max(q + a - C, 0), rounded in that order
-            q += law.quantile(u[:, k])
-            q -= C
-            np.maximum(q, 0.0, out=q)
-            np.maximum(peak, q, out=peak)
-        return peak > level
+        bucket = np.empty((min(rows, take), n), dtype=np.intp)
+        arrivals = np.empty(bucket.shape, dtype=np.int16)
+        q, peak = np.empty(len(bucket)), np.empty(len(bucket))
+        over = np.empty(take, dtype=bool)
+        for lo in range(0, take, rows):
+            m = min(rows, take - lo)
+            # the words behind gen.random((m, n)), which is (word >> 11) 2^-53,
+            # so the bucket floor(u * 4096) of a uniform is its word's top 12 bits
+            words = gen.integers(0, 1 << 64, size=(m, n), dtype=np.uint64)
+            i, a = bucket[:m], arrivals[:m]
+            np.right_shift(words, 64 - _GUIDE_BITS, out=i.view(np.uint64))
+            if len(distinct) > 1:
+                i += offset
+            np.take(guide, i, out=a)
+            marked = np.flatnonzero(a < 0)
+            if marked.size:
+                u = (np.take(words, marked) >> 11) * 2.0 ** -53
+                which = law_of[marked % n]
+                for j, law in enumerate(distinct):
+                    pick = which == j
+                    if pick.any():
+                        np.put(a, marked[pick], law.quantile(u[pick]))
+            qm, pm = q[:m], peak[:m]
+            qm.fill(0.0)
+            pm.fill(0.0)
+            for k in range(n):
+                # Lindley step max(q + a - C, 0), rounded in that order
+                qm += a[:, k]
+                qm -= C
+                np.maximum(qm, 0.0, out=qm)
+                np.maximum(pm, qm, out=pm)
+            np.greater(pm, level, out=over[lo:lo + m])
+        return over
 
     return kernel
 

@@ -21,6 +21,7 @@ __all__ = [
     "erfc",
     "log_erfc",
     "log_bessel_i0",
+    "log_bessel_i0e",
     "minimize_scalar",
 ]
 
@@ -127,42 +128,62 @@ def log_erfc(x: float) -> float:
     return -x * x + math.log(x * _erfc_cf_factor(x) / _SQRT_PI)
 
 
-def log_bessel_i0(x: float) -> float:
-    """log I0(x) for x >= 0, in the log domain throughout.
+def _log_i0_parts(x: float) -> tuple[float, float]:
+    """log I0(x) = lead + rest for x >= 0, in the log domain throughout.
 
-    Power series below x = 15, asymptotic expansion above. At the
-    crossover both branches are accurate to well under 1e-10 relative,
-    and the asymptotic form never exponentiates x, so arguments in the
-    hundreds (large order times large rate) are safe.
+    Up to x = 15 the power series gives rest = log I0(x) and lead = 0.
+    Above it the asymptotic expansion
+    I0(x) ~ exp(x)/sqrt(2 pi x) * sum_k u_k, u_0 = 1,
+    u_{k+1} = u_k * (2k+1)^2 / (8 (k+1) x), truncated at the smallest
+    term, gives lead = x and rest = log(e^{-x} I0(x)), which never has
+    x added, so it keeps its relative precision however large x is.
     """
     x = float(x)
     if math.isnan(x):
         raise ValueError("log_bessel_i0: nan argument")
     if x < 0.0:
         raise ValueError("log_bessel_i0: negative argument")
-    if x == 0.0:
-        return 0.0
+    total = 1.0
+    term = 1.0
     if x <= 15.0:
         q = 0.25 * x * x
-        term = 1.0
-        total = 1.0
         for k in range(1, 200):
             term *= q / (k * k)
             total += term
             if term < total * _EPS:
                 break
-        return math.log(total)
-    # I0(x) ~ exp(x)/sqrt(2 pi x) * sum_k u_k, u_0 = 1,
-    # u_{k+1} = u_k * (2k+1)^2 / (8 (k+1) x). Truncate at the smallest term.
-    total = 1.0
-    term = 1.0
+        return 0.0, math.log(total)
     for k in range(0, 40):
         nxt = term * (2 * k + 1) ** 2 / (8.0 * (k + 1) * x)
         if nxt >= term or nxt < total * _EPS:
             break
         term = nxt
         total += term
-    return x - 0.5 * math.log(2.0 * math.pi * x) + math.log(total)
+    return x, -0.5 * math.log(2.0 * math.pi * x) + math.log(total)
+
+
+def log_bessel_i0(x: float) -> float:
+    """log I0(x) for x >= 0, in the log domain throughout.
+
+    Power series up to x = 15, asymptotic expansion above. At the
+    crossover both branches are accurate to well under 1e-10 relative,
+    and the asymptotic form never exponentiates x, so arguments in the
+    hundreds (large order times large rate) are safe.
+    """
+    lead, rest = _log_i0_parts(x)
+    return lead + rest
+
+
+def log_bessel_i0e(x: float) -> float:
+    """log(e^{-x} I0(x)) for x >= 0, the log of the scaled Bessel term.
+
+    Past x = 15 it is the asymptotic expansion without the x that
+    log_bessel_i0 adds, so x - x never cancels; it stays within a few
+    ulp of the exact value however large x is. Up to 15 it is
+    log_bessel_i0(x) - x.
+    """
+    lead, rest = _log_i0_parts(x)
+    return (lead - float(x)) + rest
 
 
 _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0

@@ -153,6 +153,13 @@ class TestLaplaceWiener:
             want = float(mpmath.e ** (-x) * mpmath.besseli(0, x))
             assert laplace_h_wiener(gamma) == pytest.approx(want, rel=1e-12), gamma
 
+    def test_large_gamma_against_mpmath(self):
+        # e^{-x} I0(x) is formed without adding x, so no digits cancel
+        for gamma in (40.0, 1e2, 1e4, 1e8):
+            x = mpmath.mpf(gamma) / 2
+            want = float(mpmath.e ** (-x) * mpmath.besseli(0, x))
+            assert laplace_h_wiener(gamma) == pytest.approx(want, rel=1e-14, abs=0.0), gamma
+
     def test_frozen_study_values(self):
         # oracle: e^{-g/2} I0(g/2) via mpmath, frozen
         assert laplace_h_wiener(1.0) == pytest.approx(0.6450352704491501, rel=1e-12)

@@ -339,6 +339,17 @@ class TestMcCommands:
         assert json.loads(out)["exact"] == "inf"
         assert "Traceback" not in err
 
+    @pytest.mark.filterwarnings("error")
+    def test_argmax_estimate_past_float_range_is_inf(self, capsys):
+        # exp(800 H) overflows on every sample with H > 0.9: the mean reads
+        # inf as exact does, and nothing reads nan
+        code, out, _ = run_cli(capsys, [
+            "mc", "argmax", "--gamma", "-800", "--paths", "10", "--n-steps", "4",
+            "--format", "json"])
+        assert code == 0
+        est = json.loads(out)["estimate"]
+        assert (est["mean"], est["se"], est["ci95"]) == ("inf", "inf", ["-inf", "inf"])
+
 
 class TestDeterminismAndSeeds:
     def test_byte_identical_reruns(self, capsys):

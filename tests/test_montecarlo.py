@@ -201,6 +201,28 @@ class TestMcMeanCi:
         with pytest.raises(ValueError):
             self._bernoulli(1, seed=0)
 
+    @pytest.mark.filterwarnings("error")
+    def test_extended_reals(self):
+        # an infinite sample gives mean inf and se inf; squares past the
+        # double range give se inf around a finite mean; never nan
+        est = mc._mean_ci(iter([np.array([1.0, 2.0]), np.array([math.inf])]), 3, 0)
+        assert (est.mean, est.std_error, est.ci95) == (math.inf, math.inf, (-math.inf, math.inf))
+        est = mc._mean_ci(iter([np.array([1e200, 3e200])]), 2, 0)
+        assert (est.mean, est.std_error, est.ci95) == (2e200, math.inf, (-math.inf, math.inf))
+        est = argmax_laplace_estimate(-800.0, 0.0, PathGrid(4), 10)
+        assert (est.mean, est.std_error) == (math.inf, math.inf)
+
+    def test_finite_moments_unchanged(self):
+        # the sum and the sum of squares, chunk by chunk, in that order
+        chunks = [np.array([0.1, 0.7, 0.2]), np.array([0.3, 1.9])]
+        total = float(np.sum(chunks[0])) + float(np.sum(chunks[1]))
+        total_sq = float(np.sum(chunks[0] ** 2)) + float(np.sum(chunks[1] ** 2))
+        mean = total / 5
+        se = math.sqrt(max(total_sq - 5 * mean * mean, 0.0) / 4 / 5)
+        est = mc._mean_ci(iter(chunks), 5, 0)
+        assert (est.mean, est.std_error) == (mean, se)
+        assert est.ci95 == (mean - mc._Z95 * se, mean + mc._Z95 * se)
+
 
 class TestEstimatesReduceSamples:
     # 33000 paths of 64 steps span two chunks of 32768
@@ -336,6 +358,57 @@ class TestQueueSimulation:
         est = simulate_queue_overflow_prob(laws, C, b, len(laws), reps, seed=seed)
         assert 0.0 < est.mean < 1.0
         assert est == mc._mean_ci(iter(want), reps, seed)
+
+    def test_words_are_the_uniforms(self):
+        # the queue kernel draws 64-bit words in place of gen.random()'s
+        # uniforms: same bits, same generator state afterwards
+        words_gen, uniforms_gen = mc._rng(7, 3), mc._rng(7, 3)
+        words = words_gen.integers(0, 2**64, size=(999, 7), dtype=np.uint64)
+        uniforms = uniforms_gen.random((999, 7))
+        assert ((words >> 11) * 2.0 ** -53).tobytes() == uniforms.tobytes()
+        assert repr(words_gen.bit_generator.state) == repr(uniforms_gen.bit_generator.state)
+        assert words_gen.random(5).tobytes() == uniforms_gen.random(5).tobytes()
+        # so the guide bucket floor(u * 4096) is the top 12 bits of the word
+        assert np.array_equal(words >> 52, np.floor(uniforms * 4096.0).astype(np.uint64))
+
+    @pytest.mark.parametrize("budget, rates, C, b, reps, rows", [
+        # a chunk that is not a multiple of the block rows, then a
+        # remainder below one block; at rate log 2, P(0) = 1/2 lies on a
+        # bucket edge
+        (None, [math.log(2.0)] * 50, 1.0, 0.05, mc._QUEUE_CHUNK + 1000, 5242),
+        # one step: a block holds more rows than a chunk
+        (None, [1.0], 1.5, 0.25, 5000, 1 << 18),
+        # more steps than a block holds: one row per block
+        (32, [1.0] * 50, 1.5, 0.1, 300, 1),
+        # per-step laws, two of them at rate log 2, 61 whole blocks and 14 rows
+        (1000, [math.log(2.0), *np.linspace(0.05, 30.0, 48), math.log(2.0)], 24.5, 0.4, 1234, 20),
+    ], ids=["remainder-log2", "one-step", "one-row", "per-step"])
+    def test_row_blocks_match_reference(self, monkeypatch, budget, rates, C, b, reps, rows):
+        if budget is not None:
+            monkeypatch.setattr(mc, "_QUEUE_BLOCK", budget)
+        laws = [PoissonLaw(r) for r in rates]
+        assert mc._rows(mc._QUEUE_BLOCK, len(laws)) == rows
+        seed, level = 5, len(laws) * b
+        got = list(mc._stream(mc._queue_kernel(laws, C, level), reps, mc._QUEUE_CHUNK, seed))
+        want = list(mc._stream(_reference_queue_kernel(laws, C, level), reps,
+                               mc._QUEUE_CHUNK, seed))
+        assert len(got) == len(want)
+        for g, w in zip(got, want):
+            _assert_same_bits(g, w)
+        assert 0 < sum(int(w.sum()) for w in want) < reps
+
+    def test_row_blocks_search_marked_buckets(self, monkeypatch):
+        # draws in marked buckets take the binary search, and only those
+        law = PoissonLaw(math.log(2.0))
+        searched = []
+        quantile = PoissonLaw.quantile
+        monkeypatch.setattr(PoissonLaw, "quantile",
+                            lambda self, u: searched.append(u.size) or quantile(self, u))
+        gen = mc._rng(2, 0)
+        mc._queue_kernel([law] * 50, 1.0, 2.5)(gen, 3000)
+        words = mc._rng(2, 0).integers(0, 2**64, size=(3000, 50), dtype=np.uint64)
+        assert searched == [int(np.sum(law._guide[words >> 52] < 0))]
+        assert 0 < searched[0] < 3000 * 50 / 100
 
     def test_validation(self):
         law = PoissonLaw(1.0)
@@ -574,6 +647,16 @@ def _traced_peak_mib(run) -> float:
         return tracemalloc.get_traced_memory()[1] / 2**20
     finally:
         tracemalloc.stop()
+
+
+class TestQueueMemory:
+    """The queue kernel holds row blocks of words, not a chunk of uniforms."""
+
+    def test_queue_estimate(self):
+        # the whole-chunk kernel peaked at 27.7 MiB here
+        peak = _traced_peak_mib(lambda: simulate_queue_overflow_prob(
+            PoissonLaw(1.0), 2.0, 0.1, 50, 200_000))
+        assert peak < 16.0
 
 
 class TestPathMemory:

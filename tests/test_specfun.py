@@ -14,6 +14,7 @@ from renyibounds.specfun import (
     ConvergenceError,
     erfc,
     log_bessel_i0,
+    log_bessel_i0e,
     log_erfc,
     minimize_scalar,
 )
@@ -147,6 +148,23 @@ class TestLogBesselI0:
     def test_domain(self):
         with pytest.raises(ValueError):
             log_bessel_i0(-0.5)
+
+
+class TestLogBesselI0e:
+    def test_against_mpmath(self):
+        for x in [0.0, 1e-8, 0.3, 5.0, 15.0, 15.1, 30.0, 700.0, 5e3, 5e7, 1e12]:
+            xm = mpmath.mpf(x)
+            want = float(mpmath.log(mpmath.e ** (-xm) * mpmath.besseli(0, xm)))
+            assert log_bessel_i0e(x) == pytest.approx(want, rel=1e-14, abs=1e-15), x
+
+    def test_series_branch_is_log_i0_minus_x(self):
+        for x in (0.0, 0.3, 1.0, 7.5, 15.0):
+            assert log_bessel_i0e(x) == log_bessel_i0(x) - x
+
+    def test_domain(self):
+        for bad in (-0.5, math.nan):
+            with pytest.raises(ValueError):
+                log_bessel_i0e(bad)
 
 
 class TestMinimizeScalar:
