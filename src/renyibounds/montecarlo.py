@@ -21,11 +21,25 @@ load-bearing for the tests:
 One engine, ``_stream``, runs a per-study kernel on each chunk: a
 ``*_samples`` function concatenates the chunks, and an estimate reduces
 them one at a time, never holding the per-path arrays of a whole run.
+Each chunk has its own stream, so chunks are independent and the engine
+computes ``_WORKERS`` of them at once, one per usable CPU (the process's
+CPU affinity where the platform reports it): the calling thread runs
+the first, short-lived helper threads the others, and numpy's fills and
+ufuncs release the interpreter lock while they work. Every generator
+is still made on the calling thread, and the chunks are yielded in
+stream order, so every sample and every reduction is bitwise the same
+at any worker count. The count is derived, never configured: no
+parameter or environment variable sets it, and the threading variables
+of BLAS or OpenMP do not apply to these Python threads. A kernel's
+exception is raised where its chunk would have been yielded, after
+every helper has been joined.
 
-The Brownian kernels walk their chunk in row blocks of about
-``_PATH_BLOCK`` draws (``_block_rows`` rows, at least one) and do all
-arithmetic in place inside a block, so their working set stays in cache
-and nothing of chunk size is allocated apart from per-path vectors.
+The block budgets below are per thread, so that the threads together
+hold about what one did. The Brownian kernels walk their chunk in row
+blocks of about ``_PATH_BLOCK`` draws (``_block_rows`` rows, at least
+one) and do all arithmetic in place inside a block, so their working
+set stays in cache and nothing of chunk size is allocated apart from
+per-path vectors.
 The blocks change no bit of any sample: consecutive draws from one
 generator concatenate bitwise, ziggurat normals included, and every
 row is scaled, summed and reduced in the same order as a whole chunk
@@ -54,7 +68,10 @@ divergence estimates for state-dependent drifts.
 
 from __future__ import annotations
 
+import contextvars
 import math
+import os
+import threading
 from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator
 
@@ -77,12 +94,15 @@ __all__ = [
 ]
 
 _QUEUE_CHUNK = 1 << 16
-_QUEUE_BLOCK = 1 << 18
+_QUEUE_BLOCK = 1 << 17
 _GUIDE_BITS = 12
 _GUIDE_BUCKETS = 1 << _GUIDE_BITS
 _PATH_DRAW_BUDGET = 1 << 21
-_PATH_BLOCK = 1 << 15
+_PATH_BLOCK = 1 << 14
 _Z95 = 1.959963984540054
+# the chunks of a stream run this many at a time, one per usable CPU
+_WORKERS = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+            else os.cpu_count() or 1)
 
 _Kernel = Callable[[np.random.Generator, int], np.ndarray]
 
@@ -91,20 +111,65 @@ def _rng(seed: int, stream: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=seed + (stream << 64)))
 
 
+class _Chunk(threading.Thread):
+    """kernel(gen, take) on a helper thread, in a copy of the caller's context.
+
+    The copy carries numpy's error state (a context variable since numpy
+    2), so a chunk warns or stays silent as it would on the calling
+    thread. result() joins the thread and returns the chunk, or raises
+    the kernel's exception.
+    """
+
+    def __init__(self, kernel: _Kernel, gen: np.random.Generator, take: int) -> None:
+        super().__init__()
+        context = contextvars.copy_context()
+        self._call = lambda: context.run(kernel, gen, take)
+        self._out: np.ndarray | None = None
+        self._error: BaseException | None = None
+
+    def run(self) -> None:
+        try:
+            self._out = self._call()
+        except BaseException as exc:  # re-raised on the calling thread by result()
+            self._error = exc
+
+    def result(self) -> np.ndarray:
+        self.join()
+        if self._error is not None:
+            raise self._error
+        return self._out
+
+
 def _stream(kernel: _Kernel, n: int, chunk: int, seed: int) -> Iterator[np.ndarray]:
     """Yield kernel(generator, take) for consecutive chunks of n samples.
 
     Chunk i draws from stream i and keeps its first take samples, so
     the chunks of a longer run start with the chunks of a shorter one.
+    Chunks run _WORKERS at a time: this thread runs the first of them
+    and helper threads the others, and they are yielded in stream order.
     """
     n, seed = int(n), int(seed)
     if n < 1:
         raise ValueError("need at least one sample")
     if not 0 <= seed < 1 << 64:
         raise ValueError("seed must fit in an unsigned 64-bit integer")
-    for stream, done in enumerate(range(0, n, chunk)):
-        # _rng is looked up per chunk so it can be swapped for a counting proxy
-        yield kernel(_rng(seed, stream), min(chunk, n - done))
+    count, workers = -(-n // chunk), _WORKERS
+    for first in range(0, count, workers):
+        # _rng is looked up per chunk, on this thread, so it can be swapped
+        # for a counting proxy
+        jobs = [(_rng(seed, stream), min(chunk, n - stream * chunk))
+                for stream in range(first, min(first + workers, count))]
+        helpers: list[_Chunk] = []
+        try:
+            for gen, take in jobs[1:]:
+                helpers.append(_Chunk(kernel, gen, take))
+                helpers[-1].start()
+            yield kernel(*jobs[0])
+            for helper in helpers:
+                yield helper.result()
+        finally:
+            for helper in helpers:
+                helper.join()
 
 
 @dataclass(frozen=True)
@@ -514,7 +579,9 @@ def _girsanov_kernel(drift: Callable[[np.ndarray], np.ndarray], grid: PathGrid) 
             # m may be pre itself, so db takes both products
             np.multiply(m, db, out=db)
             drift_term = np.sum(db, axis=1)
-            np.multiply(m, m, out=db)
+            # a square past the double range reads inf, and its LLR -inf
+            with np.errstate(over="ignore"):
+                np.multiply(m, m, out=db)
             llr[lo:lo + len(db)] = drift_term - 0.5 * dt * np.sum(db, axis=1)
         return llr
 
@@ -531,7 +598,8 @@ def girsanov_log_lr_samples(
 
     drift maps an array of pre-step path values, one path per row, to the
     drift at each of them. It is applied to row blocks of a few paths at
-    a time, so it must act on each row on its own.
+    a time, and to the blocks of different chunks at once from helper
+    threads, so it must act on each row of its argument alone.
     """
     kernel = _girsanov_kernel(drift, grid)
     return np.concatenate(list(_stream(kernel, n_paths, _path_chunk(grid), seed)))
@@ -551,8 +619,10 @@ def girsanov_renyi_estimate(
     of exp(alpha LLR). Orders very far from 1 need heavier tails than
     1e5 paths resolve; the studies stay at alpha <= 3 where the
     estimator is well behaved for the drifts considered. drift is
-    applied to row blocks of paths, as in girsanov_log_lr_samples, so
-    it must act on each path row on its own.
+    applied to row blocks of paths, also from helper threads, as in
+    girsanov_log_lr_samples, so it must act on each row of its argument
+    alone. A moment that is infinite, as when every LLR is -inf, gives
+    se inf and the interval [-inf, inf].
     """
     alpha = check_alpha(alpha)
     n = _at_least_two(n_paths)
@@ -563,7 +633,10 @@ def girsanov_renyi_estimate(
     log_n = math.log(n)
     l1 = lse1 - log_n
     l2 = lse2 - log_n
-    denom = abs(alpha * (alpha - 1.0))
     mean = l1 / (alpha * (alpha - 1.0))
+    if not (math.isfinite(l1) and math.isfinite(l2)):
+        # l2 - 2 l1 would be inf - inf: an infinite moment gives se inf
+        return _estimate(mean, math.inf, n, seed)
+    denom = abs(alpha * (alpha - 1.0))
     rel_var = max(math.expm1(l2 - 2.0 * l1), 0.0)
     return _estimate(mean, math.sqrt(rel_var / n) / denom, n, seed)

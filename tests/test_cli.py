@@ -350,6 +350,22 @@ class TestMcCommands:
         est = json.loads(out)["estimate"]
         assert (est["mean"], est["se"], est["ci95"]) == ("inf", "inf", ["-inf", "inf"])
 
+    @pytest.mark.parametrize("alpha", ["2", "-1"])
+    def test_girsanov_past_float_range_has_infinite_se(self, console_script, alpha):
+        # every squared drift overflows, so every LLR is -inf and both
+        # moments are infinite: se reads inf, never inf - inf = nan
+        command, env = console_script
+        proc = subprocess.run(
+            command + ["mc", "girsanov", "--drift", "const", "--mu", "1e200",
+                       "--paths", "100", "--n-steps", "4", "--alpha", alpha],
+            capture_output=True, text=True, env=env,
+        )
+        assert proc.returncode == 0
+        assert "nan" not in proc.stdout
+        assert "Warning" not in proc.stderr
+        est = json.loads(proc.stdout)["estimate"]
+        assert (est["se"], est["ci95"]) == ("inf", ["-inf", "inf"])
+
 
 class TestDeterminismAndSeeds:
     def test_byte_identical_reruns(self, capsys):

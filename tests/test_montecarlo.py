@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import math
+import threading
+import time
 import tracemalloc
 
 import numpy as np
@@ -118,6 +120,23 @@ def _row_blocks_and_reference(monkeypatch, factory, reference, call):
         m.setattr(mc, factory, reference)
         want = call()
     return got, want
+
+
+# (budget, rates, C, b, reps, rows): _QUEUE_BLOCK (None keeps it), the
+# per-step arrival rates, C, b, the replications and the rows per block
+_QUEUE_BLOCK_CASES = [
+    # a chunk that is not a multiple of the block rows, then a remainder
+    # below one block; at rate log 2, P(0) = 1/2 lies on a bucket edge
+    pytest.param(None, [math.log(2.0)] * 50, 1.0, 0.05, mc._QUEUE_CHUNK + 1000, 2621,
+                 id="remainder-log2"),
+    # one step: a block holds more rows than a chunk
+    pytest.param(None, [1.0], 1.5, 0.25, 5000, 1 << 17, id="one-step"),
+    # more steps than a block holds: one row per block
+    pytest.param(32, [1.0] * 50, 1.5, 0.1, 300, 1, id="one-row"),
+    # per-step laws, two of them at rate log 2, 61 whole blocks and 14 rows
+    pytest.param(1000, [math.log(2.0), *np.linspace(0.05, 30.0, 48), math.log(2.0)],
+                 24.5, 0.4, 1234, 20, id="per-step"),
+]
 
 
 class TestDeterminism:
@@ -371,18 +390,7 @@ class TestQueueSimulation:
         # so the guide bucket floor(u * 4096) is the top 12 bits of the word
         assert np.array_equal(words >> 52, np.floor(uniforms * 4096.0).astype(np.uint64))
 
-    @pytest.mark.parametrize("budget, rates, C, b, reps, rows", [
-        # a chunk that is not a multiple of the block rows, then a
-        # remainder below one block; at rate log 2, P(0) = 1/2 lies on a
-        # bucket edge
-        (None, [math.log(2.0)] * 50, 1.0, 0.05, mc._QUEUE_CHUNK + 1000, 5242),
-        # one step: a block holds more rows than a chunk
-        (None, [1.0], 1.5, 0.25, 5000, 1 << 18),
-        # more steps than a block holds: one row per block
-        (32, [1.0] * 50, 1.5, 0.1, 300, 1),
-        # per-step laws, two of them at rate log 2, 61 whole blocks and 14 rows
-        (1000, [math.log(2.0), *np.linspace(0.05, 30.0, 48), math.log(2.0)], 24.5, 0.4, 1234, 20),
-    ], ids=["remainder-log2", "one-step", "one-row", "per-step"])
+    @pytest.mark.parametrize("budget, rates, C, b, reps, rows", _QUEUE_BLOCK_CASES)
     def test_row_blocks_match_reference(self, monkeypatch, budget, rates, C, b, reps, rows):
         if budget is not None:
             monkeypatch.setattr(mc, "_QUEUE_BLOCK", budget)
@@ -405,10 +413,10 @@ class TestQueueSimulation:
         monkeypatch.setattr(PoissonLaw, "quantile",
                             lambda self, u: searched.append(u.size) or quantile(self, u))
         gen = mc._rng(2, 0)
-        mc._queue_kernel([law] * 50, 1.0, 2.5)(gen, 3000)
-        words = mc._rng(2, 0).integers(0, 2**64, size=(3000, 50), dtype=np.uint64)
+        mc._queue_kernel([law] * 50, 1.0, 2.5)(gen, 2600)
+        words = mc._rng(2, 0).integers(0, 2**64, size=(2600, 50), dtype=np.uint64)
         assert searched == [int(np.sum(law._guide[words >> 52] < 0))]
-        assert 0 < searched[0] < 3000 * 50 / 100
+        assert 0 < searched[0] < 2600 * 50 / 100
 
     def test_validation(self):
         law = PoissonLaw(1.0)
@@ -540,16 +548,18 @@ class TestGirsanov:
 
 
 # Grids run to t = 1.5, so dt is not a power of two and any change in the
-# rounding order shows. (n_steps, n_paths): fewer paths than one block's rows (1 and 64 steps);
+# rounding order shows. (n_steps, n_paths): fewer paths than one block's
+# rows (1 step); one chunk of a whole block and a short one (64 steps);
 # two chunks plus a remainder that is not a multiple of the block rows
-# (64 steps); a chunk plus 13 paths at 8 rows per block (4096 steps); and
-# more steps than a block holds, one row per block
+# (64 steps); a chunk plus 13 paths at 4 rows per block (4096 steps); and
+# more steps than a block holds, one row per block. So streams of one,
+# two and three chunks are covered, the last chunk short.
 _BLOCK_CASES = [
     (1, 5000),
     (64, 300),
     (64, 2 * 32768 + 777),
     (4096, 512 + 13),
-    (mc._PATH_BLOCK + 7232, 52 + 3),
+    (40000, 52 + 3),
 ]
 
 
@@ -564,9 +574,9 @@ class TestRowBlocksMatchWholeChunks:
     def test_cases_cover_the_layouts(self):
         rows = [mc._block_rows(PathGrid(n_steps)) for n_steps, _ in _BLOCK_CASES]
         chunks = [mc._path_chunk(PathGrid(n_steps)) for n_steps, _ in _BLOCK_CASES]
-        assert rows == [32768, 512, 512, 8, 1]
+        assert rows == [16384, 256, 256, 4, 1]
         assert chunks == [1 << 21, 32768, 32768, 512, 52]
-        assert [n % r for (_, n), r in zip(_BLOCK_CASES, rows)] == [5000, 300, 265, 5, 0]
+        assert [n % r for (_, n), r in zip(_BLOCK_CASES, rows)] == [5000, 44, 9, 1, 0]
 
     @pytest.mark.parametrize("n_steps, n_paths", _BLOCK_CASES)
     @pytest.mark.parametrize("mu", [-2.0, 0.0, 0.3])
@@ -640,6 +650,131 @@ class TestRowBlocksMatchWholeChunks:
         _assert_same_bits(got, want)
 
 
+def _path_outputs(grid, n_paths, seed):
+    """Every path kernel's samples and estimate at one layout, as bytes and reprs."""
+    out = []
+    for bridge in (True, False):
+        out += [bm_crossing_samples(0.5, 0.3, grid, n_paths, seed=seed, bridge=bridge).tobytes(),
+                repr(bm_exceedance_estimate(0.5, 0.3, grid, n_paths, seed=seed,
+                                            bridge=bridge).to_json_dict())]
+    drift = _tanh_drift(-2.0)
+    return out + [
+        argmax_time_samples(0.3, grid, n_paths, seed=seed).tobytes(),
+        repr(argmax_laplace_estimate(1.5, 0.3, grid, n_paths, seed=seed).to_json_dict()),
+        girsanov_log_lr_samples(drift, grid, n_paths, seed=seed).tobytes(),
+        repr(girsanov_renyi_estimate(drift, grid, 2.5, n_paths, seed=seed).to_json_dict()),
+    ]
+
+
+def _queue_outputs(laws, C, b, reps, seed):
+    kernel = mc._queue_kernel(laws, C, len(laws) * b)
+    chunks = [c.tobytes() for c in mc._stream(kernel, reps, mc._QUEUE_CHUNK, seed)]
+    est = simulate_queue_overflow_prob(laws, C, b, len(laws), reps, seed=seed)
+    return chunks + [repr(est.to_json_dict())]
+
+
+def _stream_index(gen) -> int:
+    # _rng keys stream i's Philox with seed + (i << 64)
+    return int(gen.bit_generator.state["state"]["key"][1])
+
+
+class TestChunksOnThreads:
+    """Chunks run _WORKERS at a time and come back in stream order, bit for bit."""
+
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    @pytest.mark.parametrize("n_steps, n_paths", _BLOCK_CASES)
+    def test_path_kernels_match_serial(self, monkeypatch, workers, n_steps, n_paths):
+        grid, seed = PathGrid(n_steps, horizon=1.5), 5000 + n_steps
+        monkeypatch.setattr(mc, "_WORKERS", 1)
+        want = _path_outputs(grid, n_paths, seed)
+        monkeypatch.setattr(mc, "_WORKERS", workers)
+        assert _path_outputs(grid, n_paths, seed) == want
+
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    @pytest.mark.parametrize("budget, rates, C, b, reps, rows", _QUEUE_BLOCK_CASES)
+    def test_queue_kernel_matches_serial(self, monkeypatch, workers, budget, rates, C, b,
+                                         reps, rows):
+        if budget is not None:
+            monkeypatch.setattr(mc, "_QUEUE_BLOCK", budget)
+        laws = [PoissonLaw(r) for r in rates]
+        monkeypatch.setattr(mc, "_WORKERS", 1)
+        want = _queue_outputs(laws, C, b, reps, seed=6)
+        monkeypatch.setattr(mc, "_WORKERS", workers)
+        assert _queue_outputs(laws, C, b, reps, seed=6) == want
+
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    def test_generators_are_made_on_the_calling_thread(self, monkeypatch, workers):
+        # so a proxy swapped in for _rng sees every chunk, in stream order
+        made = []
+        rng = mc._rng
+        monkeypatch.setattr(mc, "_rng", lambda seed, stream: made.append(
+            (threading.get_ident(), stream)) or rng(seed, stream))
+        monkeypatch.setattr(mc, "_WORKERS", workers)
+        chunks = list(mc._stream(lambda gen, take: np.full(take, _stream_index(gen)),
+                                 35, 10, seed=1))
+        assert made == [(threading.get_ident(), i) for i in range(4)]
+        assert [c.tolist() for c in chunks] == [[i] * t for i, t in enumerate([10, 10, 10, 5])]
+
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    @pytest.mark.parametrize("bad", [0, 1, 3])
+    def test_kernel_error_joins_every_helper(self, monkeypatch, workers, bad):
+        # the chunks before the failing one come out, then its error; the
+        # others take long enough that a helper left unjoined is still alive
+        def kernel(gen, take):
+            if _stream_index(gen) == bad:
+                raise RuntimeError("bad chunk")
+            time.sleep(0.02)
+            return np.full(take, _stream_index(gen))
+
+        monkeypatch.setattr(mc, "_WORKERS", workers)
+        before, got = threading.active_count(), []
+        with pytest.raises(RuntimeError, match="bad chunk"):
+            for c in mc._stream(kernel, 35, 10, seed=1):
+                got.append(int(c[0]))
+        assert got == list(range(bad))
+        assert threading.active_count() == before
+
+    def test_closing_the_stream_joins_the_helpers(self, monkeypatch):
+        monkeypatch.setattr(mc, "_WORKERS", 3)
+        before = threading.active_count()
+        def kernel(gen, take):
+            # the helpers are still at work when the first chunk comes out
+            time.sleep(0.05 if _stream_index(gen) else 0.0)
+            return np.zeros(take)
+
+        chunks = mc._stream(kernel, 35, 10, seed=1)
+        assert next(chunks).size == 10
+        chunks.close()
+        assert threading.active_count() == before
+
+    @pytest.mark.filterwarnings("error")
+    def test_helpers_keep_the_callers_error_state(self, monkeypatch):
+        # a helper's overflow is as silent as it would be on this thread
+        monkeypatch.setattr(mc, "_WORKERS", 2)
+        with np.errstate(over="ignore"):
+            chunks = list(mc._stream(lambda gen, take: np.full(take, 1e200) * 1e200,
+                                     20, 10, seed=0))
+        assert all(np.all(c == math.inf) for c in chunks)
+
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    def test_drift_error_on_the_second_chunk(self, monkeypatch, workers):
+        # only the second chunk ends in a short row block, and only there
+        # does drift return the wrong shape
+        rows = mc._block_rows(_GRID64)
+
+        def drift(x):
+            return np.tanh(x) if len(x) == rows else np.zeros(3)
+
+        monkeypatch.setattr(mc, "_WORKERS", workers)
+        n_paths = mc._path_chunk(_GRID64) + 100
+        before = threading.active_count()
+        for call in (lambda: girsanov_log_lr_samples(drift, _GRID64, n_paths),
+                     lambda: girsanov_renyi_estimate(drift, _GRID64, 2.0, n_paths)):
+            with pytest.raises(ValueError, match="^drift must map a path array"):
+                call()
+            assert threading.active_count() == before
+
+
 def _traced_peak_mib(run) -> float:
     tracemalloc.start()
     try:
@@ -652,8 +787,10 @@ def _traced_peak_mib(run) -> float:
 class TestQueueMemory:
     """The queue kernel holds row blocks of words, not a chunk of uniforms."""
 
-    def test_queue_estimate(self):
-        # the whole-chunk kernel peaked at 27.7 MiB here
+    def test_queue_estimate(self, monkeypatch):
+        # the whole-chunk kernel peaked at 27.7 MiB here; two threads hold
+        # a row block each
+        monkeypatch.setattr(mc, "_WORKERS", 2)
         peak = _traced_peak_mib(lambda: simulate_queue_overflow_prob(
             PoissonLaw(1.0), 2.0, 0.1, 50, 200_000))
         assert peak < 16.0
@@ -664,6 +801,11 @@ class TestPathMemory:
 
     # whole-chunk kernels peaked at 80, 80 and 16 MiB on these runs
     LIMIT_MIB = 8.0
+
+    @pytest.fixture(autouse=True)
+    def _two_workers(self, monkeypatch):
+        # every run spans two or more chunks, so two threads hold a row block each
+        monkeypatch.setattr(mc, "_WORKERS", 2)
 
     def test_crossing_estimate(self):
         peak = _traced_peak_mib(lambda: bm_exceedance_estimate(1.0, 0.1, _GRID64, 70_000, seed=1))
