@@ -15,7 +15,6 @@ from .bounds import (
     event_bounds,
     rs_lower,
     rs_upper,
-    tightest_event_upper,
 )
 from .divergences import (
     DivergenceBudget,
@@ -39,12 +38,10 @@ from .measures import (
 )
 from .montecarlo import EstimateWithCI, PathGrid, PoissonLaw
 from .specfun import (
-    Bracket,
     ConvergenceError,
     erfc,
     log_bessel_i0,
     log_bessel_i0e,
-    minimize_scalar,
 )
 from .variational import (
     IdentityReport,
@@ -58,12 +55,10 @@ __version__ = "0.1.0"
 
 __all__ = [
     "__version__",
-    "Bracket",
     "ConvergenceError",
     "erfc",
     "log_bessel_i0",
     "log_bessel_i0e",
-    "minimize_scalar",
     "BoundedFunction",
     "FiniteMeasure",
     "OrderParams",
@@ -89,7 +84,6 @@ __all__ = [
     "event_bounds",
     "rs_lower",
     "rs_upper",
-    "tightest_event_upper",
     "EstimateWithCI",
     "PathGrid",
     "PoissonLaw",

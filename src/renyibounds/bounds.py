@@ -27,19 +27,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable
-
-import numpy as np
 
 from .divergences import DivergenceBudget, check_budget
-from .specfun import Bracket, minimize_scalar
 
 __all__ = [
     "BoundResult",
     "rs_upper",
     "rs_lower",
     "event_bounds",
-    "tightest_event_upper",
 ]
 
 SCALES = ("log", "probability")
@@ -131,47 +126,3 @@ def event_bounds(
     upper_p = 1.0 if clamped else raw_upper
     return BoundResult(alpha=alpha, lower=lower_p, upper=upper_p,
                        scale=scale, budget=budget, upper_clamped=clamped)
-
-
-def tightest_event_upper(
-    p_nominal: float,
-    d1_of_alpha: Callable[[float], float],
-    alpha_range: Bracket = Bracket(2.05, 200.0),
-    tol: float = 1e-6,
-    grid_points: int = 512,
-) -> tuple[float, float]:
-    """Minimize the probability-scale upper bound over the order.
-
-    The objective is the log bound h(alpha) = (1 - 1/alpha) log p +
-    (alpha - 1) d1(alpha). A golden-section search runs first; a
-    fixed-size grid scan validates it, and if the two disagree by more
-    than 1e-6 in value the grid wins (budget curves are only assumed
-    continuous, not nicely unimodal). Returns (alpha_star, bound) with
-    the bound clamped to 1.
-    """
-    p = float(p_nominal)
-    if math.isnan(p) or not 0.0 < p <= 1.0:
-        raise ValueError("p_nominal must lie in (0, 1]")
-    if not alpha_range.lo > 1.0:
-        raise ValueError("the order range must stay above 1")
-    logp = math.log(p)
-
-    def h(alpha: float) -> float:
-        d1 = float(d1_of_alpha(alpha))
-        if math.isnan(d1) or d1 < 0.0:
-            raise ValueError("d1_of_alpha must return nonnegative budgets")
-        if math.isinf(d1):
-            return math.inf
-        return (1.0 - 1.0 / alpha) * logp + (alpha - 1.0) * d1
-
-    a_gold, h_gold = minimize_scalar(
-        h, Bracket(alpha_range.lo, alpha_range.hi), tol=tol, expand_right=False
-    )
-    grid = np.linspace(alpha_range.lo, alpha_range.hi, grid_points)
-    h_grid = np.asarray([h(a) for a in grid])
-    k = int(np.argmin(h_grid))
-    if abs(h_gold - float(h_grid[k])) > 1e-6 and float(h_grid[k]) < h_gold:
-        a_star, h_star = float(grid[k]), float(h_grid[k])
-    else:
-        a_star, h_star = a_gold, h_gold
-    return a_star, min(1.0, math.exp(h_star))

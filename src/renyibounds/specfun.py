@@ -1,28 +1,23 @@
 """Scalar special functions and small numerical routines.
 
-Everything downstream that needs erfc, log I0 or a one dimensional
-minimizer goes through this module; only the quadrature nodes of the
-drifted argmax transform call math.erfc directly, on finite arguments.
-erfc is the standard library's, and log_erfc keeps a continued fraction
-only for the far tail where that value underflows. The rest is written
-here: series plus asymptotic expansion for the Bessel term, and golden
-section search.
+Everything downstream that needs erfc or log I0 goes through this
+module; only the quadrature nodes of the drifted argmax transform call
+math.erfc directly, on finite arguments. erfc is the standard library's,
+and log_erfc keeps a continued fraction only for the far tail where that
+value underflows. The Bessel term is written here: a power series plus
+an asymptotic expansion.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Callable
 
 __all__ = [
-    "Bracket",
     "ConvergenceError",
     "erfc",
     "log_erfc",
     "log_bessel_i0",
     "log_bessel_i0e",
-    "minimize_scalar",
 ]
 
 _SQRT_PI = 1.7724538509055160273
@@ -45,20 +40,6 @@ _ERFC_CF_MAX = 1e300
 
 class ConvergenceError(RuntimeError):
     """An iterative routine failed to reach its tolerance."""
-
-
-@dataclass(frozen=True)
-class Bracket:
-    """Closed search interval [lo, hi] for scalar minimization."""
-
-    lo: float
-    hi: float
-
-    def __post_init__(self) -> None:
-        if not (math.isfinite(self.lo) and math.isfinite(self.hi)):
-            raise ValueError("bracket endpoints must be finite")
-        if not self.lo < self.hi:
-            raise ValueError(f"bracket must satisfy lo < hi, got [{self.lo}, {self.hi}]")
 
 
 def _erfc_cf_factor(x: float) -> float:
@@ -184,63 +165,3 @@ def log_bessel_i0e(x: float) -> float:
     """
     lead, rest = _log_i0_parts(x)
     return (lead - float(x)) + rest
-
-
-_INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
-_INVPHI2 = (3.0 - math.sqrt(5.0)) / 2.0
-
-
-def _golden(f: Callable[[float], float], lo: float, hi: float, tol: float) -> tuple[float, float]:
-    a, b = lo, hi
-    h = b - a
-    c = a + _INVPHI2 * h
-    d = a + _INVPHI * h
-    fc = f(c)
-    fd = f(d)
-    n = max(1, int(math.ceil(math.log(tol / h) / math.log(_INVPHI)))) if h > tol else 1
-    for _ in range(min(n, 400)):
-        if math.isnan(fc) or math.isnan(fd):
-            raise ConvergenceError("objective returned nan")
-        if fc < fd:
-            b, d, fd = d, c, fc
-            h *= _INVPHI
-            c = a + _INVPHI2 * h
-            fc = f(c)
-        else:
-            a, c, fc = c, d, fd
-            h *= _INVPHI
-            d = a + _INVPHI * h
-            fd = f(d)
-    xm = 0.5 * (a + b)
-    return xm, f(xm)
-
-
-def minimize_scalar(
-    f: Callable[[float], float],
-    bracket: Bracket = Bracket(1e-6, 50.0),
-    tol: float = 1e-8,
-    max_expansions: int = 40,
-    expand_right: bool = True,
-) -> tuple[float, float]:
-    """Golden-section minimum of a unimodal scalar function.
-
-    Returns (argmin, value). The objective may return +inf inside the
-    bracket. By default, if the minimizer lands against the right edge
-    the bracket is expanded (hi grows fourfold) and the search restarts,
-    so rate optimizations whose natural scale exceeds the default
-    interval are still found; ConvergenceError is raised if expansion
-    never frees the minimizer from the edge. With expand_right=False the
-    bracket is treated as a hard constraint and an edge minimum is a
-    valid answer.
-    """
-    if not tol > 0.0:
-        raise ValueError("tol must be positive")
-    lo, hi = bracket.lo, bracket.hi
-    if not expand_right:
-        return _golden(f, lo, hi, tol)
-    for _ in range(max_expansions):
-        xm, fm = _golden(f, lo, hi, tol)
-        if xm < hi - 10.0 * tol:
-            return xm, fm
-        hi = lo + 4.0 * (hi - lo)
-    raise ConvergenceError("minimizer pinned to the right bracket edge after expansion")

@@ -12,10 +12,8 @@ from renyibounds.bounds import (
     event_bounds,
     rs_lower,
     rs_upper,
-    tightest_event_upper,
 )
 from renyibounds.divergences import DivergenceBudget
-from renyibounds.specfun import Bracket
 
 # nominal level-crossing probability of the driftless study, and the
 # per-unit budget mu^2/2 at drift 0.1 (values rechecked in test_brownian)
@@ -158,45 +156,6 @@ class TestEventBounds:
         # the truth theta = nu satisfies both budgets, so p itself must
         # always lie inside the sandwich
         assert res.lower <= p <= res.upper + 1e-15
-
-
-class TestTightestUpper:
-    def test_constant_budget_study(self):
-        # flat budget d1 = mu^2/2 per unit horizon: optimal order is
-        # sqrt(-log p / d1), checked against the closed form
-        a_star, bound = tightest_event_upper(_P_STUDY, lambda a: _D_STUDY)
-        want_alpha = math.sqrt(-math.log(_P_STUDY) / _D_STUDY)
-        assert a_star == pytest.approx(want_alpha, abs=1e-3)
-        assert bound == pytest.approx(9.783277650551685e-05, rel=1e-8)
-        # the optimal bound is tighter than any single fixed order nearby
-        for a in (3.0, 10.0, 100.0):
-            fixed = event_bounds(_P_STUDY, DivergenceBudget(_D_STUDY, 0.0), a)
-            assert bound <= fixed.upper + 1e-15
-
-    def test_huge_budget_clamps_to_one(self):
-        a_star, bound = tightest_event_upper(0.5, lambda a: 10.0)
-        assert bound == 1.0
-        # with a huge flat budget the objective is increasing, so the
-        # search settles on the left edge of the range
-        assert a_star == pytest.approx(2.05, abs=1e-2)
-
-    def test_grid_rescues_nonunimodal_budget(self):
-        # a budget curve with a spike near the left edge creates a local
-        # minimum; the grid scan must still find the better basin
-        def d1(a):
-            return 0.005 + (2.0 if a < 2.5 else 0.0)
-
-        a_star, bound = tightest_event_upper(_P_STUDY, d1)
-        assert a_star > 2.5
-        assert bound < 1.0
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            tightest_event_upper(0.0, lambda a: 0.1)
-        with pytest.raises(ValueError):
-            tightest_event_upper(0.5, lambda a: 0.1, alpha_range=Bracket(0.5, 3.0))
-        with pytest.raises(ValueError):
-            tightest_event_upper(0.5, lambda a: -1.0)
 
 
 def test_bound_result_is_frozen():

@@ -220,6 +220,15 @@ class TestQueueCommand:
         assert data["rate"]["c"] == pytest.approx(1.25643120862, rel=1e-9)
         assert "bounds" not in data
 
+    def test_service_rate_near_one(self, capsys):
+        # C just above 1 puts the root of C log x = x - 1 just above C;
+        # the rate is still finite and positive
+        code, out, _ = run_cli(capsys, [
+            "queue", "--C", "1.000000001", "--b", "1e-12", "--format", "json"])
+        assert code == 0
+        c = json.loads(out)["rate"]["c"]
+        assert isinstance(c, float) and 0.0 < c < math.inf
+
     def test_simulation_sandwich(self, capsys):
         code, out, _ = run_cli(capsys, [
             "queue", "--C", "2", "--b", "0.1", "--n", "50", "--alpha", "3",

@@ -57,11 +57,12 @@ def test_cli_loads_no_optional_modules():
         "import json, sys\n"
         "from renyibounds.cli import main\n"
         "codes = [main(['laplace', '--gamma', '1', '--alpha', '3', '--mu', '0.1']),\n"
-        "         main(['mc', 'argmax', '--paths', '100', '--n-steps', '16', '--mu', '0.1'])]\n"
+        "         main(['mc', 'argmax', '--paths', '100', '--n-steps', '16', '--mu', '0.1']),\n"
+        "         main(['queue', '--C', '2', '--b', '1'])]\n"
         "mods = [m for m in sys.modules if m.split('.')[0] in ('scipy', 'mpmath')\n"
         "        or m.startswith('numpy.polynomial')]\n"
         "print(json.dumps({'codes': codes, 'modules': mods}), file=sys.stderr)\n"
     )
     proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
                           cwd=PACKAGE.parent, check=True)
-    assert json.loads(proc.stderr.strip().splitlines()[-1]) == {"codes": [0, 0], "modules": []}
+    assert json.loads(proc.stderr.strip().splitlines()[-1]) == {"codes": [0, 0, 0], "modules": []}

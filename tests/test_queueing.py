@@ -3,7 +3,9 @@
 from __future__ import annotations
 
 import math
+import sys
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
@@ -29,6 +31,24 @@ def _grid_rate(C: float, b: float, step: float = 1e-5, t_max: float = 60.0) -> f
     if t[k] >= 1.0:
         return float(poisson_rate_ell(C + b))
     return float(obj[k])
+
+
+def _lambert_root(C: float) -> mpmath.mpf:
+    # x* = -C W_{-1}(-exp(-1/C)/C), the root x* > C of C log x = x - 1,
+    # at the exact double C
+    with mpmath.workdps(50):
+        c = mpmath.mpf(C)
+        return -c * mpmath.lambertw(-mpmath.exp(-1 / c) / c, -1).real
+
+
+def _rel(value: float, exact: mpmath.mpf) -> float:
+    return float(abs((mpmath.mpf(value) - exact) / exact))
+
+
+def _ell_slack(x: float) -> float:
+    # 1e-12 relative, plus the rounding of x log x - x + 1 in doubles: near
+    # x = 1 it cancels to a few ulp of 1 in absolute terms, whatever its size
+    return 1e-12 * poisson_rate_ell(x) + 4.0 * sys.float_info.epsilon * (1.0 + x)
 
 
 class TestEll:
@@ -102,6 +122,52 @@ class TestDecayRate:
     def test_json_dict(self):
         d = overflow_decay_rate(2.0, 1.0).to_json_dict()
         assert set(d) == {"t_star", "m_star", "c", "branch"}
+
+    @pytest.mark.parametrize("C", [1.0 + d for d in np.geomspace(2.0 ** -52, 1.0, 27)]
+                             + list(np.geomspace(2.0, 1e300, 31)))
+    def test_root_against_lambert_w(self, C):
+        # with b = 1, x* - C = 1/t* and log x* = m*; both are checked, which
+        # is stronger than x* itself when C is close to 1
+        x = _lambert_root(C)
+        res = overflow_decay_rate(C, 1.0)
+        assert _rel(C + 1.0 / res.t_star, x) <= 1e-12
+        assert _rel(1.0 / res.t_star, x - mpmath.mpf(C)) <= 1e-12
+        assert _rel(res.m_star, mpmath.log(x)) <= 1e-12
+
+    @pytest.mark.parametrize("C", [2.0, 2.5, 30.0])
+    def test_small_level_rate(self, C):
+        # c / b = log x* on the whole interior branch, however small the
+        # level
+        log_x = mpmath.log(_lambert_root(C))
+        for b in np.geomspace(1e-12, 1.0, 13):
+            res = overflow_decay_rate(C, float(b))
+            assert res.branch == "interior"
+            assert res.c == res.m_star
+            assert _rel(res.c / float(b), log_x) <= 1e-14, b
+
+    @pytest.mark.parametrize("C, b", [(1.0001, 0.01), (2.0, 1e30), (1.5, 5.0)])
+    def test_edge_branch_reports_unconstrained_minimizer(self, C, b):
+        x = _lambert_root(C)
+        res = overflow_decay_rate(C, b)
+        assert res.branch == "edge"
+        assert _rel(res.t_star, b / (x - mpmath.mpf(C))) <= 1e-13
+        assert _rel(res.m_star, b * mpmath.log(x)) <= 1e-13
+        assert res.c == poisson_rate_ell(C + b)
+
+    @given(st.floats(1.0, 1e6, exclude_min=True), st.floats(1e-300, 1e300))
+    def test_rate_is_sandwiched(self, C, b):
+        # 0 < m* <= c <= ell(C + b): the minimum over t > 0 is below the
+        # rate over t <= 1, which is below its value at t = 1
+        res = overflow_decay_rate(C, b)
+        assert not any(math.isnan(v) for v in (res.t_star, res.m_star, res.c))
+        ell = poisson_rate_ell(C + b)
+        assert 0.0 < res.m_star <= res.c + _ell_slack(C + b)
+        assert res.c <= ell + _ell_slack(C + b)
+        assert (res.branch == "edge") == (res.t_star >= 1.0)
+        if res.branch == "interior":
+            assert res.c == res.m_star
+        else:
+            assert res.c == ell
 
     def test_model_validation(self):
         with pytest.raises(ValueError):

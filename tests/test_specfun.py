@@ -10,13 +10,10 @@ import pytest
 from hypothesis import given, strategies as st
 
 from renyibounds.specfun import (
-    Bracket,
-    ConvergenceError,
     erfc,
     log_bessel_i0,
     log_bessel_i0e,
     log_erfc,
-    minimize_scalar,
 )
 
 mpmath.mp.dps = 50
@@ -165,38 +162,3 @@ class TestLogBesselI0e:
         for bad in (-0.5, math.nan):
             with pytest.raises(ValueError):
                 log_bessel_i0e(bad)
-
-
-class TestMinimizeScalar:
-    def test_quadratic(self):
-        xm, fm = minimize_scalar(lambda t: (t - 1.7) ** 2, Bracket(0.0, 10.0), tol=1e-10)
-        assert xm == pytest.approx(1.7, abs=1e-7)
-        assert fm == pytest.approx(0.0, abs=1e-12)
-
-    def test_monotone_increasing_returns_left_edge(self):
-        xm, _ = minimize_scalar(lambda t: 3.0 + t, Bracket(0.5, 2.0), tol=1e-9,
-                                expand_right=False)
-        assert xm == pytest.approx(0.5, abs=1e-6)
-
-    def test_right_edge_expansion(self):
-        xm, fm = minimize_scalar(lambda t: (t - 80.0) ** 2, Bracket(0.0, 1.0), tol=1e-8)
-        assert xm == pytest.approx(80.0, abs=1e-5)
-        assert fm == pytest.approx(0.0, abs=1e-9)
-
-    def test_hard_bracket_stops_at_edge(self):
-        xm, _ = minimize_scalar(lambda t: (t - 80.0) ** 2, Bracket(0.0, 1.0), tol=1e-8,
-                                expand_right=False)
-        assert xm == pytest.approx(1.0, abs=1e-6)
-
-    def test_shift_invariance(self):
-        # adding a constant cannot move the argmin beyond float resolution
-        # of the comparisons (sqrt(10 * eps) here, so 1e-6 is generous)
-        f = lambda t: (t - 2.3) ** 2  # noqa: E731
-        x0, f0 = minimize_scalar(f, Bracket(0.0, 5.0), tol=1e-10)
-        x1, f1 = minimize_scalar(lambda t: f(t) + 10.0, Bracket(0.0, 5.0), tol=1e-10)
-        assert x1 == pytest.approx(x0, abs=1e-6)
-        assert f1 == pytest.approx(f0 + 10.0, abs=1e-10)
-
-    def test_bad_bracket(self):
-        with pytest.raises(ValueError):
-            Bracket(2.0, 1.0)
