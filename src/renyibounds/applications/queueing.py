@@ -69,30 +69,41 @@ def poisson_rate_ell(x):
     """
     arr = np.asarray(x, dtype=float)
     safe = np.where(arr > 0.0, arr, 1.0)
-    with np.errstate(invalid="ignore"):
+    with np.errstate(over="ignore", invalid="ignore"):
         out = safe * np.log(safe) - safe + 1.0
     out = np.where(arr == 0.0, 1.0, out)
     out = np.where(arr < 0.0, math.inf, out)
     if np.any(np.isnan(arr)):
         raise ValueError("ell: nan argument")
+    # x log x - x + 1 cancels to (x - 1)^2 / 2 near x = 1, while
+    # ell(1 + y) = y log1p(y) - (y - log1p(y)) keeps its digits; x - 1 is
+    # exact on [0.5, 2]
+    near = (arr >= 0.5) & (arr <= 2.0)
+    y = arr[near] - 1.0
+    out[near] = y * np.log1p(y) - _log1p_gap(y)
     if np.isscalar(x) or arr.ndim == 0:
         return float(out)
     return out
 
 
-def _log1p_gap(y: float) -> float:
-    """y - log1p(y) for y > 0, with full relative precision near 0.
+def _log1p_gap(y):
+    """y - log1p(y) for y > -1, with full relative precision near 0.
 
-    Below 0.01 the difference would cancel to y^2/2 and keep only
-    eps/y of its digits, so the series y^2 (1/2 - y/3 + y^2/4 - ...)
+    For |y| < 0.01 the difference would cancel to y^2/2 and keep only
+    eps/|y| of its digits, so the series y^2 (1/2 - y/3 + y^2/4 - ...)
     is summed instead; ten terms leave a relative remainder under 1e-20.
+    A float gives a float, through math.log1p; an array is taken
+    elementwise, through numpy's log1p.
     """
-    if y < 0.01:
-        s = 0.0
-        for k in range(11, 1, -1):
-            s = 1.0 / k - y * s
+    scalar = np.ndim(y) == 0
+    if scalar and abs(y) >= 0.01:
+        return y - math.log1p(y)
+    s = 0.0
+    for k in range(11, 1, -1):
+        s = 1.0 / k - y * s
+    if scalar:
         return y * y * s
-    return y - math.log1p(y)
+    return np.where(np.abs(y) < 0.01, y * y * s, y - np.log1p(y))
 
 
 def overflow_decay_rate(C: float, b: float) -> RateResult:

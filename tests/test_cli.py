@@ -229,6 +229,17 @@ class TestQueueCommand:
         c = json.loads(out)["rate"]["c"]
         assert isinstance(c, float) and 0.0 < c < math.inf
 
+    def test_rate_past_float_range_is_silent_inf(self, console_script):
+        # ell(C + b) = x log x - x + 1 overflows on the edge branch; the
+        # rate reads inf without numpy's overflow warning
+        command, env = console_script
+        proc = subprocess.run(command + ["queue", "--C", "2", "--b", "1e308", "--format", "json"],
+                              capture_output=True, text=True, env=env)
+        assert proc.returncode == 0
+        assert "Warning" not in proc.stderr
+        rate = json.loads(proc.stdout)["rate"]
+        assert (rate["branch"], rate["c"]) == ("edge", "inf")
+
     def test_simulation_sandwich(self, capsys):
         code, out, _ = run_cli(capsys, [
             "queue", "--C", "2", "--b", "0.1", "--n", "50", "--alpha", "3",

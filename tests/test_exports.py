@@ -50,6 +50,26 @@ def test_every_import_is_used(path):
     assert sorted(imported - used - exported) == []
 
 
+# what only the Monte Carlo engine may touch: the thread class and the CPU count
+THREAD_ENGINE = PACKAGE / "montecarlo.py"
+THREAD_NAMES = {"threading": {"Thread"}, "os": {"sched_getaffinity", "cpu_count"}}
+
+
+@pytest.mark.parametrize("path", [p for p in SOURCES if p != THREAD_ENGINE],
+                         ids=lambda p: p.relative_to(PACKAGE).as_posix())
+def test_one_thread_engine(path):
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    found = []
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                and node.attr in THREAD_NAMES.get(node.value.id, ())):
+            found.append(f"{node.value.id}.{node.attr}")
+        elif isinstance(node, ast.ImportFrom) and node.module in THREAD_NAMES:
+            found += [f"{node.module}.{a.name}" for a in node.names
+                      if a.name in THREAD_NAMES[node.module] or a.name == "*"]
+    assert found == []
+
+
 def test_cli_loads_no_optional_modules():
     # the closed-form and Monte Carlo commands run on numpy and the stdlib;
     # scipy and mpmath are test-only oracles, and numpy.polynomial is large

@@ -46,9 +46,10 @@ def _rel(value: float, exact: mpmath.mpf) -> float:
 
 
 def _ell_slack(x: float) -> float:
-    # 1e-12 relative, plus the rounding of x log x - x + 1 in doubles: near
-    # x = 1 it cancels to a few ulp of 1 in absolute terms, whatever its size
-    return 1e-12 * poisson_rate_ell(x) + 4.0 * sys.float_info.epsilon * (1.0 + x)
+    # 1e-12 relative, plus the rounding of x = C + b to a double, which
+    # moves ell by up to half an ulp of x times ell'(x) = log x; ell's own
+    # formula keeps its relative precision near x = 1
+    return 1e-12 * poisson_rate_ell(x) + sys.float_info.epsilon * x * abs(math.log(x))
 
 
 class TestEll:
@@ -71,6 +72,16 @@ class TestEll:
     def test_nan_rejected(self):
         with pytest.raises(ValueError):
             poisson_rate_ell(math.nan)
+
+    def test_near_one_against_mpmath(self):
+        # x log x - x + 1 cancels to y^2/2 at x = 1 + y; y log1p(y) minus
+        # y - log1p(y) keeps every digit, for scalars and arrays alike
+        xs = [1.0 + s * 10.0 ** -k for k in range(3, 14) for s in (1.0, -1.0)]
+        with mpmath.workdps(50):
+            exact = [mpmath.mpf(x) * mpmath.log(x) - x + 1 for x in xs]
+        for x, value, want in zip(xs, poisson_rate_ell(np.array(xs)), exact):
+            assert _rel(poisson_rate_ell(x), want) <= 1e-14, x
+            assert _rel(value, want) <= 1e-14, x
 
     @given(st.floats(0.01, 50.0))
     def test_nonnegative_and_zero_only_at_one(self, x):

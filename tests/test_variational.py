@@ -4,12 +4,15 @@ from __future__ import annotations
 
 import json
 import math
+import sys
+import threading
 from itertools import combinations
 
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from renyibounds import variational
 from renyibounds.divergences import renyi_discrete
 from renyibounds.measures import (
     FiniteMeasure,
@@ -143,6 +146,7 @@ class TestGridSimplex:
         want = np.ascontiguousarray(stars_and_bars_grid(dim, step).T)
         assert got.dtype == want.dtype
         assert got.shape == want.shape
+        assert got.flags.c_contiguous
         # same bits in the same column order
         assert np.array_equal(got.view(np.int64), want.view(np.int64))
 
@@ -289,7 +293,7 @@ class TestAtomsMajorOracle:
         # a zero atom meets the grid's zero coordinates: both-zero atoms are dropped
         zeroed = measure_from_weights(np.r_[0.0, nu.probs[1:]])
         step = {2: 1e-3}.get(dim, 1e-2)
-        pts, kind, _ = _candidates(dim, step, 20_000, seed, spare=0)
+        pts, kind, _ = _candidates(dim, step, 20_000, seed)
         rows, want_kind, _ = reference_candidates(dim, step, 20_000, seed)
         assert kind == want_kind
         assert np.array_equal(pts.view(np.int64), np.ascontiguousarray(rows.T).view(np.int64))
@@ -340,6 +344,97 @@ class TestAtomsMajorOracle:
                          "dominance_margin", "near_optimal_max_distance"):
                 assert getattr(got, name) == pytest.approx(getattr(want, name), rel=0, abs=1e-14)
             assert got.passes() == want.passes()
+
+
+class TestOracleBlock:
+    """One read-only candidate block per oracle arguments, scanned in pieces."""
+
+    @pytest.fixture(autouse=True)
+    def _empty_cache(self, monkeypatch):
+        monkeypatch.setattr(variational, "_last_block", None)
+
+    @pytest.fixture
+    def built(self, monkeypatch):
+        keys = []
+        candidates = variational._candidates
+
+        def counting(*key):
+            keys.append(key)
+            return candidates(*key)
+
+        monkeypatch.setattr(variational, "_candidates", counting)
+        return keys
+
+    def test_a_pair_builds_one_block(self, built):
+        nu, g, seed = random_instance(5, 11)
+        params = OrderParams(1.0, 2.0)
+        kwargs = {"oracle_samples": 5_000, "seed": seed}
+        inf_identity(nu, g, params, **kwargs)
+        sup_identity(nu, g, params, **kwargs)
+        assert built == [(5, 1e-2, 5_000, seed)]
+        # another seed, then another dimension, each rebuild the block
+        sup_identity(nu, g, params, oracle_samples=5_000, seed=seed + 1)
+        nu3, g3, _ = random_instance(3, 12)
+        inf_identity(nu3, g3, params, **kwargs)
+        inf_identity(nu3, g3, params, **kwargs)
+        assert built == [(5, 1e-2, 5_000, seed), (5, 1e-2, 5_000, seed + 1),
+                         (3, 1e-2, 5_000, seed)]
+
+    @pytest.mark.parametrize("dim", [2, 4])
+    def test_cached_arrays_are_read_only(self, dim):
+        nu, g, seed = random_instance(dim, 13)
+        inf_identity(nu, g, OrderParams(1.0, 2.0), oracle_samples=5_000, seed=seed)
+        pts, log_pts, _, _ = variational._oracle_block(dim, 1e-2, 5_000, seed)
+        for array in (pts, log_pts):
+            with pytest.raises(ValueError, match="read-only"):
+                array[0, 0] = 0.5
+        assert variational._last_block[1][0] is pts
+
+    @pytest.mark.parametrize("dim", [2, 3, 4, 6, 9])
+    def test_reports_match_at_every_piece_size(self, monkeypatch, dim):
+        # pieces of 7, 64 and 1000 columns against one whole block
+        nu, g, seed = random_instance(dim, 17 * dim)
+        zeroed = measure_from_weights(np.r_[0.0, nu.probs[1:]])
+        kwargs = {"grid_step": {2: 1e-3}.get(dim, 5e-2), "oracle_samples": 3_000, "seed": seed}
+
+        def reports():
+            return [json.dumps(form(measure, g, params, **kwargs).to_json_dict())
+                    for measure in (nu, zeroed) for params in _PARAM_SET
+                    for form in _FORMS.values()]
+
+        monkeypatch.setattr(variational, "_PIECE", 1 << 30)
+        want = reports()
+        for piece in (7, 64, 1000):
+            monkeypatch.setattr(variational, "_PIECE", piece)
+            assert reports() == want
+
+    def test_callers_on_threads_share_the_slot(self, monkeypatch):
+        # more callers than CPUs, switching often, each alternating between
+        # two blocks, get the reports of a lone caller
+        monkeypatch.setattr(variational, "_PIECE", 256)
+        instances = [random_instance(dim, 23 * dim) for dim in (3, 5)]
+        kwargs = [{"grid_step": 2e-2, "oracle_samples": 2_000, "seed": seed}
+                  for _, _, seed in instances]
+
+        def reports():
+            return [json.dumps(form(nu, g, OrderParams(1.0, 2.0), **kw).to_json_dict())
+                    for (nu, g, _), kw in zip(instances, kwargs) for form in _FORMS.values()]
+
+        want = reports()
+        got = []
+        callers = [threading.Thread(target=lambda: got.extend(reports() for _ in range(5)))
+                   for _ in range(4)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for caller in callers:
+                caller.start()
+            for caller in callers:
+                caller.join(timeout=60.0)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(caller.is_alive() for caller in callers)
+        assert got == [want] * 20
 
 
 class TestScalingInvariance:
