@@ -72,7 +72,8 @@ def poisson_rate_ell(x):
     with np.errstate(over="ignore", invalid="ignore"):
         out = safe * np.log(safe) - safe + 1.0
     out = np.where(arr == 0.0, 1.0, out)
-    out = np.where(arr < 0.0, math.inf, out)
+    # x log x - x + 1 is inf - inf at x = inf, where ell is inf
+    out = np.where((arr < 0.0) | (arr == math.inf), math.inf, out)
     if np.any(np.isnan(arr)):
         raise ValueError("ell: nan argument")
     # x log x - x + 1 cancels to (x - 1)^2 / 2 near x = 1, while

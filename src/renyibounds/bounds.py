@@ -120,9 +120,11 @@ def event_bounds(
     if scale == "log":
         return BoundResult(alpha=alpha, lower=lower_log, upper=upper_log,
                            scale=scale, budget=budget)
+    # log p <= 0 and d2 >= 0, so lower_log <= 0; the raw upper bound
+    # exceeds 1 exactly when upper_log > 0, which is tested before an exp
+    # that could overflow
     lower_p = math.exp((alpha - 1.0) * lower_log) if lower_log > -math.inf else 0.0
-    raw_upper = math.exp((alpha - 1.0) * upper_log) if upper_log < math.inf else math.inf
-    clamped = raw_upper > 1.0
-    upper_p = 1.0 if clamped else raw_upper
+    clamped = upper_log > 0.0
+    upper_p = 1.0 if clamped else math.exp((alpha - 1.0) * upper_log)
     return BoundResult(alpha=alpha, lower=lower_p, upper=upper_p,
                        scale=scale, budget=budget, upper_clamped=clamped)

@@ -391,11 +391,10 @@ def cmd_mc_girsanov(args) -> int:
 
 
 def cmd_mc_argmax(args) -> int:
-    grid = PathGrid(args.n_steps, args.t)
+    grid = PathGrid(1, args.t)  # the exact sampler reads only the horizon
     est = argmax_laplace_estimate(args.gamma, args.mu, grid, args.paths, seed=args.seed)
     exact = _laplace_exact(args.gamma, args.t, args.mu)
-    _emit_json({"study": "argmax", "gamma": args.gamma, "mu": args.mu,
-                "n_steps": args.n_steps, "t": args.t,
+    _emit_json({"study": "argmax", "gamma": args.gamma, "mu": args.mu, "t": args.t,
                 "estimate": est.to_json_dict(), "exact": exact}, args)
     return 0
 
@@ -506,7 +505,6 @@ def build_parser() -> argparse.ArgumentParser:
     q.add_argument("--gamma", type=float, default=1.0)
     q.add_argument("--mu", type=float, default=0.0)
     q.add_argument("--paths", type=int, default=100_000)
-    q.add_argument("--n-steps", type=int, default=4096)
     q.add_argument("--t", type=float, default=1.0)
     q.set_defaults(func=cmd_mc_argmax)
 

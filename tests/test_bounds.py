@@ -133,6 +133,15 @@ class TestEventBounds:
         assert res.upper == 1.0
         assert res.upper_clamped
 
+    def test_budget_past_exp_range_clamps(self):
+        # (alpha - 1) upper_log = log(0.5) / 2 + 800 is past exp's range;
+        # d1 = 710 is not, and both clamp to 1
+        for d1 in (710.0, 800.0, 1e300):
+            res = event_bounds(0.5, DivergenceBudget(d1=d1, d2=1.0), 2.0)
+            assert (res.lower, res.upper, res.upper_clamped) == (0.0, 1.0, True)
+        res = event_bounds(0.5, DivergenceBudget(d1=800.0, d2=1e300), 3.0)
+        assert (res.lower, res.upper, res.upper_clamped) == (0.0, 1.0, True)
+
     def test_validation(self):
         budget = DivergenceBudget(0.1, 0.1)
         with pytest.raises(ValueError):

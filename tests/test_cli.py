@@ -240,6 +240,20 @@ class TestQueueCommand:
         rate = json.loads(proc.stdout)["rate"]
         assert (rate["branch"], rate["c"]) == ("edge", "inf")
 
+    def test_budget_past_exp_range_clamps(self, console_script):
+        # R_2(Poisson(30) || Poisson(1)) = 420.5 per step, so n d1 = 2102:
+        # the upper bound clamps to 1 before any exp can overflow
+        command, env = console_script
+        proc = subprocess.run(
+            command + ["queue", "--C", "2", "--b", "0.1", "--n", "5", "--alpha", "2",
+                       "--theta-rate", "30", "--reps", "100"],
+            capture_output=True, text=True, env=env)
+        assert proc.returncode == 0
+        assert "Traceback" not in proc.stderr
+        data = json.loads(proc.stdout)
+        assert data["bounds"]["upper"] == 1.0
+        assert data["inside_sandwich"] is True
+
     def test_simulation_sandwich(self, capsys):
         code, out, _ = run_cli(capsys, [
             "queue", "--C", "2", "--b", "0.1", "--n", "50", "--alpha", "3",
@@ -345,16 +359,14 @@ class TestMcCommands:
 
     def test_argmax(self, capsys):
         code, out, _ = run_cli(capsys, [
-            "mc", "argmax", "--gamma", "2", "--paths", "1000",
-            "--n-steps", "64", "--format", "json"])
+            "mc", "argmax", "--gamma", "2", "--paths", "1000", "--format", "json"])
         assert code == 0
         data = json.loads(out)
         assert data["exact"] == pytest.approx(0.4657596075936404, rel=1e-12)
 
     def test_argmax_exact_past_float_range_is_inf(self, capsys):
         code, out, err = run_cli(capsys, [
-            "mc", "argmax", "--gamma", "-800", "--paths", "10", "--n-steps", "4",
-            "--format", "json"])
+            "mc", "argmax", "--gamma", "-800", "--paths", "10", "--format", "json"])
         assert code == 0
         assert json.loads(out)["exact"] == "inf"
         assert "Traceback" not in err
@@ -364,8 +376,7 @@ class TestMcCommands:
         # exp(800 H) overflows on every sample with H > 0.9: the mean reads
         # inf as exact does, and nothing reads nan
         code, out, _ = run_cli(capsys, [
-            "mc", "argmax", "--gamma", "-800", "--paths", "10", "--n-steps", "4",
-            "--format", "json"])
+            "mc", "argmax", "--gamma", "-800", "--paths", "10", "--format", "json"])
         assert code == 0
         est = json.loads(out)["estimate"]
         assert (est["mean"], est["se"], est["ci95"]) == ("inf", "inf", ["-inf", "inf"])
@@ -402,8 +413,7 @@ class TestDeterminismAndSeeds:
              "--format", "json"],
             ["mc", "girsanov", "--paths", "1000", "--n-steps", "8",
              "--format", "json"],
-            ["mc", "argmax", "--paths", "500", "--n-steps", "32",
-             "--format", "json"],
+            ["mc", "argmax", "--paths", "500", "--format", "json"],
         ]
         for argv in cases:
             _, out1, _ = run_cli(capsys, argv)

@@ -77,7 +77,7 @@ def test_cli_loads_no_optional_modules():
         "import json, sys\n"
         "from renyibounds.cli import main\n"
         "codes = [main(['laplace', '--gamma', '1', '--alpha', '3', '--mu', '0.1']),\n"
-        "         main(['mc', 'argmax', '--paths', '100', '--n-steps', '16', '--mu', '0.1']),\n"
+        "         main(['mc', 'argmax', '--paths', '100', '--mu', '0.1']),\n"
         "         main(['queue', '--C', '2', '--b', '1'])]\n"
         "mods = [m for m in sys.modules if m.split('.')[0] in ('scipy', 'mpmath')\n"
         "        or m.startswith('numpy.polynomial')]\n"

@@ -14,6 +14,7 @@ from renyibounds import montecarlo as mc
 from renyibounds.applications.brownian import (
     bm_exceedance_drift,
     bm_exceedance_nominal,
+    laplace_h_drift,
     laplace_h_wiener,
 )
 from renyibounds.measures import logsumexp
@@ -22,7 +23,6 @@ from renyibounds.montecarlo import (
     PathGrid,
     PoissonLaw,
     argmax_laplace_estimate,
-    argmax_time_samples,
     bm_crossing_samples,
     bm_exceedance_estimate,
     girsanov_log_lr_samples,
@@ -82,20 +82,24 @@ def _reference_crossing_kernel(level, mu, grid, bridge):
     return kernel
 
 
-def _reference_argmax_kernel(mu, grid):
-    """Whole-chunk argmax kernel that the row-block kernel must reproduce."""
-    dt = grid.dt
+def _reference_argmax_kernel(gamma, mu, horizon):
+    """Whole-chunk exact argmax kernel that the row-block kernel must reproduce."""
+    t = horizon
 
     def kernel(gen, take):
-        path = gen.standard_normal((take, grid.n_steps))
-        path *= math.sqrt(dt)
-        path += mu * dt
-        np.cumsum(path, axis=1, out=path)
-        i = np.argmax(path, axis=1)
-        peak = np.take_along_axis(path, i[:, None], axis=1)[:, 0]
-        return np.where(peak > 0.0, (i + 1) * dt, 0.0)
+        u = gen.random((take, 3))
+        h = np.sin(u[:, 0] * (0.5 * math.pi)) ** 2 * t
+        r = np.sqrt(-2.0 * np.log1p(-u[:, 1:]))
+        b = np.sqrt(h) * r[:, 0] - np.sqrt(t - h) * r[:, 1]
+        with np.errstate(over="ignore"):
+            return np.exp(mu * (b - 0.5 * mu * t) - gamma * h)
 
     return kernel
+
+
+def _argmax_samples(gamma, mu, horizon, n, chunk, seed):
+    kernel = mc._argmax_kernel(gamma, mu, horizon)
+    return np.concatenate(list(mc._stream(kernel, n, chunk, seed)))
 
 
 def _reference_girsanov_kernel(drift, grid):
@@ -173,11 +177,15 @@ class TestPrefixProperty:
         long = girsanov_log_lr_samples(_tanh_drift(0.2), _GRID64, 40000, seed=1)
         assert np.array_equal(long[:33000], short)
 
-    def test_argmax_samples_prefix(self):
-        grid = PathGrid(n_steps=16)
-        short = argmax_time_samples(0.1, grid, 800, seed=2)
-        long = argmax_time_samples(0.1, grid, 1300, seed=2)
-        assert np.array_equal(long[:800], short)
+    def test_argmax_samples_prefix(self, monkeypatch):
+        # chunks of 100 samples in row blocks of 7: growing the count only
+        # appends, and the blocks change no bit
+        whole = _argmax_samples(1.5, 0.3, 1.5, 413, 100, seed=2)
+        monkeypatch.setattr(mc, "_PATH_BLOCK", 21)
+        short = _argmax_samples(1.5, 0.3, 1.5, 250, 100, seed=2)
+        long = _argmax_samples(1.5, 0.3, 1.5, 413, 100, seed=2)
+        assert np.array_equal(long[:250], short)
+        _assert_same_bits(long, whole)
 
     def test_crossing_samples_prefix(self):
         grid = PathGrid(n_steps=16)
@@ -256,10 +264,12 @@ class TestEstimatesReduceSamples:
                 math.sqrt(est.mean * (1.0 - est.mean) / (self.N - 1)), rel=1e-12)
 
     def test_argmax_laplace(self):
-        vals = np.exp(-1.5 * argmax_time_samples(0.1, _GRID64, self.N, seed=4))
-        est = argmax_laplace_estimate(1.5, 0.1, _GRID64, self.N, seed=4)
+        # the exact sampler's chunks hold 2^16 samples, so this is two of them
+        n = mc._ARGMAX_CHUNK + 1000
+        vals = _argmax_samples(1.5, 0.1, 1.0, n, mc._ARGMAX_CHUNK, seed=4)
+        est = argmax_laplace_estimate(1.5, 0.1, _GRID64, n, seed=4)
         assert est.mean == pytest.approx(vals.mean(), rel=1e-12)
-        assert est.std_error == pytest.approx(vals.std(ddof=1) / math.sqrt(self.N), rel=1e-9)
+        assert est.std_error == pytest.approx(vals.std(ddof=1) / math.sqrt(n), rel=1e-9)
 
     def test_girsanov(self):
         alpha = 2.5
@@ -466,43 +476,50 @@ class TestBridgeCrossing:
 
 
 class TestArgmax:
-    def test_path_that_stays_negative(self):
-        # the start point takes part, so paths that fall at once peak at 0
-        h = argmax_time_samples(-50.0, PathGrid(n_steps=8), 2000, seed=1)
-        assert np.all(h == 0.0)
-
-    def test_interior_maximum(self):
-        # argmax times are grid times, and every one of them occurs
-        grid = PathGrid(n_steps=8, horizon=2.0)
-        h = argmax_time_samples(0.0, grid, 5000, seed=1)
-        assert set(np.unique(h)) == set(0.25 * np.arange(9))
-
     def test_validation(self):
         for bad in (-1, 1 << 64):
             with pytest.raises(ValueError):
-                argmax_time_samples(0.0, _GRID64, 10, seed=bad)
-            with pytest.raises(ValueError):
                 argmax_laplace_estimate(1.0, 0.0, _GRID64, 10, seed=bad)
 
-    def test_driftless_mean_is_half(self):
-        # path reversal swaps the argmax index k with n - k, so the
-        # skeleton argmax time has mean t/2 exactly at any step count
-        grid = PathGrid(n_steps=256)
-        h = argmax_time_samples(0.0, grid, 50_000, seed=0)
-        se = h.std(ddof=1) / math.sqrt(h.size)
-        assert abs(h.mean() - 0.5) <= 3.0 * se
-
     def test_laplace_estimate_matches_arcsine(self):
-        grid = PathGrid(n_steps=1024)
-        est = argmax_laplace_estimate(2.0, 0.0, grid, 50_000, seed=0)
-        exact = laplace_h_wiener(2.0)
-        # skeleton argmax carries an O(sqrt(dt)) early bias on top of the
-        # Monte Carlo noise
-        assert abs(est.mean - exact) <= 3.0 * est.std_error + 0.02
+        # the sampler is exact, so no discretization bias rides on the noise
+        est = argmax_laplace_estimate(2.0, 0.0, PathGrid(n_steps=1024), 50_000, seed=0)
+        assert abs(est.mean - laplace_h_wiener(2.0)) <= 3.0 * est.std_error
+
+    @pytest.mark.parametrize("gamma, mu", [
+        (1.0, 0.1), (2.0, 0.5), (10.0, 0.3), (1.0, -1.0), (1.0, 2.0)])
+    def test_z_scores_are_standard_normal(self, gamma, mu):
+        # seeds 0-19 at 20,000 samples each. If z ~ N(0, 1), the mean of 20
+        # z-scores lies within 3 sigma = 3/sqrt(20) of 0, and 19 times their
+        # sample variance between the 0.1% and 99.9% quantiles of chi^2_19.
+        # At mu = 2 the Girsanov weights have variance e^4 - 1.
+        exact = laplace_h_drift(gamma, 1.0, mu)
+        z = np.array([(est.mean - exact) / est.std_error for est in (
+            argmax_laplace_estimate(gamma, mu, PathGrid(1), 20_000, seed=seed)
+            for seed in range(20))])
+        assert abs(z.mean()) <= 3.0 / math.sqrt(20)
+        assert 5.4068 <= 19.0 * z.var(ddof=1) <= 43.8202
+
+    def test_horizon(self):
+        grid = PathGrid(n_steps=1, horizon=2.5)
+        est = argmax_laplace_estimate(1.0, 0.3, grid, 50_000, seed=1)
+        assert abs(est.mean - laplace_h_drift(1.0, 2.5, 0.3)) <= 3.0 * est.std_error
+
+    def test_step_count_plays_no_part(self):
+        a = argmax_laplace_estimate(1.0, 0.1, PathGrid(1, horizon=1.5), 3000, seed=3)
+        b = argmax_laplace_estimate(1.0, 0.1, PathGrid(4096, horizon=1.5), 3000, seed=3)
+        assert a == b
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("gamma", [-800.0, 800.0])
+    @pytest.mark.parametrize("mu", [-50.0, 50.0])
+    def test_no_nan_at_extreme_inputs(self, gamma, mu):
+        samples = _argmax_samples(gamma, mu, 1.0, 20_000, mc._ARGMAX_CHUNK, seed=0)
+        assert not np.isnan(samples).any()
+        est = argmax_laplace_estimate(gamma, mu, _GRID64, 20_000, seed=0)
+        assert not any(map(math.isnan, (est.mean, est.std_error, *est.ci95)))
 
     def test_validation_paths(self):
-        with pytest.raises(ValueError):
-            argmax_time_samples(0.0, _GRID64, 0)
         with pytest.raises(ValueError):
             argmax_laplace_estimate(1.0, 0.0, _GRID64, 1)
 
@@ -553,7 +570,9 @@ class TestGirsanov:
 # two chunks plus a remainder that is not a multiple of the block rows
 # (64 steps); a chunk plus 13 paths at 4 rows per block (4096 steps); and
 # more steps than a block holds, one row per block. So streams of one,
-# two and three chunks are covered, the last chunk short.
+# two and three chunks are covered, the last chunk short. The exact argmax
+# kernel reads only the path counts: within one block of 5461 rows, or two
+# chunks of 2^16 with a short last block.
 _BLOCK_CASES = [
     (1, 5000),
     (64, 300),
@@ -615,7 +634,7 @@ class TestRowBlocksMatchWholeChunks:
         seed = 2000 + n_steps
 
         def call():
-            return (argmax_time_samples(mu, grid, n_paths, seed=seed),
+            return (_argmax_samples(1.5, mu, 1.5, n_paths, mc._ARGMAX_CHUNK, seed),
                     argmax_laplace_estimate(1.5, mu, grid, n_paths, seed=seed))
         got, want = _row_blocks_and_reference(
             monkeypatch, "_argmax_kernel", _reference_argmax_kernel, call)
@@ -659,7 +678,6 @@ def _path_outputs(grid, n_paths, seed):
                                             bridge=bridge).to_json_dict())]
     drift = _tanh_drift(-2.0)
     return out + [
-        argmax_time_samples(0.3, grid, n_paths, seed=seed).tobytes(),
         repr(argmax_laplace_estimate(1.5, 0.3, grid, n_paths, seed=seed).to_json_dict()),
         girsanov_log_lr_samples(drift, grid, n_paths, seed=seed).tobytes(),
         repr(girsanov_renyi_estimate(drift, grid, 2.5, n_paths, seed=seed).to_json_dict()),

@@ -66,6 +66,14 @@ class TestEll:
         assert out[2] == pytest.approx(2.0 * math.log(2.0) - 1.0, rel=1e-15)
         assert out[3] == math.inf
 
+    @pytest.mark.filterwarnings("error")
+    def test_infinity(self):
+        # x log x - x + 1 is inf - inf there; ell itself is inf
+        assert poisson_rate_ell(math.inf) == math.inf
+        out = poisson_rate_ell(np.array([math.inf, 1e308, 2.0]))
+        assert out[0] == math.inf and out[1] == math.inf
+        assert out[2] == poisson_rate_ell(2.0)
+
     def test_scalar_in_float_out(self):
         assert isinstance(poisson_rate_ell(2.0), float)
 
