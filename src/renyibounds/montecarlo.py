@@ -3,20 +3,12 @@
 All randomness comes from counter-based Philox streams keyed by
 (seed, stream index), so every estimate is a pure function of its
 arguments. Work is processed in fixed-size chunks, one stream per
-chunk. A chunk that keeps only its first rows draws just those rows
-when nothing is drawn after them: generators fill an array in
-row-major order, so the prefix holds the same bits. The crossing
-kernel draws its bridge uniforms after the normals, and the ziggurat
-normal sampler consumes a variable number of words, so that kernel
-always draws the normals of a full chunk. Two consequences are
-load-bearing for the tests:
-
-* results are reproducible bit for bit across runs and platforms that
-  share a numpy version, and growing the sample count only appends
-  samples, it never changes the ones already drawn;
-* estimators that share a seed and a grid see identical paths, so the
-  bridge-corrected crossing indicator dominates the skeleton-only one
-  pathwise, not just on average.
+chunk. A chunk that keeps only its first rows draws just those rows:
+generators fill an array in row-major order and nothing is drawn after
+a chunk's rows, so the prefix holds the same bits. Results are thus
+reproducible bit for bit across runs and platforms that share a numpy
+version, and growing the sample count only appends samples, it never
+changes the ones already drawn; the tests lean on both.
 
 One engine, ``_stream``, runs a per-study kernel on each chunk: a
 ``*_samples`` function concatenates the chunks, and an estimate reduces
@@ -35,20 +27,19 @@ exception is raised where its chunk would have been yielded, after
 every helper has been joined.
 
 The block budgets below are per thread, so that the threads together
-hold about what one did. The crossing and Girsanov kernels walk their
-chunk in row blocks of about ``_PATH_BLOCK`` draws (``_block_rows``
-paths, at least one) and do all arithmetic in place inside a block, so
-their working set stays in cache and nothing of chunk size is allocated
-apart from per-path vectors. The argmax kernel needs no path: it draws
-three uniforms per sample, in row blocks of about ``_PATH_BLOCK`` draws
-of a chunk of ``_ARGMAX_CHUNK`` samples.
+hold about what one did. The skeleton crossing and Girsanov kernels
+walk their chunk in row blocks of about ``_PATH_BLOCK`` draws
+(``_block_rows`` paths, at least one) and do all arithmetic in place
+inside a block, so their working set stays in cache and nothing of
+chunk size is allocated apart from per-path vectors. The two exact
+kernels need no path and take chunks of ``_EXACT_CHUNK`` samples: the
+argmax kernel draws three uniforms per sample, in row blocks of about
+``_PATH_BLOCK`` draws, and the bridge kernel one normal per sample, a
+chunk at a time.
 The blocks change no bit of any sample: consecutive draws from one
 generator concatenate bitwise, ziggurat normals included, and every
 row is scaled, summed and reduced in the same order as a whole chunk
-would be. With the bridge on, the crossing kernel still draws the
-normals of every row of its chunk before its uniforms; rows past take
-are drawn block by block and thrown away. Without the bridge it draws
-only the rows it keeps.
+would be.
 
 The queue kernel walks its chunk the same way, in blocks of
 ``_QUEUE_BLOCK`` draws, and draws each block as the 64-bit Philox words
@@ -62,9 +53,10 @@ buckets are rebuilt from their words, exactly, and searched. Each
 column then takes the Lindley step in the order of a whole chunk.
 
 The kernels cover the three studies: queue overflow under iid
-arrivals, Brownian level crossing with an exact bridge correction for
-the parts of the path the grid does not see, and the argmax time of a
-drifted path, sampled exactly with no grid. Girsanov reweighting turns
+arrivals, Brownian level crossing (exactly, from the end value and the
+bridge's crossing probability, or from a grid skeleton that misses the
+crossings between its points), and the argmax time of a drifted path,
+sampled exactly with no grid. Girsanov reweighting turns
 driftless samples into the drifted argmax transform and into
 divergence estimates for state-dependent drifts.
 """
@@ -88,7 +80,6 @@ __all__ = [
     "PathGrid",
     "PoissonLaw",
     "simulate_queue_overflow_prob",
-    "bm_crossing_samples",
     "bm_exceedance_estimate",
     "argmax_laplace_estimate",
     "girsanov_log_lr_samples",
@@ -101,7 +92,7 @@ _GUIDE_BITS = 12
 _GUIDE_BUCKETS = 1 << _GUIDE_BITS
 _PATH_DRAW_BUDGET = 1 << 21
 _PATH_BLOCK = 1 << 14
-_ARGMAX_CHUNK = 1 << 16
+_EXACT_CHUNK = 1 << 16
 _Z95 = 1.959963984540054
 # the chunks of a stream run this many at a time, one per usable CPU
 _WORKERS = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
@@ -411,79 +402,59 @@ def simulate_queue_overflow_prob(
     return _mean_ci(_stream(kernel, reps, _QUEUE_CHUNK, seed), reps, seed)
 
 
-def _crossing_kernel(level: float, mu: float, grid: PathGrid, bridge: bool) -> _Kernel:
+def _crossing_kernel(level: float, mu: float, grid: PathGrid) -> _Kernel:
+    """Indicator that the grid skeleton of X_s = mu s + B_s reaches level (biased low)."""
     level, mu = float(level), float(mu)
-    if not level > 0.0:
-        raise ValueError("level must be positive")
-    dt, chunk, rows = grid.dt, _path_chunk(grid), _block_rows(grid)
+    dt, rows = grid.dt, _block_rows(grid)
 
     def kernel(gen: np.random.Generator, take: int) -> np.ndarray:
-        z = np.empty((rows, grid.n_steps))
+        z = np.empty((min(rows, take), grid.n_steps))
         crossed = np.empty(take, dtype=bool)
-        if bridge:
-            bridge_terms, log_no_cross = np.empty_like(z), np.empty(take)
-        # the bridge uniforms come after a full chunk of normals, so with the
-        # bridge on the rows past take are drawn too, block by block, and
-        # thrown away; without it only the kept rows are drawn
-        drawn = chunk if bridge else take
-        for lo in range(0, drawn, rows):
-            block = z[:min(rows, drawn - lo)]
-            gen.standard_normal(out=block)
-            if lo >= take:
-                continue
-            path = block[:min(rows, take - lo)]
-            hi = lo + len(path)
+        for lo in range(0, take, rows):
+            path = z[:min(rows, take - lo)]
+            gen.standard_normal(out=path)
             path *= math.sqrt(dt)
             path += mu * dt
             np.cumsum(path, axis=1, out=path)
-            np.greater_equal(np.max(path, axis=1), level, out=crossed[lo:hi])
-            if not bridge:
-                continue
-            # Conditional on its endpoints a segment is a Brownian bridge
-            # whatever the constant drift, and the bridge crosses the level
-            # with probability exp(-2 (K - a)(K - b) / dt); exponents clamped
-            # at 0 cover segments whose endpoints already reach the level.
-            # K - a is K - b one column to the left, and K - 0.0 = K at the start.
-            gap = np.subtract(level, path, out=path)
-            terms = bridge_terms[:len(path)]
-            terms[:, 0] = -2.0 * level
-            np.multiply(gap[:, :-1], -2.0, out=terms[:, 1:])
-            terms *= gap
-            terms /= dt
-            np.minimum(terms, 0.0, out=terms)
-            np.exp(terms, out=terms)
-            np.negative(terms, out=terms)
-            with np.errstate(divide="ignore"):
-                np.log1p(terms, out=terms)
-            np.sum(terms, axis=1, out=log_no_cross[lo:hi])
-        if not bridge:
-            return crossed
-        p_unseen = np.expm1(log_no_cross, out=log_no_cross)
-        np.negative(p_unseen, out=p_unseen)
-        crossed |= gen.random(chunk)[:take] < p_unseen
+            np.greater_equal(np.max(path, axis=1), level, out=crossed[lo:lo + len(path)])
         return crossed
 
     return kernel
 
 
-def bm_crossing_samples(
-    level: float,
-    mu: float,
-    grid: PathGrid,
-    n_paths: int,
-    seed: int = 0,
-    bridge: bool = True,
-) -> np.ndarray:
-    """Per-path crossing indicators for {max_{s <= t} X_s >= level}.
+def _bridge_kernel(level: float, mu: float, horizon: float) -> _Kernel:
+    """Exact crossing samples for X_s = mu s + B_s, one normal a path.
 
-    With bridge=True a skeleton that stays below the level still counts
-    as a crossing with the exact conditional bridge probability, decided
-    by a uniform drawn after the path. The uniforms sit after the
-    normals in each stream's layout, so bridge=False sees the same
-    paths and its indicator is dominated pathwise.
+    Given its end value x the path is a Brownian bridge whatever the
+    drift, and it reaches K with probability exp(-2 K max(K - x, 0) / t).
+    In u = (x - mu t) / sqrt(t), that times the N(0, 1) density is a unit
+    Gaussian on each side of d = (K - mu t) / sqrt(t), with its mode at
+    c = min(max(d, 0), 2k), k = K / sqrt(t). So u = c + Z, and the sample,
+    weighted by the likelihood ratio, is exp(-2k max(g - Z, 0) - c (c/2 + Z))
+    with g = d - c: at most 1, even far in the tail. Its first term is
+    formed as (max(g - Z, 0) K / sqrt(t)) (-2), so nothing gives nan:
+    g is nan only where d and c overflow, and the fmax reads it as 0.
     """
-    kernel = _crossing_kernel(level, mu, grid, bridge)
-    return np.concatenate(list(_stream(kernel, n_paths, _path_chunk(grid), seed)))
+    level, mu, t = float(level), float(mu), float(horizon)
+    root_t = math.sqrt(t)
+    d = (level - mu * t) / root_t
+    c = min(max(d, 0.0), 2.0 * (level / root_t))
+    g = d - c
+
+    def kernel(gen: np.random.Generator, take: int) -> np.ndarray:
+        z = gen.standard_normal(take)
+        with np.errstate(over="ignore"):
+            gap = np.subtract(g, z)
+            np.fmax(gap, 0.0, out=gap)
+            gap *= level
+            gap /= root_t
+            gap *= -2.0
+            z += 0.5 * c
+            z *= -c
+            z += gap
+            return np.exp(z, out=z)
+
+    return kernel
 
 
 def bm_exceedance_estimate(
@@ -494,9 +465,21 @@ def bm_exceedance_estimate(
     seed: int = 0,
     bridge: bool = True,
 ) -> EstimateWithCI:
-    """Crossing probability estimate with a binomial standard error."""
-    kernel = _crossing_kernel(level, mu, grid, bridge)
-    return _mean_ci(_stream(kernel, n_paths, _path_chunk(grid), seed), n_paths, seed)
+    """Estimate of P(max_{s <= t} X_s >= level) for X_s = mu s + B_s, t = grid.horizon.
+
+    bridge=True averages the exact, weighted crossing probabilities of
+    _bridge_kernel, with their sample standard error; the step count of
+    grid plays no part. bridge=False averages the skeleton's crossing
+    indicators, with their binomial standard error, and underestimates.
+    """
+    level, mu = float(level), float(mu)
+    if not 0.0 < level < math.inf:
+        raise ValueError("level must be positive and finite")
+    if bridge:
+        kernel, chunk = _bridge_kernel(level, mu, grid.horizon), _EXACT_CHUNK
+    else:
+        kernel, chunk = _crossing_kernel(level, mu, grid), _path_chunk(grid)
+    return _mean_ci(_stream(kernel, n_paths, chunk, seed), n_paths, seed)
 
 
 def _argmax_kernel(gamma: float, mu: float, horizon: float) -> _Kernel:
@@ -506,7 +489,10 @@ def _argmax_kernel(gamma: float, mu: float, horizon: float) -> _Kernel:
     driftless argmax time H = t sin^2(pi U_1 / 2) (arcsine law) and the
     rises sqrt(H) R_1 and sqrt(t - H) R_2 to the maximum from either
     end, with R_i = sqrt(-2 log(1 - U_i)) Rayleigh (Shepp 1979; Denisov
-    1984). t sin^2 <= t, so t - H >= 0.
+    1984). t sin^2 <= t, so t - H >= 0. The exponent is nan only where
+    mu (B_t - mu t / 2) is -inf and -gamma H is +inf, so |mu| > 1; there it
+    is mu (B_t - t (gamma sin^2 / mu + mu / 2)), whose inner terms have
+    opposite signs and cannot overflow.
     """
     gamma, mu, t = float(gamma), float(mu), float(horizon)
     rows = _rows(_PATH_BLOCK, 3)
@@ -515,11 +501,16 @@ def _argmax_kernel(gamma: float, mu: float, horizon: float) -> _Kernel:
         out = np.empty(take)
         for lo in range(0, take, rows):
             u = gen.random((min(rows, take - lo), 3))
-            h = np.sin(u[:, 0] * (0.5 * math.pi)) ** 2 * t
+            sin2 = np.sin(u[:, 0] * (0.5 * math.pi)) ** 2
+            h = sin2 * t
             r = np.sqrt(-2.0 * np.log1p(-u[:, 1:]))
             b = np.sqrt(h) * r[:, 0] - np.sqrt(t - h) * r[:, 1]
-            with np.errstate(over="ignore"):
-                out[lo:lo + len(u)] = np.exp(mu * (b - 0.5 * mu * t) - gamma * h)
+            with np.errstate(over="ignore", invalid="ignore"):
+                e = mu * (b - 0.5 * mu * t) - gamma * h
+                nan = np.isnan(e)
+                if nan.any():
+                    e[nan] = mu * (b[nan] - t * (gamma * sin2[nan] / mu + 0.5 * mu))
+                out[lo:lo + len(u)] = np.exp(e)
         return out
 
     return kernel
@@ -539,7 +530,7 @@ def argmax_laplace_estimate(
     carries the drift. The step count of grid plays no part.
     """
     kernel = _argmax_kernel(gamma, mu, grid.horizon)
-    return _mean_ci(_stream(kernel, n_paths, _ARGMAX_CHUNK, seed), n_paths, seed)
+    return _mean_ci(_stream(kernel, n_paths, _EXACT_CHUNK, seed), n_paths, seed)
 
 
 def _girsanov_kernel(drift: Callable[[np.ndarray], np.ndarray], grid: PathGrid) -> _Kernel:

@@ -420,7 +420,6 @@ def test_c08_path_simulation_agreement():
     _verdict("C08", failures)
 
 
-@pytest.mark.slow
 def test_c08_far_tail_slow():
     failures: list[str] = []
     est = bm_exceedance_estimate(4.0, 0.0, PathGrid(64), 10_000_000, seed=0)

@@ -332,6 +332,12 @@ class TestMcCommands:
         assert 0.0 <= data["estimate"]["mean"] <= 1.0
         assert data["exact"] == pytest.approx(0.31731050786291415, rel=1e-10)
 
+    @pytest.mark.parametrize("bridge", [[], ["--no-bridge"]], ids=["bridge", "no-bridge"])
+    def test_bm_max_level_at_infinity_is_an_input_error(self, capsys, bridge):
+        code, out, err = run_cli(capsys, ["mc", "bm-max", "--K", "inf", "--paths", "10", *bridge])
+        assert (code, out) == (2, "")
+        assert err.startswith("error: level must be positive and finite")
+
     def test_bm_max_no_bridge(self, capsys):
         code, out, _ = run_cli(capsys, [
             "mc", "bm-max", "--paths", "2000", "--n-steps", "8", "--no-bridge",
@@ -380,6 +386,15 @@ class TestMcCommands:
         assert code == 0
         est = json.loads(out)["estimate"]
         assert (est["mean"], est["se"], est["ci95"]) == ("inf", "inf", ["-inf", "inf"])
+
+    @pytest.mark.filterwarnings("error")
+    def test_argmax_overflowing_terms_warn_nothing(self, capsys):
+        # gamma H and mu^2 t / 2 both overflow at t = 1e308: the sampler
+        # stays silent, and the quadrature's failure is the one error
+        code, out, err = run_cli(capsys, [
+            "mc", "argmax", "--t", "1e308", "--mu", "10", "--gamma", "-10", "--paths", "10"])
+        assert (code, out) == (1, "")
+        assert err == "error: argmax transform quadrature did not reach its tolerance\n"
 
     @pytest.mark.parametrize("alpha", ["2", "-1"])
     def test_girsanov_past_float_range_has_infinite_se(self, console_script, alpha):

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import itertools
 import math
 import threading
 import time
@@ -23,7 +24,6 @@ from renyibounds.montecarlo import (
     PathGrid,
     PoissonLaw,
     argmax_laplace_estimate,
-    bm_crossing_samples,
     bm_exceedance_estimate,
     girsanov_log_lr_samples,
     girsanov_renyi_estimate,
@@ -31,6 +31,7 @@ from renyibounds.montecarlo import (
 )
 
 _GRID64 = PathGrid(n_steps=64)
+_DBL_MAX = 1.7976931348623157e308
 
 
 def _const_drift(mu):
@@ -61,25 +62,44 @@ def _reference_queue_kernel(laws, C, level):
     return kernel
 
 
-def _reference_crossing_kernel(level, mu, grid, bridge):
-    """Whole-chunk crossing kernel that the row-block kernel must reproduce."""
+def _reference_crossing_kernel(level, mu, grid):
+    """Whole-chunk skeleton kernel that the row-block kernel must reproduce."""
     dt = grid.dt
 
     def kernel(gen, take):
         normals = (mc._path_chunk(grid), grid.n_steps)
         path = np.cumsum(math.sqrt(dt) * gen.standard_normal(normals)[:take] + mu * dt, axis=1)
-        crossed = np.max(path, axis=1) >= level
-        if not bridge:
-            return crossed
-        u = gen.random(mc._path_chunk(grid))[:take]
-        left = np.concatenate([np.zeros((take, 1)), path[:, :-1]], axis=1)
-        log_cross = np.minimum(-2.0 * (level - left) * (level - path) / dt, 0.0)
-        with np.errstate(divide="ignore"):
-            log_no_cross = np.log1p(-np.exp(log_cross))
-        p_unseen = -np.expm1(np.sum(log_no_cross, axis=1))
-        return crossed | (u < p_unseen)
+        return np.max(path, axis=1) >= level
 
     return kernel
+
+
+def _reference_bridge_kernel(level, mu, horizon):
+    """The exact crossing kernel in terms of the end value x ~ N(mu t + c sqrt(t), t).
+
+    The bridge's crossing probability exp(-2 K max(K - x, 0) / t) times the
+    density ratio of N(mu t, t) against N(mu t + c sqrt(t), t) at x.
+    """
+    t = horizon
+    mean = mu * t
+    d = (level - mean) / math.sqrt(t)
+    shift = min(max(d, 0.0), 2.0 * level / math.sqrt(t)) * math.sqrt(t)
+
+    def kernel(gen, take):
+        x = mean + shift + math.sqrt(t) * gen.standard_normal(take)
+        crossing = np.exp(-2.0 * level * np.maximum(level - x, 0.0) / t)
+        return crossing * np.exp(((x - mean - shift) ** 2 - (x - mean) ** 2) / (2.0 * t))
+
+    return kernel
+
+
+def _crossing_samples(level, mu, grid, n, seed, bridge=True):
+    """The per-path samples that bm_exceedance_estimate averages."""
+    if bridge:
+        kernel, chunk = mc._bridge_kernel(level, mu, grid.horizon), mc._EXACT_CHUNK
+    else:
+        kernel, chunk = mc._crossing_kernel(level, mu, grid), mc._path_chunk(grid)
+    return np.concatenate(list(mc._stream(kernel, n, chunk, seed)))
 
 
 def _reference_argmax_kernel(gamma, mu, horizon):
@@ -145,11 +165,12 @@ _QUEUE_BLOCK_CASES = [
 
 class TestDeterminism:
     def test_same_seed_same_samples(self):
-        a = bm_crossing_samples(1.0, 0.1, _GRID64, 2000, seed=3)
-        b = bm_crossing_samples(1.0, 0.1, _GRID64, 2000, seed=3)
-        assert np.array_equal(a, b)
-        c = bm_crossing_samples(1.0, 0.1, _GRID64, 2000, seed=4)
-        assert not np.array_equal(a, c)
+        for bridge in (True, False):
+            a = _crossing_samples(1.0, 0.1, _GRID64, 2000, seed=3, bridge=bridge)
+            b = _crossing_samples(1.0, 0.1, _GRID64, 2000, seed=3, bridge=bridge)
+            assert np.array_equal(a, b)
+            c = _crossing_samples(1.0, 0.1, _GRID64, 2000, seed=4, bridge=bridge)
+            assert not np.array_equal(a, c)
 
     def test_estimates_are_reproducible(self):
         e1 = girsanov_renyi_estimate(_const_drift(0.3), _GRID64, 2.0, 5000, seed=9)
@@ -158,10 +179,10 @@ class TestDeterminism:
         assert e1.std_error == e2.std_error
 
     def test_seed_validation(self):
-        with pytest.raises(ValueError):
-            bm_crossing_samples(1.0, 0.0, _GRID64, 10, seed=-1)
-        with pytest.raises(ValueError):
-            bm_crossing_samples(1.0, 0.0, _GRID64, 10, seed=1 << 64)
+        for bridge in (True, False):
+            for bad in (-1, 1 << 64):
+                with pytest.raises(ValueError):
+                    bm_exceedance_estimate(1.0, 0.0, _GRID64, 10, seed=bad, bridge=bridge)
 
 
 class TestPrefixProperty:
@@ -189,9 +210,19 @@ class TestPrefixProperty:
 
     def test_crossing_samples_prefix(self):
         grid = PathGrid(n_steps=16)
-        short = bm_crossing_samples(1.0, 0.0, grid, 700, seed=2)
-        long = bm_crossing_samples(1.0, 0.0, grid, 1200, seed=2)
-        assert np.array_equal(long[:700], short)
+        for bridge in (True, False):
+            short = _crossing_samples(1.0, 0.0, grid, 700, seed=2, bridge=bridge)
+            long = _crossing_samples(1.0, 0.0, grid, 1200, seed=2, bridge=bridge)
+            assert np.array_equal(long[:700], short)
+
+    def test_bridge_samples_prefix(self):
+        # chunks of 100 samples: growing the count only appends, through
+        # chunk boundaries and within the short last chunk
+        kernel = mc._bridge_kernel(1.0, 0.2, 1.5)
+        short = np.concatenate(list(mc._stream(kernel, 250, 100, seed=2)))
+        long = np.concatenate(list(mc._stream(kernel, 413, 100, seed=2)))
+        assert np.array_equal(long[:250], short)
+        assert 0.0 < long.min() and long.max() <= 1.0
 
 
 class TestMcMeanCi:
@@ -256,17 +287,23 @@ class TestEstimatesReduceSamples:
     N = 33000
 
     def test_crossing(self):
-        for bridge in (True, False):
-            hits = bm_crossing_samples(1.0, 0.1, _GRID64, self.N, seed=4, bridge=bridge)
-            est = bm_exceedance_estimate(1.0, 0.1, _GRID64, self.N, seed=4, bridge=bridge)
-            assert est.mean * self.N == hits.sum()
-            assert est.std_error == pytest.approx(
-                math.sqrt(est.mean * (1.0 - est.mean) / (self.N - 1)), rel=1e-12)
+        # the skeleton's indicators, with their binomial standard error
+        hits = _crossing_samples(1.0, 0.1, _GRID64, self.N, seed=4, bridge=False)
+        est = bm_exceedance_estimate(1.0, 0.1, _GRID64, self.N, seed=4, bridge=False)
+        assert est.mean * self.N == hits.sum()
+        assert est.std_error == pytest.approx(
+            math.sqrt(est.mean * (1.0 - est.mean) / (self.N - 1)), rel=1e-12)
+        # the exact kernel's probabilities, over two chunks of 2^16
+        n = mc._EXACT_CHUNK + 1000
+        probs = _crossing_samples(1.0, 0.1, _GRID64, n, seed=4)
+        est = bm_exceedance_estimate(1.0, 0.1, _GRID64, n, seed=4)
+        assert est.mean == pytest.approx(probs.mean(), rel=1e-12)
+        assert est.std_error == pytest.approx(probs.std(ddof=1) / math.sqrt(n), rel=1e-9)
 
     def test_argmax_laplace(self):
         # the exact sampler's chunks hold 2^16 samples, so this is two of them
-        n = mc._ARGMAX_CHUNK + 1000
-        vals = _argmax_samples(1.5, 0.1, 1.0, n, mc._ARGMAX_CHUNK, seed=4)
+        n = mc._EXACT_CHUNK + 1000
+        vals = _argmax_samples(1.5, 0.1, 1.0, n, mc._EXACT_CHUNK, seed=4)
         est = argmax_laplace_estimate(1.5, 0.1, _GRID64, n, seed=4)
         assert est.mean == pytest.approx(vals.mean(), rel=1e-12)
         assert est.std_error == pytest.approx(vals.std(ddof=1) / math.sqrt(n), rel=1e-9)
@@ -441,16 +478,9 @@ class TestQueueSimulation:
 
 
 class TestBridgeCrossing:
-    def test_bridge_dominates_raw_skeleton(self):
-        grid = PathGrid(n_steps=32)
-        raw = bm_crossing_samples(1.0, 0.0, grid, 50_000, seed=7, bridge=False)
-        fixed = bm_crossing_samples(1.0, 0.0, grid, 50_000, seed=7, bridge=True)
-        assert np.all(fixed >= raw)
-        assert fixed.sum() > raw.sum()
-
     def test_unbiased_even_on_a_crude_grid(self):
-        # with constant drift the bridge correction is exact at any step
-        # count; four steps must already match the closed form
+        # the exact kernel reads no step count, so four steps match the
+        # closed form
         grid = PathGrid(n_steps=4)
         est = bm_exceedance_estimate(1.0, 0.0, grid, 200_000, seed=0)
         exact = bm_exceedance_nominal(1.0)
@@ -468,11 +498,65 @@ class TestBridgeCrossing:
         exact = bm_exceedance_nominal(1.0)
         assert est.mean < exact - 3.0 * est.std_error
 
+    @pytest.mark.parametrize("level, mu, t", [
+        (1.0, 0.1, 1.0), (2.0, 0.1, 1.0), (4.0, 0.0, 1.0), (1.0, -1.0, 2.5), (0.5, 2.0, 0.3)])
+    def test_z_scores_are_standard_normal(self, level, mu, t):
+        # seeds 0-19 at 20,000 paths each. If z ~ N(0, 1), the mean of 20
+        # z-scores lies within 3 sigma = 3/sqrt(20) of 0, and 19 times their
+        # sample variance between the 0.1% and 99.9% quantiles of chi^2_19.
+        exact = bm_exceedance_drift(level, mu, t)
+        z = np.array([(est.mean - exact) / est.std_error for est in (
+            bm_exceedance_estimate(level, mu, PathGrid(1, horizon=t), 20_000, seed=seed)
+            for seed in range(20))])
+        assert abs(z.mean()) <= 3.0 / math.sqrt(20)
+        assert 5.4068 <= 19.0 * z.var(ddof=1) <= 43.8202
+
+    def test_step_count_plays_no_part(self):
+        a = bm_exceedance_estimate(1.0, 0.1, PathGrid(1, horizon=1.5), 3000, seed=3)
+        b = bm_exceedance_estimate(1.0, 0.1, PathGrid(64, horizon=1.5), 3000, seed=3)
+        assert a == b
+
+    @pytest.mark.parametrize("level, mu, t", [
+        # no tilt (mu t past K), a tilt to K, and a tilt capped at 2K / sqrt(t)
+        (0.5, 2.0, 0.3), (1.0, 0.1, 1.0), (4.0, 0.0, 1.0), (1.0, -1.0, 2.5), (0.5, -2.0, 1.5)])
+    def test_bridge_kernel_draws_one_normal_a_path(self, level, mu, t):
+        # the samples are the end-value reference's, they lie in [0, 1], and
+        # the generator ends where take normals leave a fresh one
+        take, gen = 5000, mc._rng(8, 0)
+        got = mc._bridge_kernel(level, mu, t)(gen, take)
+        want = _reference_bridge_kernel(level, mu, t)(mc._rng(8, 0), take)
+        np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-300)
+        assert 0.0 < got.min() and got.max() <= 1.0
+        fresh = mc._rng(8, 0)
+        fresh.standard_normal(take)
+        np.testing.assert_equal(gen.bit_generator.state, fresh.bit_generator.state)
+
+    @pytest.mark.filterwarnings("error")
+    def test_no_nan_at_extreme_inputs(self):
+        for level, t, mu in itertools.product(
+                [1e-300, 1.0, 1e300, _DBL_MAX], [5e-324, 1e-300, 1.0, 1e300, _DBL_MAX],
+                [-1e300, -10.0, 0.0, 10.0, 1e300]):
+            grid = PathGrid(1, horizon=t)
+            probs = _crossing_samples(level, mu, grid, 2000, seed=0)
+            assert np.all((probs >= 0.0) & (probs <= 1.0)), (level, t, mu)
+            est = bm_exceedance_estimate(level, mu, grid, 2000, seed=0)
+            assert not any(map(math.isnan, (est.mean, est.std_error, *est.ci95)))
+
+    def test_extremes_read_zero_or_one(self):
+        # a level far past every end value is never reached, a level at the
+        # start is always reached, and so is a level far below a huge drift
+        assert np.all(_crossing_samples(1e300, 0.0, _GRID64, 100, seed=0) == 0.0)
+        assert np.all(_crossing_samples(1e-300, 10.0, _GRID64, 100, seed=0) == 1.0)
+        assert np.all(_crossing_samples(1.0, 1e300, _GRID64, 100, seed=0) == 1.0)
+        assert np.all(_crossing_samples(1.0, 0.0, PathGrid(1, horizon=5e-324), 100, seed=0) == 0.0)
+
     def test_validation(self):
-        with pytest.raises(ValueError):
-            bm_crossing_samples(0.0, 0.0, _GRID64, 10)
-        with pytest.raises(ValueError):
-            bm_exceedance_estimate(1.0, 0.0, _GRID64, 1)
+        for bridge in (True, False):
+            for bad in (0.0, -1.0, math.nan, math.inf):
+                with pytest.raises(ValueError):
+                    bm_exceedance_estimate(bad, 0.0, _GRID64, 10, bridge=bridge)
+            with pytest.raises(ValueError):
+                bm_exceedance_estimate(1.0, 0.0, _GRID64, 1, bridge=bridge)
 
 
 class TestArgmax:
@@ -514,10 +598,31 @@ class TestArgmax:
     @pytest.mark.parametrize("gamma", [-800.0, 800.0])
     @pytest.mark.parametrize("mu", [-50.0, 50.0])
     def test_no_nan_at_extreme_inputs(self, gamma, mu):
-        samples = _argmax_samples(gamma, mu, 1.0, 20_000, mc._ARGMAX_CHUNK, seed=0)
+        samples = _argmax_samples(gamma, mu, 1.0, 20_000, mc._EXACT_CHUNK, seed=0)
         assert not np.isnan(samples).any()
         est = argmax_laplace_estimate(gamma, mu, _GRID64, 20_000, seed=0)
         assert not any(map(math.isnan, (est.mean, est.std_error, *est.ci95)))
+
+    @pytest.mark.filterwarnings("error")
+    def test_overflowing_terms_meet_without_nan(self):
+        # at t = 1e308 both gamma H and mu^2 t / 2 overflow, and their
+        # infinities of opposite sign met as nan; the exponent is -inf there,
+        # and every other sample keeps its bits
+        got = _argmax_samples(-10.0, 10.0, 1e308, 20_000, mc._EXACT_CHUNK, seed=0)
+        with np.errstate(invalid="ignore"):
+            want = _reference_argmax_kernel(-10.0, 10.0, 1e308)(mc._rng(0, 0), 20_000)
+        nan = np.isnan(want)
+        assert 0 < nan.sum() < nan.size
+        assert np.all(got[nan] == 0.0)
+        _assert_same_bits(got[~nan], want[~nan])
+
+    @pytest.mark.filterwarnings("error")
+    def test_no_nan_at_any_scale(self):
+        for gamma, mu, t in itertools.product(
+                [-_DBL_MAX, -1e200, -10.0, 10.0], [-_DBL_MAX, -1e200, -10.0, 10.0, 1e200],
+                [5e-324, 1.0, 1e308, _DBL_MAX]):
+            samples = _argmax_samples(gamma, mu, t, 2000, mc._EXACT_CHUNK, seed=0)
+            assert not np.isnan(samples).any(), (gamma, mu, t)
 
     def test_validation_paths(self):
         with pytest.raises(ValueError):
@@ -600,28 +705,30 @@ class TestRowBlocksMatchWholeChunks:
     @pytest.mark.parametrize("n_steps, n_paths", _BLOCK_CASES)
     @pytest.mark.parametrize("mu", [-2.0, 0.0, 0.3])
     def test_crossing(self, monkeypatch, n_steps, n_paths, mu):
+        # the skeleton kernel behind bridge=False; the exact kernel has no
+        # row blocks
         grid = PathGrid(n_steps, horizon=1.5)
         seed = 1000 + n_steps
-        for bridge in (True, False):
-            def call():
-                return (bm_crossing_samples(0.5, mu, grid, n_paths, seed=seed, bridge=bridge),
-                        bm_exceedance_estimate(0.5, mu, grid, n_paths, seed=seed, bridge=bridge))
-            got, want = _row_blocks_and_reference(
-                monkeypatch, "_crossing_kernel", _reference_crossing_kernel, call)
-            _assert_same_bits(got[0], want[0])
-            assert repr(got[1].to_json_dict()) == repr(want[1].to_json_dict())
+
+        def call():
+            return (_crossing_samples(0.5, mu, grid, n_paths, seed=seed, bridge=False),
+                    bm_exceedance_estimate(0.5, mu, grid, n_paths, seed=seed, bridge=False))
+        got, want = _row_blocks_and_reference(
+            monkeypatch, "_crossing_kernel", _reference_crossing_kernel, call)
+        _assert_same_bits(got[0], want[0])
+        assert repr(got[1].to_json_dict()) == repr(want[1].to_json_dict())
 
     @pytest.mark.parametrize("n_steps, n_paths", _BLOCK_CASES)
     def test_crossing_without_bridge_draws_only_kept_rows(self, n_steps, n_paths):
-        # no uniform follows the normals, so the rows past take are never
+        # nothing follows the normals, so the rows past take are never
         # drawn: the samples match the whole-chunk reference, and the
         # generator ends where take * n_steps normals leave a fresh one
         grid = PathGrid(n_steps, horizon=1.5)
         take = min(n_paths, mc._path_chunk(grid))
         seed = 4000 + n_steps
         gen = mc._rng(seed, 0)
-        got = mc._crossing_kernel(0.5, 0.3, grid, bridge=False)(gen, take)
-        want = _reference_crossing_kernel(0.5, 0.3, grid, False)(mc._rng(seed, 0), take)
+        got = mc._crossing_kernel(0.5, 0.3, grid)(gen, take)
+        want = _reference_crossing_kernel(0.5, 0.3, grid)(mc._rng(seed, 0), take)
         _assert_same_bits(got, want)
         fresh = mc._rng(seed, 0)
         fresh.standard_normal(take * n_steps)
@@ -634,7 +741,7 @@ class TestRowBlocksMatchWholeChunks:
         seed = 2000 + n_steps
 
         def call():
-            return (_argmax_samples(1.5, mu, 1.5, n_paths, mc._ARGMAX_CHUNK, seed),
+            return (_argmax_samples(1.5, mu, 1.5, n_paths, mc._EXACT_CHUNK, seed),
                     argmax_laplace_estimate(1.5, mu, grid, n_paths, seed=seed))
         got, want = _row_blocks_and_reference(
             monkeypatch, "_argmax_kernel", _reference_argmax_kernel, call)
@@ -673,7 +780,7 @@ def _path_outputs(grid, n_paths, seed):
     """Every path kernel's samples and estimate at one layout, as bytes and reprs."""
     out = []
     for bridge in (True, False):
-        out += [bm_crossing_samples(0.5, 0.3, grid, n_paths, seed=seed, bridge=bridge).tobytes(),
+        out += [_crossing_samples(0.5, 0.3, grid, n_paths, seed, bridge=bridge).tobytes(),
                 repr(bm_exceedance_estimate(0.5, 0.3, grid, n_paths, seed=seed,
                                             bridge=bridge).to_json_dict())]
     drift = _tanh_drift(-2.0)
@@ -826,8 +933,11 @@ class TestPathMemory:
         monkeypatch.setattr(mc, "_WORKERS", 2)
 
     def test_crossing_estimate(self):
-        peak = _traced_peak_mib(lambda: bm_exceedance_estimate(1.0, 0.1, _GRID64, 70_000, seed=1))
-        assert peak < self.LIMIT_MIB
+        # the skeleton's row blocks, and the exact kernel's 2^16-sample chunks
+        for bridge in (True, False):
+            peak = _traced_peak_mib(lambda: bm_exceedance_estimate(
+                1.0, 0.1, _GRID64, 140_000, seed=1, bridge=bridge))
+            assert peak < self.LIMIT_MIB, bridge
 
     def test_girsanov_estimate(self):
         peak = _traced_peak_mib(lambda: girsanov_renyi_estimate(
