@@ -45,9 +45,7 @@ from .specfun import (
 )
 from .variational import (
     IdentityReport,
-    alpha_zero_limit_check,
     inf_identity,
-    kl_limit_identities,
     sup_identity,
 )
 
@@ -76,9 +74,7 @@ __all__ = [
     "renyi_gaussian",
     "renyi_poisson",
     "IdentityReport",
-    "alpha_zero_limit_check",
     "inf_identity",
-    "kl_limit_identities",
     "sup_identity",
     "BoundResult",
     "event_bounds",

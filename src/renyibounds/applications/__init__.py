@@ -14,7 +14,6 @@ from .gaussian_study import gaussian_rs_sides, tightness_witness
 from .queueing import (
     QueueModel,
     RateResult,
-    lindley_path,
     overflow_decay_rate,
     poisson_rate_ell,
     scaled_event_sandwich,
@@ -33,7 +32,6 @@ __all__ = [
     "tightness_witness",
     "QueueModel",
     "RateResult",
-    "lindley_path",
     "overflow_decay_rate",
     "poisson_rate_ell",
     "scaled_event_sandwich",

@@ -31,7 +31,6 @@ __all__ = [
     "BrownianModel",
     "FigureRow",
     "bm_exceedance_nominal",
-    "log_bm_exceedance_nominal",
     "bm_exceedance_drift",
     "log_bm_exceedance_drift",
     "bm_bound_curves",
@@ -98,17 +97,13 @@ def bm_exceedance_nominal(level: float, horizon: float = 1.0) -> float:
     return erfc(k / math.sqrt(2.0 * t))
 
 
-def log_bm_exceedance_nominal(level: float, horizon: float = 1.0) -> float:
-    """Log of the driftless exceedance probability; safe for levels far
-    into the tail where the probability itself underflows."""
-    k, t = float(level), float(horizon)
-    _require("level and horizon must be positive", positive=(k, t))
-    return log_erfc(k / math.sqrt(2.0 * t))
-
-
 def _log_drift_terms(level: float, mu: float, horizon: float) -> tuple[float, float]:
     k, t = float(level), float(horizon)
     _require("level and horizon must be positive", positive=(k, t))
+    if k == math.inf:
+        # no path reaches an infinite level; there 2 mu K is nan at mu = 0
+        # and +inf above, against the second erfc's -inf
+        return -math.inf, -math.inf
     root = math.sqrt(2.0 * t)
     log_half = math.log(0.5)
     first = log_half + log_erfc((k - mu * t) / root)

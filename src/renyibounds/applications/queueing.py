@@ -29,7 +29,6 @@ __all__ = [
     "RateResult",
     "poisson_rate_ell",
     "overflow_decay_rate",
-    "lindley_path",
     "scaled_event_sandwich",
 ]
 
@@ -144,21 +143,6 @@ def overflow_decay_rate(C: float, b: float) -> RateResult:
         return RateResult(t_star=t_star, m_star=m_star,
                           c=float(poisson_rate_ell(C + b)), branch="edge")
     return RateResult(t_star=t_star, m_star=m_star, c=m_star, branch="interior")
-
-
-def lindley_path(arrivals, C: float) -> np.ndarray:
-    """Workload Q_1..Q_n from Q_0 = 0 for an arrival vector."""
-    x = np.asarray(arrivals, dtype=float)
-    if x.ndim != 1 or x.size == 0:
-        raise ValueError("arrivals must be a nonempty vector")
-    if np.any(np.isnan(x)) or np.any(x < 0.0):
-        raise ValueError("arrivals must be nonnegative")
-    out = np.empty_like(x)
-    q = 0.0
-    for k in range(x.size):
-        q = max(q + x[k] - C, 0.0)
-        out[k] = q
-    return out
 
 
 def scaled_event_sandwich(

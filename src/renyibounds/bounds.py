@@ -126,5 +126,8 @@ def event_bounds(
     lower_p = math.exp((alpha - 1.0) * lower_log) if lower_log > -math.inf else 0.0
     clamped = upper_log > 0.0
     upper_p = 1.0 if clamped else math.exp((alpha - 1.0) * upper_log)
-    return BoundResult(alpha=alpha, lower=lower_p, upper=upper_p,
+    # theta = nu meets every budget, so lower_p <= p <= upper_p holds exactly;
+    # the exp of a rounded exponent can land just past p, and only such a
+    # side moves
+    return BoundResult(alpha=alpha, lower=min(lower_p, p), upper=max(upper_p, p),
                        scale=scale, budget=budget, upper_clamped=clamped)

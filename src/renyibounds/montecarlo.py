@@ -10,9 +10,9 @@ reproducible bit for bit across runs and platforms that share a numpy
 version, and growing the sample count only appends samples, it never
 changes the ones already drawn; the tests lean on both.
 
-One engine, ``_stream``, runs a per-study kernel on each chunk: a
-``*_samples`` function concatenates the chunks, and an estimate reduces
-them one at a time, never holding the per-path arrays of a whole run.
+One engine, ``_stream``, runs a per-study kernel on each chunk, and an
+estimate reduces the chunks one at a time, never holding the per-path
+arrays of a whole run.
 Each chunk has its own stream, so chunks are independent and the engine
 computes ``_WORKERS`` of them at once, one per usable CPU (the process's
 CPU affinity where the platform reports it): the calling thread runs
@@ -82,7 +82,6 @@ __all__ = [
     "simulate_queue_overflow_prob",
     "bm_exceedance_estimate",
     "argmax_laplace_estimate",
-    "girsanov_log_lr_samples",
     "girsanov_renyi_estimate",
 ]
 
@@ -320,26 +319,8 @@ class PoissonLaw:
         return f"PoissonLaw(rate={self.rate!r})"
 
 
-def _per_step_laws(arrival_law, n: int) -> list[PoissonLaw]:
-    if isinstance(arrival_law, PoissonLaw):
-        return [arrival_law] * n
-    laws = list(arrival_law)
-    if len(laws) != n:
-        raise ValueError("need one arrival law per step")
-    if not all(isinstance(law, PoissonLaw) for law in laws):
-        raise TypeError("arrival laws must be PoissonLaw instances")
-    return laws
-
-
-def _queue_kernel(laws: list[PoissonLaw], C: float, level: float) -> _Kernel:
-    n, rows = len(laws), _rows(_QUEUE_BLOCK, len(laws))
-    # the guides of the distinct laws, stacked; column k reads the one of
-    # its law at offset[k]
-    distinct = list({id(law): law for law in laws}.values())
-    slot = {id(law): i for i, law in enumerate(distinct)}
-    law_of = np.array([slot[id(law)] for law in laws])
-    offset = law_of * _GUIDE_BUCKETS
-    guide = np.concatenate([law._guide[:_GUIDE_BUCKETS] for law in distinct])
+def _queue_kernel(law: PoissonLaw, n: int, C: float, level: float) -> _Kernel:
+    rows = _rows(_QUEUE_BLOCK, n)
 
     def kernel(gen: np.random.Generator, take: int) -> np.ndarray:
         bucket = np.empty((min(rows, take), n), dtype=np.intp)
@@ -353,17 +334,11 @@ def _queue_kernel(laws: list[PoissonLaw], C: float, level: float) -> _Kernel:
             words = gen.integers(0, 1 << 64, size=(m, n), dtype=np.uint64)
             i, a = bucket[:m], arrivals[:m]
             np.right_shift(words, 64 - _GUIDE_BITS, out=i.view(np.uint64))
-            if len(distinct) > 1:
-                i += offset
-            np.take(guide, i, out=a)
+            np.take(law._guide, i, out=a)
             marked = np.flatnonzero(a < 0)
             if marked.size:
                 u = (np.take(words, marked) >> 11) * 2.0 ** -53
-                which = law_of[marked % n]
-                for j, law in enumerate(distinct):
-                    pick = which == j
-                    if pick.any():
-                        np.put(a, marked[pick], law.quantile(u[pick]))
+                np.put(a, marked, law.quantile(u))
             qm, pm = q[:m], peak[:m]
             qm.fill(0.0)
             pm.fill(0.0)
@@ -380,7 +355,7 @@ def _queue_kernel(laws: list[PoissonLaw], C: float, level: float) -> _Kernel:
 
 
 def simulate_queue_overflow_prob(
-    arrival_law,
+    arrival_law: PoissonLaw,
     C: float,
     b: float,
     n: int,
@@ -389,16 +364,17 @@ def simulate_queue_overflow_prob(
 ) -> EstimateWithCI:
     """Probability that the scaled workload maximum exceeds b in n steps.
 
-    arrival_law is a single PoissonLaw applied at every step or a
-    sequence of n laws. Each replication draws its uniforms as one
-    (paths, steps) block and maps them through the per-step quantile
-    tables, so a constant law and the equivalent per-step list produce
-    identical sample paths. Overflow is strict: max_k Q_k > n b.
+    Arrivals are iid draws of arrival_law, one per step. Each
+    replication draws its uniforms as one row of a (paths, steps) block
+    and maps them through the law's quantile table. Overflow is strict:
+    max_k Q_k > n b.
     """
+    if not isinstance(arrival_law, PoissonLaw):
+        raise TypeError("arrival_law must be a PoissonLaw")
     n = int(n)
     if n < 1:
         raise ValueError("horizon n must be at least 1")
-    kernel = _queue_kernel(_per_step_laws(arrival_law, n), float(C), n * float(b))
+    kernel = _queue_kernel(arrival_law, n, float(C), n * float(b))
     return _mean_ci(_stream(kernel, reps, _QUEUE_CHUNK, seed), reps, seed)
 
 
@@ -569,23 +545,6 @@ def _girsanov_kernel(drift: Callable[[np.ndarray], np.ndarray], grid: PathGrid) 
     return kernel
 
 
-def girsanov_log_lr_samples(
-    drift: Callable[[np.ndarray], np.ndarray],
-    grid: PathGrid,
-    n_paths: int,
-    seed: int = 0,
-) -> np.ndarray:
-    """Log likelihood ratio samples under the driftless nominal model.
-
-    drift maps an array of pre-step path values, one path per row, to the
-    drift at each of them. It is applied to row blocks of a few paths at
-    a time, and to the blocks of different chunks at once from helper
-    threads, so it must act on each row of its argument alone.
-    """
-    kernel = _girsanov_kernel(drift, grid)
-    return np.concatenate(list(_stream(kernel, n_paths, _path_chunk(grid), seed)))
-
-
 def girsanov_renyi_estimate(
     drift: Callable[[np.ndarray], np.ndarray],
     grid: PathGrid,
@@ -599,11 +558,13 @@ def girsanov_renyi_estimate(
     with a delta-method standard error from the second empirical moment
     of exp(alpha LLR). Orders very far from 1 need heavier tails than
     1e5 paths resolve; the studies stay at alpha <= 3 where the
-    estimator is well behaved for the drifts considered. drift is
-    applied to row blocks of paths, also from helper threads, as in
-    girsanov_log_lr_samples, so it must act on each row of its argument
-    alone. A moment that is infinite, as when every LLR is -inf, gives
-    se inf and the interval [-inf, inf].
+    estimator is well behaved for the drifts considered. drift maps an
+    array of pre-step path values, one path per row, to an array of the
+    same shape holding the drift at each of them. It is applied to row
+    blocks of a few paths at a time, and to the blocks of different
+    chunks at once from helper threads, so it must act on each row of its
+    argument alone. A moment that is infinite, as when every LLR is
+    -inf, gives se inf and the interval [-inf, inf].
     """
     alpha = check_alpha(alpha)
     n = _at_least_two(n_paths)

@@ -21,8 +21,7 @@ are certified numerically: the tilted optimizer must reproduce the left
 side to tolerance, and a simplex oracle (a regular grid in low
 dimension, Dirichlet sampling otherwise) must never beat it by more
 than a rounding allowance. The beta -> 0 and order -> 0 limits give the
-classical Kullback-Leibler dualities and the support functional, and
-small helpers check those limits directly.
+classical Kullback-Leibler dualities and the support functional.
 
 The oracle depends only on (dim, grid_step, oracle_samples, seed), so
 its candidates and their logs are built once, as read-only arrays, and
@@ -44,14 +43,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .divergences import kl_discrete, renyi_discrete, renyi_log_integral_rows
+from .divergences import renyi_discrete, renyi_log_integral_rows
 from .measures import (
     FiniteMeasure,
     FunctionLike,
     OrderParams,
     aligned_values,
     exp_tilt,
-    expectation,
     logsumexp,
     risk_sensitive,
 )
@@ -60,8 +58,6 @@ __all__ = [
     "IdentityReport",
     "inf_identity",
     "sup_identity",
-    "kl_limit_identities",
-    "alpha_zero_limit_check",
 ]
 
 EQUALITY_TOL = 1e-9
@@ -309,42 +305,3 @@ def sup_identity(
 ) -> IdentityReport:
     """Certify the supremum form at orders (beta, gamma)."""
     return _certify("supremum", nu, g, params, grid_step, oracle_samples, seed)
-
-
-def kl_limit_identities(nu: FiniteMeasure, g: FunctionLike) -> tuple[float, float]:
-    """Gaps of the two Kullback-Leibler limit dualities at their optimizers.
-
-    The infimum form degenerates to
-
-        int g d nu = min over theta of log int exp(g) d theta + KL(nu || theta)
-
-    at d theta* propto exp(-g) d nu, and the supremum form to the classical
-
-        log int exp(g) d nu = max over theta of int g d theta - KL(theta || nu)
-
-    at d theta* propto exp(+g) d nu. Returns the two absolute gaps.
-    """
-    values = aligned_values(nu, g)
-    t_inf = exp_tilt(nu, values, -1.0)
-    lhs_inf = expectation(nu, values)
-    rhs_inf = risk_sensitive(t_inf, values, 1.0) + kl_discrete(nu, t_inf)
-    t_sup = exp_tilt(nu, values, +1.0)
-    lhs_sup = risk_sensitive(nu, values, 1.0)
-    rhs_sup = expectation(t_sup, values) - kl_discrete(t_sup, nu)
-    return abs(lhs_inf - rhs_inf), abs(lhs_sup - rhs_sup)
-
-
-def alpha_zero_limit_check(
-    nu: FiniteMeasure, theta: FiniteMeasure, alpha: float = 1e-4
-) -> tuple[float, float]:
-    """Pair (alpha * R_alpha(nu || theta), -log theta(support of nu)).
-
-    As the order tends to zero the scaled divergence converges to the
-    negative log mass theta assigns to the support of nu; evaluating at
-    a small positive order exhibits the limit.
-    """
-    if not 0.0 < alpha < 1.0:
-        raise ValueError("the limit check needs a small order in (0, 1)")
-    value = alpha * renyi_discrete(nu, theta, alpha)
-    target = -math.log(theta.mass_of(nu.support_mask()))
-    return value, target

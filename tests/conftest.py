@@ -53,6 +53,18 @@ def payoff_values(draw, dim: int):
     return np.asarray(vals)
 
 
+def workload_peaks(arrivals: np.ndarray, C: float) -> np.ndarray:
+    """Peak workload of each row of arrivals by the max formula.
+
+    With S_k the sum of the first k arrivals, the reflected recursion's
+    peak is max over j <= k of S_k - S_j - C (k - j), with no recursion.
+    """
+    s = np.concatenate([np.zeros((len(arrivals), 1)), np.cumsum(arrivals, axis=1)], axis=1)
+    k = np.arange(s.shape[1])
+    rise = s[:, :, None] - s[:, None, :] - C * (k[:, None] - k[None, :])
+    return np.max(np.where(k[None, :] <= k[:, None], rise, -np.inf), axis=(1, 2))
+
+
 def _assert_script_runs_cli_entry() -> None:
     """pyproject.toml installs `renyibounds` as cli.entry, which __main__ calls."""
     try:

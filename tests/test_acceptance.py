@@ -15,6 +15,7 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
+from renyibounds import montecarlo as mc
 from renyibounds.applications.brownian import (
     BrownianModel,
     bm_bound_curves,
@@ -29,7 +30,6 @@ from renyibounds.applications.gaussian_study import (
     tightness_witness,
 )
 from renyibounds.applications.queueing import (
-    lindley_path,
     overflow_decay_rate,
     poisson_rate_ell,
     scaled_event_sandwich,
@@ -56,6 +56,8 @@ from renyibounds.montecarlo import (
     simulate_queue_overflow_prob,
 )
 from renyibounds.variational import inf_identity, sup_identity
+
+from conftest import workload_peaks
 
 _STD_NORMAL = GaussianParams(0.0, 1.0)
 
@@ -348,19 +350,20 @@ def test_c07_queue_study():
     if overflow_decay_rate(1.5, 5.0).branch != "edge":
         failures.append("(1.5, 5) should optimize at the horizon edge")
 
+    # the queue kernel's Lindley recursion against the max formula: the
+    # workload peak is max over j <= k of S_k - S_j - C (k - j). Arrivals are
+    # integers and C is dyadic, so both are exact float arithmetic, and every
+    # overflow indicator must match bit for bit, also where a peak ties the level
+    law, take = PoissonLaw(1.0), 500
     for i in range(20):
         n = int(rng.integers(1, 41))
-        x = rng.integers(0, 257, n).astype(float) / 64.0
         C = float(rng.integers(65, 193)) / 64.0
-        path = lindley_path(x, C)
-        s = np.concatenate([[0.0], np.cumsum(x)])
-        for k in range(1, n + 1):
-            j = np.arange(0, k + 1)
-            direct = np.max(np.maximum(s[k] - s[j] - C * (k - j), 0.0))
-            if path[k - 1] != direct:
-                failures.append(f"vector {i}: recursion and max formula "
-                                f"disagree at step {k}")
-                break
+        peak = workload_peaks(law.quantile(mc._rng(i, 0).random((take, n))), C)
+        for level in (0.0, *np.quantile(peak, [0.5, 0.9, 1.0], method="lower")):
+            over = mc._queue_kernel(law, n, C, float(level))(mc._rng(i, 0), take)
+            if not np.array_equal(over, peak > level):
+                failures.append(f"stream {i}: kernel and max formula disagree "
+                                f"at level {level!r}")
 
     alpha, n, b = 3.0, 50, 0.1
     d1 = renyi_poisson(PoissonParams(1.1), PoissonParams(1.0), alpha)

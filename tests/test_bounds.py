@@ -5,7 +5,7 @@ from __future__ import annotations
 import math
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from renyibounds.bounds import (
     BoundResult,
@@ -153,18 +153,27 @@ class TestEventBounds:
         with pytest.raises(ValueError):
             event_bounds(0.1, budget, 3.0, scale="percent")
 
+    @pytest.mark.filterwarnings("error")
     @given(
-        st.floats(1e-8, 1.0),
-        st.floats(0.0, 2.0),
-        st.floats(0.0, 2.0),
-        st.floats(2.0 + 1e-6, 60.0),
+        st.one_of(st.floats(0.0, 1.0), st.sampled_from([0.0, 5e-324, 1e-310, 1e-300, 1.0])),
+        st.one_of(st.floats(0.0, math.inf), st.sampled_from([0.0, 1e300, math.inf])),
+        st.one_of(st.floats(0.0, math.inf), st.sampled_from([0.0, 1e300, math.inf])),
+        st.one_of(st.floats(1.0, 1e300, exclude_min=True),
+                  st.sampled_from([1.0 + 2.0 ** -52, 2.0, 2.5, 60.0, 1e6, 1e300])),
+        st.sampled_from(["log", "probability"]),
     )
-    def test_sandwich_orders_correctly(self, p, d1, d2, alpha):
-        res = event_bounds(p, DivergenceBudget(d1, d2), alpha)
-        assert 0.0 <= res.lower <= res.upper <= 1.0
-        # the truth theta = nu satisfies both budgets, so p itself must
-        # always lie inside the sandwich
-        assert res.lower <= p <= res.upper + 1e-15
+    # at zero budgets and alpha = 1e300 the rounded exps land past p: the
+    # lower side above it in the first case, the upper side below it in the second
+    @example(1e-300, 0.0, 0.0, 1e300, "probability")
+    @example(6.70923777185644e-27, 0.0, 0.0, 1e300, "probability")
+    def test_sandwich_orders_correctly(self, p, d1, d2, alpha, scale):
+        res = event_bounds(p, DivergenceBudget(d1, d2), alpha, scale=scale)
+        assert not (math.isnan(res.lower) or math.isnan(res.upper))
+        assert res.lower <= res.upper
+        if scale == "probability":
+            # the truth theta = nu satisfies both budgets, so p itself must
+            # always lie inside the sandwich
+            assert 0.0 <= res.lower <= p <= res.upper <= 1.0
 
 
 def test_bound_result_is_frozen():

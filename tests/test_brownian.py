@@ -18,7 +18,6 @@ from renyibounds.applications.brownian import (
     laplace_h_drift,
     laplace_h_wiener,
     log_bm_exceedance_drift,
-    log_bm_exceedance_nominal,
 )
 
 mpmath.mp.dps = 40
@@ -51,10 +50,11 @@ class TestNominalExceedance:
             bm_exceedance_nominal(4.0 / math.sqrt(2.0), 1.0), rel=1e-13)
 
     def test_log_variant_far_tail(self):
+        # the log of the drifted probability at zero drift is the log of this one
         k = 40.0
         assert bm_exceedance_nominal(k) == 0.0  # underflows as a probability
         want = float(mpmath.log(mpmath.erfc(k / mpmath.sqrt(2))))
-        assert log_bm_exceedance_nominal(k) == pytest.approx(want, rel=1e-12)
+        assert log_bm_exceedance_drift(k, 0.0) == pytest.approx(want, rel=1e-12)
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -87,7 +87,12 @@ class TestDriftExceedance:
                  for mu in (-1.0, -0.3, 0.0, 0.3, 1.0)]
         assert all(a < b for a, b in zip(probs, probs[1:]))
 
+    @pytest.mark.filterwarnings("error")
     def test_log_variant(self):
+        # an infinite level is never reached, whatever the drift
+        for mu in (-1e300, -0.1, 0.0, 0.1, 1e300):
+            assert bm_exceedance_drift(math.inf, mu) == 0.0, mu
+            assert log_bm_exceedance_drift(math.inf, mu) == -math.inf, mu
         lg = log_bm_exceedance_drift(4.0, 0.1, 1.0)
         assert lg == pytest.approx(math.log(bm_exceedance_drift(4.0, 0.1, 1.0)),
                                    rel=1e-13)

@@ -1,5 +1,7 @@
-"""Every public export resolves, so a deletion cannot leave a stale name,
-and every import is used, so a deletion cannot leave a stale import."""
+"""Every public export resolves, so a deletion cannot leave a stale name;
+every import is used, so a deletion cannot leave a stale import; and
+every export is used by code that ships, so no public helper serves only
+the tests."""
 
 from __future__ import annotations
 
@@ -32,6 +34,13 @@ def test_all_names_resolve(name):
     assert [n for n in exported if not hasattr(module, n)] == []
 
 
+def _exported(tree: ast.Module) -> list[str]:
+    """The names in a module's __all__, if it sets one."""
+    return [name for node in tree.body if isinstance(node, ast.Assign)
+            and any(isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets)
+            for name in ast.literal_eval(node.value)]
+
+
 @pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.relative_to(PACKAGE).as_posix())
 def test_every_import_is_used(path):
     tree = ast.parse(path.read_text(encoding="utf-8"))
@@ -42,12 +51,7 @@ def test_every_import_is_used(path):
         elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
             imported.update(a.asname or a.name for a in node.names)
     used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
-    exported = set()
-    for node in tree.body:
-        if isinstance(node, ast.Assign) and any(
-                isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets):
-            exported.update(ast.literal_eval(node.value))
-    assert sorted(imported - used - exported) == []
+    assert sorted(imported - used - set(_exported(tree))) == []
 
 
 # what only the Monte Carlo engine may touch: the thread class and the CPU count
@@ -86,3 +90,29 @@ def test_cli_loads_no_optional_modules():
     proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
                           cwd=PACKAGE.parent, check=True)
     assert json.loads(proc.stderr.strip().splitlines()[-1]) == {"codes": [0, 0, 0], "modules": []}
+
+
+BENCHMARKS = Path(__file__).resolve().parent.parent / "benchmarks"
+# the north star names the Gaussian study, whose sides and witness only its
+# acceptance check and tests call
+STUDY_ONLY = {"gaussian_rs_sides", "tightness_witness"}
+# the alpha -> 1 and beta -> 0 limits of the divergence and of the
+# risk-sensitive value: library primitives the limit dualities are tested with
+LIMIT_PRIMITIVES = {"kl_discrete", "expectation"}
+
+
+def test_every_export_ships():
+    # a name in a submodule's __all__ must be loaded by code that ships: the
+    # package outside its __init__ re-exports, or the benchmark harness
+    assert BENCHMARKS.is_dir()
+    shipping = [p for p in SOURCES if p.name != "__init__.py"]
+    exported, loaded = {}, set()
+    for path in shipping + sorted(BENCHMARKS.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        loaded.update(node.id if isinstance(node, ast.Name) else node.attr
+                      for node in ast.walk(tree) if isinstance(node, (ast.Name, ast.Attribute))
+                      and isinstance(node.ctx, ast.Load))
+        if path in shipping:
+            exported.update(dict.fromkeys(_exported(tree), path.stem))
+    unshipped = set(exported) - loaded - STUDY_ONLY - LIMIT_PRIMITIVES
+    assert sorted(f"{exported[n]}.{n}" for n in unshipped) == []

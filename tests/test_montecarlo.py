@@ -25,7 +25,6 @@ from renyibounds.montecarlo import (
     PoissonLaw,
     argmax_laplace_estimate,
     bm_exceedance_estimate,
-    girsanov_log_lr_samples,
     girsanov_renyi_estimate,
     simulate_queue_overflow_prob,
 )
@@ -48,13 +47,13 @@ def _searchsorted_quantile(law, u):
     return np.minimum(idx, law._cdf.size - 1).astype(float)
 
 
-def _reference_queue_kernel(laws, C, level):
+def _reference_queue_kernel(law, n, C, level):
     """Queue kernel that draws a full chunk and searches the table per step."""
     def kernel(gen, take):
-        u = gen.random((mc._QUEUE_CHUNK, len(laws)))[:take]
+        u = gen.random((mc._QUEUE_CHUNK, n))[:take]
         q = np.zeros(take)
         peak = np.zeros(take)
-        for k, law in enumerate(laws):
+        for k in range(n):
             q = np.maximum(q + _searchsorted_quantile(law, u[:, k]) - C, 0.0)
             np.maximum(peak, q, out=peak)
         return peak > level
@@ -122,6 +121,12 @@ def _argmax_samples(gamma, mu, horizon, n, chunk, seed):
     return np.concatenate(list(mc._stream(kernel, n, chunk, seed)))
 
 
+def _girsanov_samples(drift, grid, n, seed=0):
+    """The per-path log likelihood ratios that girsanov_renyi_estimate reduces."""
+    kernel = mc._girsanov_kernel(drift, grid)
+    return np.concatenate(list(mc._stream(kernel, n, mc._path_chunk(grid), seed)))
+
+
 def _reference_girsanov_kernel(drift, grid):
     """Whole-chunk Girsanov kernel that the row-block kernel must reproduce."""
     dt = grid.dt
@@ -146,20 +151,19 @@ def _row_blocks_and_reference(monkeypatch, factory, reference, call):
     return got, want
 
 
-# (budget, rates, C, b, reps, rows): _QUEUE_BLOCK (None keeps it), the
-# per-step arrival rates, C, b, the replications and the rows per block
+# (budget, rate, n, C, b, reps, rows): _QUEUE_BLOCK (None keeps it), the
+# arrival rate, the steps, C, b, the replications and the rows per block
 _QUEUE_BLOCK_CASES = [
     # a chunk that is not a multiple of the block rows, then a remainder
     # below one block; at rate log 2, P(0) = 1/2 lies on a bucket edge
-    pytest.param(None, [math.log(2.0)] * 50, 1.0, 0.05, mc._QUEUE_CHUNK + 1000, 2621,
+    pytest.param(None, math.log(2.0), 50, 1.0, 0.05, mc._QUEUE_CHUNK + 1000, 2621,
                  id="remainder-log2"),
     # one step: a block holds more rows than a chunk
-    pytest.param(None, [1.0], 1.5, 0.25, 5000, 1 << 17, id="one-step"),
+    pytest.param(None, 1.0, 1, 1.5, 0.25, 5000, 1 << 17, id="one-step"),
     # more steps than a block holds: one row per block
-    pytest.param(32, [1.0] * 50, 1.5, 0.1, 300, 1, id="one-row"),
-    # per-step laws, two of them at rate log 2, 61 whole blocks and 14 rows
-    pytest.param(1000, [math.log(2.0), *np.linspace(0.05, 30.0, 48), math.log(2.0)],
-                 24.5, 0.4, 1234, 20, id="per-step"),
+    pytest.param(32, 1.0, 50, 1.5, 0.1, 300, 1, id="one-row"),
+    # the largest rate and its long table, 61 whole blocks and 14 rows
+    pytest.param(1000, 30.0, 50, 30.5, 0.4, 1234, 20, id="rate30-blocks"),
 ]
 
 
@@ -187,15 +191,15 @@ class TestDeterminism:
 
 class TestPrefixProperty:
     def test_within_one_chunk(self):
-        short = girsanov_log_lr_samples(_tanh_drift(0.2), _GRID64, 500, seed=1)
-        long = girsanov_log_lr_samples(_tanh_drift(0.2), _GRID64, 900, seed=1)
+        short = _girsanov_samples(_tanh_drift(0.2), _GRID64, 500, seed=1)
+        long = _girsanov_samples(_tanh_drift(0.2), _GRID64, 900, seed=1)
         assert np.array_equal(long[:500], short)
 
     def test_across_chunk_boundary(self):
         # chunk size for 64-step paths is 2^21 / 64 = 32768; growing the
         # sample count must only append, even through the boundary
-        short = girsanov_log_lr_samples(_tanh_drift(0.2), _GRID64, 33000, seed=1)
-        long = girsanov_log_lr_samples(_tanh_drift(0.2), _GRID64, 40000, seed=1)
+        short = _girsanov_samples(_tanh_drift(0.2), _GRID64, 33000, seed=1)
+        long = _girsanov_samples(_tanh_drift(0.2), _GRID64, 40000, seed=1)
         assert np.array_equal(long[:33000], short)
 
     def test_argmax_samples_prefix(self, monkeypatch):
@@ -310,7 +314,7 @@ class TestEstimatesReduceSamples:
 
     def test_girsanov(self):
         alpha = 2.5
-        llr = girsanov_log_lr_samples(_tanh_drift(0.3), _GRID64, self.N, seed=4)
+        llr = _girsanov_samples(_tanh_drift(0.3), _GRID64, self.N, seed=4)
         est = girsanov_renyi_estimate(_tanh_drift(0.3), _GRID64, alpha, self.N, seed=4)
         scale = alpha * (alpha - 1.0)
         want = (logsumexp(alpha * llr) - math.log(self.N)) / scale
@@ -400,28 +404,22 @@ class TestQueueSimulation:
         assert abs(est.mean - exact) <= 4.0 * est.std_error
         assert est.std_error > 0.0
 
-    def test_single_law_equals_per_step_list(self):
-        law = PoissonLaw(1.2)
-        a = simulate_queue_overflow_prob(law, 2.0, 0.3, 5, 20_000, seed=3)
-        b = simulate_queue_overflow_prob([law] * 5, 2.0, 0.3, 5, 20_000, seed=3)
-        assert a.mean == b.mean
-
-    @pytest.mark.parametrize("laws, C, b", [
-        ([PoissonLaw(1.0)] * 50, 2.25, 0.05),
-        ([PoissonLaw(r) for r in np.linspace(0.05, 30.0, 50)], 24.5, 0.4),
-    ], ids=["constant", "per-step"])
-    def test_matches_reference_kernel(self, laws, C, b):
+    @pytest.mark.parametrize("rate, C, b", [
+        (1.0, 2.25, 0.05),
+        (30.0, 30.5, 0.4),
+    ], ids=["constant", "rate30"])
+    def test_matches_reference_kernel(self, rate, C, b):
         # two chunks, the second a 1000-row prefix of its stream
-        reps, seed = mc._QUEUE_CHUNK + 1000, 11
-        level = len(laws) * b
-        kernel = mc._queue_kernel(laws, C, level)
-        reference = _reference_queue_kernel(laws, C, level)
+        reps, seed, n = mc._QUEUE_CHUNK + 1000, 11, 50
+        law, level = PoissonLaw(rate), n * b
+        kernel = mc._queue_kernel(law, n, C, level)
+        reference = _reference_queue_kernel(law, n, C, level)
         got = list(mc._stream(kernel, reps, mc._QUEUE_CHUNK, seed))
         want = list(mc._stream(reference, reps, mc._QUEUE_CHUNK, seed))
         assert [g.size for g in got] == [mc._QUEUE_CHUNK, 1000]
         for g, w in zip(got, want):
             assert np.array_equal(g, w)
-        est = simulate_queue_overflow_prob(laws, C, b, len(laws), reps, seed=seed)
+        est = simulate_queue_overflow_prob(law, C, b, n, reps, seed=seed)
         assert 0.0 < est.mean < 1.0
         assert est == mc._mean_ci(iter(want), reps, seed)
 
@@ -437,15 +435,15 @@ class TestQueueSimulation:
         # so the guide bucket floor(u * 4096) is the top 12 bits of the word
         assert np.array_equal(words >> 52, np.floor(uniforms * 4096.0).astype(np.uint64))
 
-    @pytest.mark.parametrize("budget, rates, C, b, reps, rows", _QUEUE_BLOCK_CASES)
-    def test_row_blocks_match_reference(self, monkeypatch, budget, rates, C, b, reps, rows):
+    @pytest.mark.parametrize("budget, rate, n, C, b, reps, rows", _QUEUE_BLOCK_CASES)
+    def test_row_blocks_match_reference(self, monkeypatch, budget, rate, n, C, b, reps, rows):
         if budget is not None:
             monkeypatch.setattr(mc, "_QUEUE_BLOCK", budget)
-        laws = [PoissonLaw(r) for r in rates]
-        assert mc._rows(mc._QUEUE_BLOCK, len(laws)) == rows
-        seed, level = 5, len(laws) * b
-        got = list(mc._stream(mc._queue_kernel(laws, C, level), reps, mc._QUEUE_CHUNK, seed))
-        want = list(mc._stream(_reference_queue_kernel(laws, C, level), reps,
+        law = PoissonLaw(rate)
+        assert mc._rows(mc._QUEUE_BLOCK, n) == rows
+        seed, level = 5, n * b
+        got = list(mc._stream(mc._queue_kernel(law, n, C, level), reps, mc._QUEUE_CHUNK, seed))
+        want = list(mc._stream(_reference_queue_kernel(law, n, C, level), reps,
                                mc._QUEUE_CHUNK, seed))
         assert len(got) == len(want)
         for g, w in zip(got, want):
@@ -460,17 +458,16 @@ class TestQueueSimulation:
         monkeypatch.setattr(PoissonLaw, "quantile",
                             lambda self, u: searched.append(u.size) or quantile(self, u))
         gen = mc._rng(2, 0)
-        mc._queue_kernel([law] * 50, 1.0, 2.5)(gen, 2600)
+        mc._queue_kernel(law, 50, 1.0, 2.5)(gen, 2600)
         words = mc._rng(2, 0).integers(0, 2**64, size=(2600, 50), dtype=np.uint64)
         assert searched == [int(np.sum(law._guide[words >> 52] < 0))]
         assert 0 < searched[0] < 2600 * 50 / 100
 
     def test_validation(self):
         law = PoissonLaw(1.0)
-        with pytest.raises(ValueError):
-            simulate_queue_overflow_prob([law] * 3, 2.0, 0.5, 2, 100)
-        with pytest.raises(TypeError):
-            simulate_queue_overflow_prob([law, object()], 2.0, 0.5, 2, 100)
+        for bad in ([law] * 2, object(), 1.0):
+            with pytest.raises(TypeError):
+                simulate_queue_overflow_prob(bad, 2.0, 0.5, 2, 100)
         with pytest.raises(ValueError):
             simulate_queue_overflow_prob(law, 2.0, 0.5, 2, 1)
         with pytest.raises(ValueError):
@@ -634,12 +631,12 @@ class TestGirsanov:
         # a constant drift m gives LLR = m B_1 - m^2/2 on every path, so
         # two drifts at one seed must recover the same endpoint B_1
         grid = PathGrid(n_steps=128)
-        a = girsanov_log_lr_samples(_const_drift(0.4), grid, 500, seed=5)
-        b = girsanov_log_lr_samples(_const_drift(-1.3), grid, 500, seed=5)
+        a = _girsanov_samples(_const_drift(0.4), grid, 500, seed=5)
+        b = _girsanov_samples(_const_drift(-1.3), grid, 500, seed=5)
         assert a / 0.4 + 0.2 == pytest.approx(b / -1.3 - 0.65, rel=1e-12)
 
     def test_likelihood_ratio_is_martingale(self):
-        llr = girsanov_log_lr_samples(_tanh_drift(0.5), _GRID64, 100_000, seed=0)
+        llr = _girsanov_samples(_tanh_drift(0.5), _GRID64, 100_000, seed=0)
         w = np.exp(llr)
         se = w.std(ddof=1) / math.sqrt(w.size)
         assert abs(w.mean() - 1.0) <= 3.0 * se
@@ -666,7 +663,7 @@ class TestGirsanov:
 
     def test_drift_shape_check(self):
         with pytest.raises(ValueError):
-            girsanov_log_lr_samples(lambda x: np.zeros(3), _GRID64, 10)
+            _girsanov_samples(lambda x: np.zeros(3), _GRID64, 10)
 
 
 # Grids run to t = 1.5, so dt is not a power of two and any change in the
@@ -756,7 +753,7 @@ class TestRowBlocksMatchWholeChunks:
         seed = 3000 + n_steps
 
         def call():
-            return (girsanov_log_lr_samples(drift, grid, n_paths, seed=seed),
+            return (_girsanov_samples(drift, grid, n_paths, seed=seed),
                     girsanov_renyi_estimate(drift, grid, 2.5, n_paths, seed=seed))
         got, want = _row_blocks_and_reference(
             monkeypatch, "_girsanov_kernel", _reference_girsanov_kernel, call)
@@ -772,7 +769,7 @@ class TestRowBlocksMatchWholeChunks:
 
         got, want = _row_blocks_and_reference(
             monkeypatch, "_girsanov_kernel", _reference_girsanov_kernel,
-            lambda: girsanov_log_lr_samples(clobber, PathGrid(256), 700, seed=4))
+            lambda: _girsanov_samples(clobber, PathGrid(256), 700, seed=4))
         _assert_same_bits(got, want)
 
 
@@ -786,15 +783,15 @@ def _path_outputs(grid, n_paths, seed):
     drift = _tanh_drift(-2.0)
     return out + [
         repr(argmax_laplace_estimate(1.5, 0.3, grid, n_paths, seed=seed).to_json_dict()),
-        girsanov_log_lr_samples(drift, grid, n_paths, seed=seed).tobytes(),
+        _girsanov_samples(drift, grid, n_paths, seed=seed).tobytes(),
         repr(girsanov_renyi_estimate(drift, grid, 2.5, n_paths, seed=seed).to_json_dict()),
     ]
 
 
-def _queue_outputs(laws, C, b, reps, seed):
-    kernel = mc._queue_kernel(laws, C, len(laws) * b)
+def _queue_outputs(law, n, C, b, reps, seed):
+    kernel = mc._queue_kernel(law, n, C, n * b)
     chunks = [c.tobytes() for c in mc._stream(kernel, reps, mc._QUEUE_CHUNK, seed)]
-    est = simulate_queue_overflow_prob(laws, C, b, len(laws), reps, seed=seed)
+    est = simulate_queue_overflow_prob(law, C, b, n, reps, seed=seed)
     return chunks + [repr(est.to_json_dict())]
 
 
@@ -816,16 +813,16 @@ class TestChunksOnThreads:
         assert _path_outputs(grid, n_paths, seed) == want
 
     @pytest.mark.parametrize("workers", [1, 2, 3])
-    @pytest.mark.parametrize("budget, rates, C, b, reps, rows", _QUEUE_BLOCK_CASES)
-    def test_queue_kernel_matches_serial(self, monkeypatch, workers, budget, rates, C, b,
+    @pytest.mark.parametrize("budget, rate, n, C, b, reps, rows", _QUEUE_BLOCK_CASES)
+    def test_queue_kernel_matches_serial(self, monkeypatch, workers, budget, rate, n, C, b,
                                          reps, rows):
         if budget is not None:
             monkeypatch.setattr(mc, "_QUEUE_BLOCK", budget)
-        laws = [PoissonLaw(r) for r in rates]
+        law = PoissonLaw(rate)
         monkeypatch.setattr(mc, "_WORKERS", 1)
-        want = _queue_outputs(laws, C, b, reps, seed=6)
+        want = _queue_outputs(law, n, C, b, reps, seed=6)
         monkeypatch.setattr(mc, "_WORKERS", workers)
-        assert _queue_outputs(laws, C, b, reps, seed=6) == want
+        assert _queue_outputs(law, n, C, b, reps, seed=6) == want
 
     @pytest.mark.parametrize("workers", [1, 2, 3])
     def test_generators_are_made_on_the_calling_thread(self, monkeypatch, workers):
@@ -893,7 +890,7 @@ class TestChunksOnThreads:
         monkeypatch.setattr(mc, "_WORKERS", workers)
         n_paths = mc._path_chunk(_GRID64) + 100
         before = threading.active_count()
-        for call in (lambda: girsanov_log_lr_samples(drift, _GRID64, n_paths),
+        for call in (lambda: _girsanov_samples(drift, _GRID64, n_paths),
                      lambda: girsanov_renyi_estimate(drift, _GRID64, 2.0, n_paths)):
             with pytest.raises(ValueError, match="^drift must map a path array"):
                 call()

@@ -10,9 +10,9 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from renyibounds import montecarlo as mc
 from renyibounds.applications.queueing import (
     QueueModel,
-    lindley_path,
     overflow_decay_rate,
     poisson_rate_ell,
     scaled_event_sandwich,
@@ -20,6 +20,8 @@ from renyibounds.applications.queueing import (
 from renyibounds.bounds import event_bounds
 from renyibounds.divergences import DivergenceBudget, PoissonParams, renyi_poisson
 from renyibounds.montecarlo import PoissonLaw, simulate_queue_overflow_prob
+
+from conftest import workload_peaks
 
 
 def _grid_rate(C: float, b: float, step: float = 1e-5, t_max: float = 60.0) -> float:
@@ -198,36 +200,18 @@ class TestDecayRate:
 
 
 class TestLindley:
-    def test_single_step(self):
-        assert np.array_equal(lindley_path([3.0], 2.0), [1.0])
-        assert np.array_equal(lindley_path([3.0, 0.0], 2.0), [1.0, 0.0])
-
-    def test_path_example(self):
-        path = lindley_path([3.0, 0.0, 5.0, 0.0], 2.0)
-        assert np.array_equal(path, [1.0, 0.0, 3.0, 1.0])
-
-    @given(st.lists(st.integers(0, 256), min_size=1, max_size=40),
-           st.integers(65, 192))
-    def test_recursion_matches_max_formula(self, arrivals64, c64):
-        # on dyadic rationals both the recursion and the closed form
-        #   Q_k = max_{0 <= j <= k} (S_k - S_j - C (k - j))_+
-        # are exact float arithmetic, so the match must be bit for bit
-        x = np.asarray(arrivals64, dtype=float) / 64.0
-        C = c64 / 64.0
-        path = lindley_path(x, C)
-        s = np.concatenate([[0.0], np.cumsum(x)])
-        for k in range(1, x.size + 1):
-            j = np.arange(0, k + 1)
-            direct = np.max(np.maximum(s[k] - s[j] - C * (k - j), 0.0))
-            assert path[k - 1] == direct
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            lindley_path([], 2.0)
-        with pytest.raises(ValueError):
-            lindley_path([1.0, -1.0], 2.0)
-        with pytest.raises(ValueError):
-            lindley_path([[1.0]], 2.0)
+    @given(st.integers(1, 40), st.integers(65, 192), st.integers(0, 2**32 - 1),
+           st.sampled_from([math.log(2.0), 1.0, 7.5]))
+    def test_recursion_matches_max_formula(self, n, c64, seed, rate):
+        # the queue kernel's Lindley recursion against the max formula: the
+        # arrivals are integers and C is dyadic, so both are exact float
+        # arithmetic and every overflow indicator must match bit for bit,
+        # also where a peak ties the level
+        law, C, take = PoissonLaw(rate), c64 / 64.0, 300
+        peak = workload_peaks(law.quantile(mc._rng(seed, 0).random((take, n))), C)
+        for level in (0.0, *np.quantile(peak, [0.5, 1.0], method="lower")):
+            over = mc._queue_kernel(law, n, C, float(level))(mc._rng(seed, 0), take)
+            assert np.array_equal(over, peak > level), level
 
 
 class TestOverflowEvent:
@@ -240,9 +224,12 @@ class TestOverflowEvent:
         assert est.mean < (1.0 - 2.0 / math.e) - 20.0 * est.std_error
 
     def test_length_check(self):
-        # one arrival law per step: two laws cannot drive three steps
+        # the horizon holds at least one step, and every step draws from the
+        # one law: a sequence of laws is refused
         with pytest.raises(ValueError):
-            simulate_queue_overflow_prob([PoissonLaw(1.0)] * 2, 2.0, 1.0, 3, 100)
+            simulate_queue_overflow_prob(PoissonLaw(1.0), 2.0, 1.0, 0, 100)
+        with pytest.raises(TypeError):
+            simulate_queue_overflow_prob([PoissonLaw(1.0)] * 3, 2.0, 1.0, 3, 100)
 
 
 class TestScaledSandwich:

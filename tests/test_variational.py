@@ -13,12 +13,13 @@ import pytest
 from hypothesis import given, strategies as st
 
 from renyibounds import variational
-from renyibounds.divergences import renyi_discrete
+from renyibounds.divergences import kl_discrete, renyi_discrete
 from renyibounds.measures import (
     FiniteMeasure,
     OrderParams,
     aligned_values,
     exp_tilt,
+    expectation,
     logsumexp,
     risk_sensitive,
 )
@@ -28,9 +29,7 @@ from renyibounds.variational import (
     _candidates,
     _grid_simplex,
     _rhs_values,
-    alpha_zero_limit_check,
     inf_identity,
-    kl_limit_identities,
     sup_identity,
 )
 
@@ -500,37 +499,57 @@ class TestRandomInstances:
         assert rep.passes()
 
 
+def _kl_limit_gaps(nu, g):
+    """Gaps of the two beta -> 0 limits at their tilted optimizers.
+
+    The infimum form becomes int g d nu = min over theta of
+    log int e^g d theta + KL(nu || theta), at theta* propto e^{-g} nu, and
+    the supremum form the classical log int e^g d nu = max over theta of
+    int g d theta - KL(theta || nu), at theta* propto e^{+g} nu.
+    """
+    t_inf, t_sup = exp_tilt(nu, g, -1.0), exp_tilt(nu, g, 1.0)
+    gap_inf = expectation(nu, g) - risk_sensitive(t_inf, g, 1.0) - kl_discrete(nu, t_inf)
+    gap_sup = risk_sensitive(nu, g, 1.0) - expectation(t_sup, g) + kl_discrete(t_sup, nu)
+    return abs(gap_inf), abs(gap_sup)
+
+
+def _alpha_zero_limit(nu, theta, alpha=1e-4):
+    """alpha R_alpha(nu || theta) at a small order, and its limit -log theta(supp nu)."""
+    return alpha * renyi_discrete(nu, theta, alpha), -math.log(theta.mass_of(nu.support_mask()))
+
+
 class TestLimits:
     def test_kl_limit_worked(self):
         nu = FiniteMeasure.from_probs(["a", "b"], [0.5, 0.5])
-        gaps = kl_limit_identities(nu, np.array([0.0, 1.0]))
+        gaps = _kl_limit_gaps(nu, np.array([0.0, 1.0]))
         assert gaps[0] <= 1e-12
         assert gaps[1] <= 1e-12
 
     @given(finite_measures())
     def test_kl_limit_random(self, nu):
         g = np.linspace(-2.0, 1.0, nu.dim)
-        gi, gs = kl_limit_identities(nu, g)
+        gi, gs = _kl_limit_gaps(nu, g)
         assert gi <= 1e-10
         assert gs <= 1e-10
 
     def test_alpha_zero_limit(self):
         nu = measure_from_weights([1, 0])
         theta = measure_from_weights([1, 1])
-        value, target = alpha_zero_limit_check(nu, theta)
+        value, target = _alpha_zero_limit(nu, theta)
         assert target == pytest.approx(math.log(2.0), rel=1e-15)
         assert value == pytest.approx(target, abs=1e-3)
 
     def test_alpha_zero_limit_partial_overlap(self):
         nu = measure_from_weights([2, 3, 0, 0])
         theta = measure_from_weights([1, 1, 1, 1])
-        value, target = alpha_zero_limit_check(nu, theta)
+        value, target = _alpha_zero_limit(nu, theta)
         assert target == pytest.approx(math.log(2.0), rel=1e-15)
         assert value == pytest.approx(target, abs=1e-3)
 
     def test_alpha_zero_limit_validation(self):
+        # the limit is approached, never taken: order 0 and orders within
+        # 1e-8 of it are refused
         nu = measure_from_weights([1, 1])
-        with pytest.raises(ValueError):
-            alpha_zero_limit_check(nu, nu, alpha=0.0)
-        with pytest.raises(ValueError):
-            alpha_zero_limit_check(nu, nu, alpha=1.5)
+        for alpha in (0.0, 1e-9, -1e-9):
+            with pytest.raises(ValueError):
+                renyi_discrete(nu, nu, alpha)
