@@ -279,6 +279,23 @@ def _queue_budgets(args) -> tuple[float, float]:
     return float(d1), float(d2)
 
 
+def _nominal_interval(est) -> tuple[float, float]:
+    """The nominal probability's 95% interval in [0, 1], for the sandwich.
+
+    With zero hits the Wald interval is [0, 0], and a bound built on it
+    claims the probability is 0. There the upper end is the exact
+    Clopper-Pearson limit 1 - 0.025^(1/n) instead, and with all hits the
+    lower end is 0.025^(1/n). The reported estimate keeps its Wald interval.
+    """
+    p_lo = min(max(est.ci95[0], 0.0), 1.0)
+    p_hi = min(max(est.ci95[1], 0.0), 1.0)
+    if est.mean == 0.0:
+        p_hi = -math.expm1(math.log(0.025) / est.n_samples)
+    elif est.mean == 1.0:
+        p_lo = 0.025 ** (1.0 / est.n_samples)
+    return p_lo, p_hi
+
+
 def cmd_queue(args) -> int:
     rate = overflow_decay_rate(args.C, args.b)
     report = {
@@ -291,8 +308,7 @@ def cmd_queue(args) -> int:
         nominal = simulate_queue_overflow_prob(
             PoissonLaw(args.nominal_rate), args.C, args.b, args.n, args.reps, seed=args.seed
         )
-        p_lo = min(max(nominal.ci95[0], 0.0), 1.0)
-        p_hi = min(max(nominal.ci95[1], 0.0), 1.0)
+        p_lo, p_hi = _nominal_interval(nominal)
         lower = scaled_event_sandwich(p_lo, args.n, args.alpha, d1, d2).lower
         upper = scaled_event_sandwich(p_hi, args.n, args.alpha, d1, d2).upper
         report.update({

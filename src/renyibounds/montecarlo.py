@@ -17,14 +17,16 @@ Each chunk has its own stream, so chunks are independent and the engine
 computes ``_WORKERS`` of them at once, one per usable CPU (the process's
 CPU affinity where the platform reports it): the calling thread runs
 the first, short-lived helper threads the others, and numpy's fills and
-ufuncs release the interpreter lock while they work. Every generator
-is still made on the calling thread, and the chunks are yielded in
-stream order, so every sample and every reduction is bitwise the same
-at any worker count. The count is derived, never configured: no
-parameter or environment variable sets it, and the threading variables
-of BLAS or OpenMP do not apply to these Python threads. A kernel's
-exception is raised where its chunk would have been yielded, after
-every helper has been joined.
+ufuncs release the interpreter lock while they work. Every chunk's
+generator is made on the calling thread, and a kernel derives any
+further stream from its chunk's generator alone (the queue kernel's
+refinement stream, on whichever thread runs the chunk). The chunks are
+yielded in stream order, so every sample and every reduction is
+bitwise the same at any worker count. The count is derived, never
+configured: no parameter or environment variable sets it, and the
+threading variables of BLAS or OpenMP do not apply to these Python
+threads. A kernel's exception is raised where its chunk would have
+been yielded, after every helper has been joined.
 
 The block budgets below are per thread, so that the threads together
 hold about what one did. The skeleton crossing and Girsanov kernels
@@ -42,15 +44,24 @@ row is scaled, summed and reduced in the same order as a whole chunk
 would be.
 
 The queue kernel walks its chunk the same way, in blocks of
-``_QUEUE_BLOCK`` draws, and draws each block as the 64-bit Philox words
-themselves. A word and its uniform are one value:
-``gen.random()`` returns ``(word >> 11) * 2**-53`` for the word that
-``gen.integers(0, 2**64, dtype=np.uint64)`` returns, and both leave the
-generator in the same state. So the guide bucket of a uniform is the
-top 12 bits of its word, and the arrivals of a block come from one
-gather in a small integer table. Only the few uniforms in marked
-buckets are rebuilt from their words, exactly, and searched. Each
-column then takes the Lindley step in the order of a whole chunk.
+``_QUEUE_BLOCK`` draws, and each draw is a 16-bit lane of a 64-bit
+Philox word. Lane j of a word w is ``(w >> 16 j) & 0xffff`` on every
+platform, whatever its byte order, and the lanes of a chunk's words
+fill its rows in row-major order: a chunk of take rows draws
+``ceil(take * n / 4)`` words and drops the lanes past its last row,
+and a word whose lanes span two row blocks is drawn once and its lanes
+carried. A lane's top 12 bits are the guide bucket of its arrival, so
+the arrivals of a block come from one gather in a small integer table.
+Only a lane in a marked bucket needs more bits: it takes the next word
+r of the chunk's refinement stream, in row-major order of the marked
+lanes, and is searched as the uniform
+``((lane << 37) | (r >> 27)) * 2**-53``. Those are 53 uniform bits, on
+the grid of ``gen.random()``'s ``(word >> 11) * 2**-53``, so every
+arrival has the law of inversion from one whole uniform, from a
+quarter of the words. The refinement stream is the chunk's generator
+jumped ahead (``bit_generator.jumped()``) from its first state, far
+past any word the chunk draws. Each column then takes the Lindley
+step in the order of a whole chunk.
 
 The kernels cover the three studies: queue overflow under iid
 arrivals, Brownian level crossing (exactly, from the end value and the
@@ -89,6 +100,8 @@ _QUEUE_CHUNK = 1 << 16
 _QUEUE_BLOCK = 1 << 17
 _GUIDE_BITS = 12
 _GUIDE_BUCKETS = 1 << _GUIDE_BITS
+_LANE_BITS = 16
+_LANES = 64 // _LANE_BITS
 _PATH_DRAW_BUDGET = 1 << 21
 _PATH_BLOCK = 1 << 14
 _EXACT_CHUNK = 1 << 16
@@ -269,13 +282,14 @@ class PoissonLaw:
     in [0, 1) the answer is therefore the count of entries <= u.
     [0, 1) is cut into _GUIDE_BUCKETS equal buckets; their number is a
     power of two, so u * _GUIDE_BUCKETS and each edge j / _GUIDE_BUCKETS
-    are exact, and the bucket of a uniform u = (word >> 11) 2^-53 drawn
-    from a 64-bit word is the word's top 12 bits. The count is the same
-    for every u in bucket j, and the int16 guide stores it, unless an
-    entry lies strictly inside the bucket. Such buckets are marked -1
-    and fall back to the binary search, as does every u outside [0, 1),
-    nan included, through a last marked slot. For rate 1, 7 of the
-    4096 buckets are marked.
+    are exact, and the bucket of a uniform whose top 16 bits are a
+    16-bit lane, as the queue kernel forms it, is the lane's top 12
+    bits. The count is the same for every u in bucket j, and the int16
+    guide stores it, unless an entry lies strictly inside the bucket.
+    Such buckets are marked -1 and fall back to the binary search, as
+    does every u outside [0, 1), nan included, through a last marked
+    slot; only there does the queue kernel need a lane's other bits.
+    For rate 1, 7 of the 4096 buckets are marked.
     """
 
     __slots__ = ("rate", "_cdf", "_guide")
@@ -319,26 +333,49 @@ class PoissonLaw:
         return f"PoissonLaw(rate={self.rate!r})"
 
 
+def _lanes(words: np.ndarray) -> np.ndarray:
+    """The 16-bit lanes of 64-bit words, four a word: lane j of w is (w >> 16 j) & 0xffff.
+
+    Read through a little-endian view, so the lanes do not depend on the
+    platform's byte order.
+    """
+    return words.astype("<u8", copy=False).view("<u2")
+
+
 def _queue_kernel(law: PoissonLaw, n: int, C: float, level: float) -> _Kernel:
     rows = _rows(_QUEUE_BLOCK, n)
+    # the guide entry of every lane: its bucket is the lane's top 12 bits
+    lane_guide = law._guide[np.arange(1 << _LANE_BITS) >> (_LANE_BITS - _GUIDE_BITS)]
 
     def kernel(gen: np.random.Generator, take: int) -> np.ndarray:
-        bucket = np.empty((min(rows, take), n), dtype=np.intp)
-        arrivals = np.empty(bucket.shape, dtype=np.int16)
-        q, peak = np.empty(len(bucket)), np.empty(len(bucket))
+        # the refinement stream starts from the chunk's first state, jumped
+        refine = np.random.Generator(gen.bit_generator.jumped())
+        block = min(rows, take)
+        lane = np.empty(block * n + _LANES - 1, dtype=np.intp)
+        arrivals = np.empty(block * n, dtype=np.int16)
+        q, peak = np.empty(block), np.empty(block)
         over = np.empty(take, dtype=bool)
+        held = 0  # lanes of the last word drawn that the next rows start with
         for lo in range(0, take, rows):
             m = min(rows, take - lo)
-            # the words behind gen.random((m, n)), which is (word >> 11) 2^-53,
-            # so the bucket floor(u * 4096) of a uniform is its word's top 12 bits
-            words = gen.integers(0, 1 << 64, size=(m, n), dtype=np.uint64)
-            i, a = bucket[:m], arrivals[:m]
-            np.right_shift(words, 64 - _GUIDE_BITS, out=i.view(np.uint64))
-            np.take(law._guide, i, out=a)
+            size = m * n
+            words = gen.integers(0, 1 << 64, size=-(-(size - held) // _LANES),
+                                 dtype=np.uint64)
+            end = held + _LANES * words.size
+            lane[held:end] = _lanes(words)
+            lanes, a = lane[:size], arrivals[:size]
+            np.take(lane_guide, lanes, out=a)
             marked = np.flatnonzero(a < 0)
             if marked.size:
-                u = (np.take(words, marked) >> 11) * 2.0 ** -53
-                np.put(a, marked, law.quantile(u))
+                # the lane's 16 bits, then 37 of a refinement word: a
+                # 53-bit uniform on the grid of (word >> 11) 2^-53
+                low = refine.integers(0, 1 << 64, size=marked.size, dtype=np.uint64)
+                u = np.take(lanes, marked).astype(np.uint64) << (53 - _LANE_BITS)
+                u |= low >> (11 + _LANE_BITS)
+                np.put(a, marked, law.quantile(u * 2.0 ** -53))
+            held = end - size
+            lane[:held] = lane[size:end]
+            a = a.reshape(m, n)
             qm, pm = q[:m], peak[:m]
             qm.fill(0.0)
             pm.fill(0.0)
@@ -365,9 +402,10 @@ def simulate_queue_overflow_prob(
     """Probability that the scaled workload maximum exceeds b in n steps.
 
     Arrivals are iid draws of arrival_law, one per step. Each
-    replication draws its uniforms as one row of a (paths, steps) block
-    and maps them through the law's quantile table. Overflow is strict:
-    max_k Q_k > n b.
+    replication takes one row of 16-bit lanes, four to a Philox word,
+    and maps each lane through the law's guide table, refined to a
+    53-bit uniform where its bucket is marked, so every arrival is the
+    law's quantile of a uniform. Overflow is strict: max_k Q_k > n b.
     """
     if not isinstance(arrival_law, PoissonLaw):
         raise TypeError("arrival_law must be a PoissonLaw")

@@ -65,6 +65,30 @@ def workload_peaks(arrivals: np.ndarray, C: float) -> np.ndarray:
     return np.max(np.where(k[None, :] <= k[:, None], rise, -np.inf), axis=(1, 2))
 
 
+def lane_uniforms(law, gen: np.random.Generator, take: int, n: int) -> np.ndarray:
+    """The uniforms behind a queue chunk's take rows of n arrivals, from gen.
+
+    Written from the sampler's definition, with no row blocks. Each 64-bit
+    word w of gen gives four 16-bit lanes, lane j being (w >> 16 j) & 0xffff,
+    and the lanes fill the rows in row-major order; the lanes past the
+    last row are dropped. A lane whose top 12 bits name a marked bucket of
+    law's guide takes the next word r of the refinement stream (gen's
+    first state jumped ahead), in row-major order of those lanes, and
+    becomes u = (lane 2^37 + (r >> 27)) 2^-53. Any other lane becomes
+    u = lane 2^-16, the start of its interval, where every u of the
+    bucket has the same arrival count.
+    """
+    refine = np.random.Generator(gen.bit_generator.jumped())
+    words = gen.integers(0, 2**64, size=-(-take * n // 4), dtype=np.uint64)
+    shifts = np.array([0, 16, 32, 48], dtype=np.uint64)
+    lanes = ((words[:, None] >> shifts) & np.uint64(0xffff)).reshape(-1)[:take * n]
+    lanes = lanes.reshape(take, n)
+    marked = law._guide[lanes >> np.uint64(4)] < 0
+    low = np.zeros(lanes.shape, dtype=np.uint64)
+    low[marked] = refine.integers(0, 2**64, size=int(marked.sum()), dtype=np.uint64) >> 27
+    return ((lanes << np.uint64(37)) | low) * 2.0**-53
+
+
 def _assert_script_runs_cli_entry() -> None:
     """pyproject.toml installs `renyibounds` as cli.entry, which __main__ calls."""
     try:

@@ -57,7 +57,7 @@ from renyibounds.montecarlo import (
 )
 from renyibounds.variational import inf_identity, sup_identity
 
-from conftest import workload_peaks
+from conftest import lane_uniforms, workload_peaks
 
 _STD_NORMAL = GaussianParams(0.0, 1.0)
 
@@ -358,7 +358,7 @@ def test_c07_queue_study():
     for i in range(20):
         n = int(rng.integers(1, 41))
         C = float(rng.integers(65, 193)) / 64.0
-        peak = workload_peaks(law.quantile(mc._rng(i, 0).random((take, n))), C)
+        peak = workload_peaks(law.quantile(lane_uniforms(law, mc._rng(i, 0), take, n)), C)
         for level in (0.0, *np.quantile(peak, [0.5, 0.9, 1.0], method="lower")):
             over = mc._queue_kernel(law, n, C, float(level))(mc._rng(i, 0), take)
             if not np.array_equal(over, peak > level):

@@ -11,6 +11,7 @@ from pathlib import Path
 
 import pytest
 
+from renyibounds.applications.queueing import scaled_event_sandwich
 from renyibounds.cli import build_parser, main
 from renyibounds.divergences import renyi_discrete
 from renyibounds.measures import FiniteMeasure
@@ -264,6 +265,35 @@ class TestQueueCommand:
         assert data["bounds"]["lower"] <= data["theta_estimate"]["mean"]
         assert data["theta_estimate"]["mean"] <= data["bounds"]["upper"]
         assert data["per_step_budget"]["d1"] > 0.0
+
+    @pytest.mark.parametrize("argv, reps, side", [
+        # the nominal probability is 7.41e-28 at b = 1, so no replication
+        # overflows; at C = 1.01 and b = 1e-9 every one does
+        (["--C", "2", "--b", "1"], 20_000, "upper"),
+        (["--C", "1.01", "--b", "1e-9"], 200, "lower"),
+    ], ids=["zero-hits", "all-hits"])
+    def test_exact_limit_without_a_miss_or_a_hit(self, capsys, argv, reps, side):
+        # the Wald interval of zero (all) hits is [0, 0] ([1, 1]), and a
+        # bound on it is false; the sandwich takes the exact Clopper-Pearson
+        # limit 1 - 0.025^(1/reps) (0.025^(1/reps)) on that side instead
+        code, out, _ = run_cli(capsys, ["queue", *argv, "--n", "50", "--alpha", "3",
+                                        "--theta-rate", "1.1", "--reps", str(reps),
+                                        "--format", "json"])
+        assert code == 0
+        data = json.loads(out)
+        mean = 0.0 if side == "upper" else 1.0
+        assert data["nominal_estimate"]["mean"] == mean
+        assert data["nominal_estimate"]["ci95"] == [mean, mean]
+        d1, d2 = data["per_step_budget"]["d1"], data["per_step_budget"]["d2"]
+        limit = 1.0 - 0.025 ** (1.0 / reps) if side == "upper" else 0.025 ** (1.0 / reps)
+        want = getattr(scaled_event_sandwich(limit, 50, 3.0, d1, d2), side)
+        assert data["bounds"][side] == pytest.approx(want, rel=1e-12)
+        if side == "upper":
+            assert limit == pytest.approx(1.844e-4, rel=1e-3)
+            assert data["bounds"]["upper"] == pytest.approx(5.43e-3, rel=1e-3)
+        else:
+            wald = scaled_event_sandwich(1.0, 50, 3.0, d1, d2).lower
+            assert 0.0 < data["bounds"]["lower"] < wald
 
     def test_explicit_budgets(self, capsys):
         code, out, _ = run_cli(capsys, [

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import copy
 import itertools
 import math
 import threading
@@ -29,6 +30,8 @@ from renyibounds.montecarlo import (
     simulate_queue_overflow_prob,
 )
 
+from conftest import lane_uniforms
+
 _GRID64 = PathGrid(n_steps=64)
 _DBL_MAX = 1.7976931348623157e308
 
@@ -48,9 +51,9 @@ def _searchsorted_quantile(law, u):
 
 
 def _reference_queue_kernel(law, n, C, level):
-    """Queue kernel that draws a full chunk and searches the table per step."""
+    """Queue kernel that draws a full chunk's lanes and searches the table per step."""
     def kernel(gen, take):
-        u = gen.random((mc._QUEUE_CHUNK, n))[:take]
+        u = lane_uniforms(law, gen, mc._QUEUE_CHUNK, n)[:take]
         q = np.zeros(take)
         peak = np.zeros(take)
         for k in range(n):
@@ -59,6 +62,50 @@ def _reference_queue_kernel(law, n, C, level):
         return peak > level
 
     return kernel
+
+
+def _exact_overflow(rate, n, C, b):
+    """P(max_k Q_k > n b) for Poisson(rate) arrivals, by convolving the pmf.
+
+    64 C and 64 n b must be integers, so 64 Q_k lives on the integers
+    0..64 n b until it overflows, and each step convolves the state with
+    the pmf spread onto multiples of 64 and shifts it down by 64 C: mass
+    below 0 is reflected to 0, and mass past 64 n b is absorbed.
+    """
+    c, top = 64 * C, 64 * n * b
+    assert c == int(c) and top == int(top)
+    c, top = int(c), int(top)
+    kmax = int(rate + 40.0 * math.sqrt(rate) + 60.0)
+    step = np.zeros(64 * kmax + 1)
+    p = math.exp(-rate)
+    for k in range(kmax + 1):
+        step[64 * k] = p
+        p *= rate / (k + 1)
+    state = np.zeros(top + 1)
+    state[0] = 1.0
+    over = 0.0
+    for _ in range(n):
+        moved = np.convolve(state, step)
+        over += moved[c + top + 1:].sum()
+        state = moved[c:c + top + 1].copy()
+        state[0] += moved[:c].sum()
+    return over
+
+
+class _CountingGenerator:
+    """A chunk generator that records each draw's size and each jumped stream."""
+
+    def __init__(self, gen):
+        self._gen, self.sizes, self.jumps = gen, [], []
+        self.bit_generator = self
+
+    def jumped(self):
+        self.jumps.append(self._gen.bit_generator.jumped())
+        return self.jumps[-1]
+
+    def integers(self, low, high, size, dtype):
+        self.sizes.append(size)
+        return self._gen.integers(low, high, size=size, dtype=dtype)
 
 
 def _reference_crossing_kernel(level, mu, grid):
@@ -382,13 +429,22 @@ class TestPoissonLaw:
         assert np.all(np.diff(k) >= 0.0)
 
     def test_clamp_leaves_queue_estimate_unchanged(self):
-        # the values the unclamped table gave: no uniform in [0, 1) moves
-        est = simulate_queue_overflow_prob(PoissonLaw(7.5), 8.0, 0.2, 50, 20_000, seed=0)
-        assert est.mean == 0.64765
-        assert est.std_error == 0.0033779497335247777
-        est = simulate_queue_overflow_prob(PoissonLaw(1.1), 2.0, 0.1, 50, 20_000, seed=0)
-        assert est.mean == 0.0183
-        assert est.std_error == 0.0009477871148210189
+        # a copy of the law with the table as summed, before the clamp,
+        # gives the same samples bit for bit: no uniform in [0, 1) moves
+        for rate, C, b in ((7.5, 8.0, 0.2), (1.1, 2.0, 0.1)):
+            law = PoissonLaw(rate)
+            pmf = np.empty(law._cdf.size)
+            pmf[0] = math.exp(-rate)
+            for k in range(1, pmf.size):
+                pmf[k] = pmf[k - 1] * (rate / k)
+            unclamped = copy.copy(law)
+            unclamped._cdf = np.cumsum(pmf)
+            unclamped._cdf[-1] = 1.0
+            # the sums pass 1.0 at rate 7.5 (first at k = 38), never at 1.1
+            assert np.any(unclamped._cdf > 1.0) == (rate == 7.5)
+            assert not np.shares_memory(unclamped._cdf, law._cdf)
+            want = _queue_outputs(unclamped, 50, C, b, 20_000, seed=0)
+            assert _queue_outputs(law, 50, C, b, 20_000, seed=0) == want
 
 
 class TestQueueSimulation:
@@ -423,17 +479,23 @@ class TestQueueSimulation:
         assert 0.0 < est.mean < 1.0
         assert est == mc._mean_ci(iter(want), reps, seed)
 
-    def test_words_are_the_uniforms(self):
-        # the queue kernel draws 64-bit words in place of gen.random()'s
-        # uniforms: same bits, same generator state afterwards
-        words_gen, uniforms_gen = mc._rng(7, 3), mc._rng(7, 3)
-        words = words_gen.integers(0, 2**64, size=(999, 7), dtype=np.uint64)
-        uniforms = uniforms_gen.random((999, 7))
-        assert ((words >> 11) * 2.0 ** -53).tobytes() == uniforms.tobytes()
-        assert repr(words_gen.bit_generator.state) == repr(uniforms_gen.bit_generator.state)
-        assert words_gen.random(5).tobytes() == uniforms_gen.random(5).tobytes()
-        # so the guide bucket floor(u * 4096) is the top 12 bits of the word
-        assert np.array_equal(words >> 52, np.floor(uniforms * 4096.0).astype(np.uint64))
+    def test_lanes_are_the_words_in_order(self):
+        # lane j of a word w is (w >> 16 j) & 0xffff on either byte order, a
+        # word's four lanes are consecutive draws, and they fill the rows in
+        # row-major order: 333 rows of 11 steps take 916 words and drop the
+        # last word's last lane
+        words = mc._rng(7, 3).integers(0, 2**64, size=999, dtype=np.uint64)
+        lanes = mc._lanes(words)
+        assert lanes.shape == (4 * 999,)
+        for j in range(4):
+            assert np.array_equal(lanes[j::4], (words >> np.uint64(16 * j)) & np.uint64(0xffff))
+        assert np.array_equal(mc._lanes(words.astype(">u8")), lanes)
+        gen = mc._rng(7, 3)
+        u = lane_uniforms(PoissonLaw(1.0), gen, 333, 11)
+        assert np.array_equal(np.floor(u * 2.0**16).ravel(), lanes[:333 * 11])
+        assert gen.integers(0, 2**64, dtype=np.uint64) == words[916]
+        # so the guide bucket floor(u * 4096) is the top 12 bits of the lane
+        assert np.array_equal(np.floor(u * 4096.0).ravel(), lanes[:333 * 11] >> 4)
 
     @pytest.mark.parametrize("budget, rate, n, C, b, reps, rows", _QUEUE_BLOCK_CASES)
     def test_row_blocks_match_reference(self, monkeypatch, budget, rate, n, C, b, reps, rows):
@@ -459,9 +521,91 @@ class TestQueueSimulation:
                             lambda self, u: searched.append(u.size) or quantile(self, u))
         gen = mc._rng(2, 0)
         mc._queue_kernel(law, 50, 1.0, 2.5)(gen, 2600)
-        words = mc._rng(2, 0).integers(0, 2**64, size=(2600, 50), dtype=np.uint64)
-        assert searched == [int(np.sum(law._guide[words >> 52] < 0))]
+        u = lane_uniforms(law, mc._rng(2, 0), 2600, 50)
+        assert searched == [int(np.sum(law._guide[np.floor(u * 4096.0).astype(np.intp)] < 0))]
         assert 0 < searched[0] < 2600 * 50 / 100
+
+    def test_convolution_matches_the_hand_count(self):
+        # the case test_against_exact_enumeration counts by hand
+        p = [math.exp(-1.0) / math.factorial(k) for k in range(4)]
+        p_ge4 = 1.0 - sum(p)
+        exact = p_ge4 + (p[0] + p[1] + p[2]) * p_ge4 + p[3] * (p_ge4 + p[3])
+        assert _exact_overflow(1.0, 2, 2.0, 0.5) == pytest.approx(exact, rel=1e-12)
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    @pytest.mark.parametrize("rate, C, b", [
+        (math.log(2.0), 1.0, 0.5), (1.0, 1.5, 0.5), (1.1, 1.25, 1.0), (7.5, 8.0, 1.0),
+        (30.0, 31.0, 1.0)])
+    def test_z_scores_against_exact_enumeration(self, rate, C, b, n):
+        # seeds 0-19 at 20,000 replications each. If z ~ N(0, 1), the mean of
+        # 20 z-scores lies within 3 sigma = 3/sqrt(20) of 0, and 19 times
+        # their sample variance between the 0.1% and 99.9% quantiles of
+        # chi^2_19. The overflow probabilities run from 0.04 to 0.56.
+        exact = _exact_overflow(rate, n, C, b)
+        z = np.array([(est.mean - exact) / est.std_error for est in (
+            simulate_queue_overflow_prob(PoissonLaw(rate), C, b, n, 20_000, seed=seed)
+            for seed in range(20))])
+        assert abs(z.mean()) <= 3.0 / math.sqrt(20)
+        assert 5.4068 <= 19.0 * z.var(ddof=1) <= 43.8202
+
+    @pytest.mark.parametrize("rate", [math.log(2.0), 1.0, 1.1, 7.5, 30.0])
+    def test_refined_lanes_stay_in_their_interval(self, monkeypatch, rate):
+        # one step at C = 0: the peak is the arrival, so the levels k + 1/2
+        # read every arrival of the kernel back; blocks of 1001 lanes carry
+        # lanes from one block to the next
+        law, take = PoissonLaw(rate), 40_000
+        monkeypatch.setattr(mc, "_QUEUE_BLOCK", 1001)
+        searched = []
+        quantile = PoissonLaw.quantile
+        monkeypatch.setattr(PoissonLaw, "quantile",
+                            lambda self, u: searched.append(u.copy()) or quantile(self, u))
+        over = mc._queue_kernel(law, 1, 0.0, 0.5)(mc._rng(3, 0), take)
+        refined = np.concatenate(searched)
+        u = lane_uniforms(law, mc._rng(3, 0), take, 1)[:, 0]
+        want = _searchsorted_quantile(law, u)
+        levels = range(1, int(want.max()) + 1)
+        got = sum((mc._queue_kernel(law, 1, 0.0, k + 0.5)(mc._rng(3, 0), take)
+                   for k in levels), over.astype(float))
+        assert np.array_equal(got, want)
+        # the kernel searched the marked lanes, in order, each with a uniform
+        # inside its lane's interval, and got the binary search's answer
+        lanes = np.floor(u * 2.0**16)
+        marked = law._guide[(lanes // 16).astype(np.intp)] < 0
+        assert 0 < refined.size == marked.sum()
+        assert np.array_equal(refined, u[marked])
+        scaled = refined * 2.0**16
+        assert np.all((lanes[marked] <= scaled) & (scaled < lanes[marked] + 1))
+        assert np.array_equal(quantile(law, refined), _searchsorted_quantile(law, refined))
+
+    @pytest.mark.parametrize("n, budget, take", [
+        (50, None, 3000), (48, None, 3000), (3, 7, 1001), (1, 1001, 5000), (50, 32, 41),
+        (1, 1, 9)])
+    def test_counting_generator_sees_a_quarter_of_the_lanes(self, monkeypatch, n, budget,
+                                                              take):
+        # each block draws the words that hold its lanes, carrying the lanes
+        # of a word it shares with the next block, so a chunk draws
+        # ceil(take n / 4) words; the refinement stream, jumped from the
+        # chunk's first state, gives one word to each marked lane
+        if budget is not None:
+            monkeypatch.setattr(mc, "_QUEUE_BLOCK", budget)
+        law, rows = PoissonLaw(math.log(2.0)), mc._rows(mc._QUEUE_BLOCK, n)
+        gen = _CountingGenerator(mc._rng(4, 0))
+        mc._queue_kernel(law, n, 1.5, 1.0)(gen, take)
+        ends = [min(lo, take) * n for lo in range(0, take + rows, rows)]
+
+        def words(lanes):
+            return -(-lanes // 4)
+
+        assert gen.sizes == [words(hi) - words(lo) for lo, hi in zip(ends, ends[1:])]
+        assert sum(gen.sizes) == words(take * n)
+        if rows * n % 4 == 0:
+            assert gen.sizes[:-1] == [rows * n // 4] * (len(gen.sizes) - 1)
+        u = lane_uniforms(law, mc._rng(4, 0), take, n)
+        marked = int(np.sum(law._guide[np.floor(u * 4096.0).astype(np.intp)] < 0))
+        fresh = np.random.Generator(mc._rng(4, 0).bit_generator.jumped())
+        fresh.integers(0, 2**64, size=marked, dtype=np.uint64)
+        assert len(gen.jumps) == 1
+        np.testing.assert_equal(gen.jumps[0].state, fresh.bit_generator.state)
 
     def test_validation(self):
         law = PoissonLaw(1.0)

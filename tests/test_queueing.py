@@ -21,7 +21,7 @@ from renyibounds.bounds import event_bounds
 from renyibounds.divergences import DivergenceBudget, PoissonParams, renyi_poisson
 from renyibounds.montecarlo import PoissonLaw, simulate_queue_overflow_prob
 
-from conftest import workload_peaks
+from conftest import lane_uniforms, workload_peaks
 
 
 def _grid_rate(C: float, b: float, step: float = 1e-5, t_max: float = 60.0) -> float:
@@ -92,6 +92,16 @@ class TestEll:
         for x, value, want in zip(xs, poisson_rate_ell(np.array(xs)), exact):
             assert _rel(poisson_rate_ell(x), want) <= 1e-14, x
             assert _rel(value, want) <= 1e-14, x
+
+    def test_within_a_few_ulps_of_mpmath_near_one(self):
+        # y - log1p(y) cancels up to |y| of about 0.1 as well; x = 1.1 itself
+        # has y = 0.1 plus an ulp
+        xs = np.concatenate([np.linspace(0.9, 0.99, 3000), np.linspace(1.01, 1.1, 3000)])
+        with mpmath.workdps(50):
+            exact = [mpmath.mpf(x) * mpmath.log(x) - x + 1 for x in xs.tolist()]
+        for x, value, want in zip(xs.tolist(), poisson_rate_ell(xs), exact):
+            assert _rel(poisson_rate_ell(x), want) <= 1e-15, x
+            assert _rel(value, want) <= 1e-15, x
 
     @given(st.floats(0.01, 50.0))
     def test_nonnegative_and_zero_only_at_one(self, x):
@@ -208,7 +218,7 @@ class TestLindley:
         # arithmetic and every overflow indicator must match bit for bit,
         # also where a peak ties the level
         law, C, take = PoissonLaw(rate), c64 / 64.0, 300
-        peak = workload_peaks(law.quantile(mc._rng(seed, 0).random((take, n))), C)
+        peak = workload_peaks(law.quantile(lane_uniforms(law, mc._rng(seed, 0), take, n)), C)
         for level in (0.0, *np.quantile(peak, [0.5, 1.0], method="lower")):
             over = mc._queue_kernel(law, n, C, float(level))(mc._rng(seed, 0), take)
             assert np.array_equal(over, peak > level), level
