@@ -192,6 +192,7 @@ def renyi_poisson(theta1: PoissonParams, nu1: PoissonParams, alpha: float) -> fl
     l2 * sum over k >= 2 of (1 + alpha + ... + alpha^(k-2)) r^k / k!,
     whose terms carry no cancellation. Once r or alpha r passes 700 the
     value is taken through its logarithm and is +inf beyond the float range.
+    Orders up to 1e300 keep their digits: neither form cancels or overflows.
     """
     alpha = check_alpha(alpha)
     if alpha < 0.5:
@@ -217,10 +218,23 @@ def renyi_poisson(theta1: PoissonParams, nu1: PoissonParams, alpha: float) -> fl
             total += term
         return l2 * total
     if max(r, alpha * r) < _POISSON_EXP_LIMIT:
-        return l2 * (math.exp(r) * math.expm1(am1 * r) - am1 * math.expm1(r)) / (alpha * am1)
-    # the numerator is l2 e^(alpha r) (expm1(-alpha r) - alpha expm1(-(alpha - 1) r) / (alpha - 1))
-    log_value = math.log(l2) + alpha * r - math.log(alpha) + math.log(
-        math.expm1(-alpha * r) - alpha * math.expm1(-am1 * r) / am1)
+        inner = math.exp(r) * math.expm1(am1 * r) - am1 * math.expm1(r)
+        numer, denom = l2 * inner, alpha * am1
+        if math.isfinite(numer) and math.isfinite(denom):
+            return numer / denom
+        # past alpha of about 1.3e154 alpha (alpha - 1) overflows
+        return l2 * (inner / alpha / am1)
+    # the numerator is l2 e^(alpha r) times 1/(alpha - 1) + e^(-alpha r) -
+    # alpha e^(-x) / (alpha - 1), x = (alpha - 1) r. For x >= 1 the expm1 form
+    # cancels 1 against alpha / (alpha - 1) (to 0 past alpha = 1e16), and
+    # the first form's second term is at most x / (e^x - 1) of its first
+    x = am1 * r
+    if x >= 1.0:
+        log_bracket = (math.log(-math.expm1(-x) + am1 * math.exp(-x) * math.expm1(-r))
+                       - math.log(am1))
+    else:
+        log_bracket = math.log(math.expm1(-alpha * r) - alpha * math.expm1(-x) / am1)
+    log_value = math.log(l2) + alpha * r - math.log(alpha) + log_bracket
     return math.exp(log_value) if log_value < _LOG_FLOAT_MAX else math.inf
 
 

@@ -43,25 +43,23 @@ generator concatenate bitwise, ziggurat normals included, and every
 row is scaled, summed and reduced in the same order as a whole chunk
 would be.
 
-The queue kernel walks its chunk the same way, in blocks of
-``_QUEUE_BLOCK`` draws, and each draw is a 16-bit lane of a 64-bit
-Philox word. Lane j of a word w is ``(w >> 16 j) & 0xffff`` on every
-platform, whatever its byte order, and the lanes of a chunk's words
-fill its rows in row-major order: a chunk of take rows draws
-``ceil(take * n / 4)`` words and drops the lanes past its last row,
-and a word whose lanes span two row blocks is drawn once and its lanes
-carried. A lane's top 12 bits are the guide bucket of its arrival, so
-the arrivals of a block come from one gather in a small integer table.
-Only a lane in a marked bucket needs more bits: it takes the next word
-r of the chunk's refinement stream, in row-major order of the marked
-lanes, and is searched as the uniform
-``((lane << 37) | (r >> 27)) * 2**-53``. Those are 53 uniform bits, on
-the grid of ``gen.random()``'s ``(word >> 11) * 2**-53``, so every
-arrival has the law of inversion from one whole uniform, from a
-quarter of the words. The refinement stream is the chunk's generator
-jumped ahead (``bit_generator.jumped()``) from its first state, far
-past any word the chunk draws. Each column then takes the Lindley
-step in the order of a whole chunk.
+The queue kernel walks its chunk one time step at a time, each a
+Lindley step on vectors of all the chunk's rows. Each arrival is a
+16-bit lane of a 64-bit Philox word, lane j of a word w being
+``(w >> 16 j) & 0xffff`` whatever the byte order. Step k reads
+``ceil(take / 4)`` words from Philox counter ``k * _QUEUE_CHUNK / 16``,
+row r takes lane ``r % 4`` of word ``r // 4``, and
+``bit_generator.advance`` moves on to the next step's window; so a
+row's lanes sit at fixed places, and a shorter take draws a prefix. A
+lane's top 12 bits are its guide bucket, so a step's arrivals come
+from one gather in a small integer table. Only a lane in a marked
+bucket needs more bits: it takes a word r of the refinement stream,
+the chunk's generator jumped ahead (``bit_generator.jumped()``) from
+its first state, step k's marked lanes in row order from that stream's
+counter ``k * _QUEUE_CHUNK / 4``, and is searched as the uniform
+``((lane << 37) | (r >> 27)) * 2**-53``: 53 uniform bits on the grid
+of ``gen.random()``'s ``(word >> 11) * 2**-53``. So every arrival has
+the law of inversion from one whole uniform, from a quarter of the words.
 
 The kernels cover the three studies: queue overflow under iid
 arrivals, Brownian level crossing (exactly, from the end value and the
@@ -97,7 +95,6 @@ __all__ = [
 ]
 
 _QUEUE_CHUNK = 1 << 16
-_QUEUE_BLOCK = 1 << 17
 _GUIDE_BITS = 12
 _GUIDE_BUCKETS = 1 << _GUIDE_BITS
 _LANE_BITS = 16
@@ -271,8 +268,8 @@ class PoissonLaw:
     The table covers the support up to a far-tail cutoff; rates are
     capped at 30 so the cutoff stays modest and the table exact to
     double precision. Inversion maps a uniform u to the smallest k with
-    u < P(X <= k), which makes arrival samples a deterministic function
-    of the uniform layout shared by every law.
+    u < P(X <= k), so the arrivals are a deterministic function of the
+    lanes the queue kernel draws, laid out the same for every law.
 
     Inversion is an indexed search (Chen & Asau 1974; Devroye 1986,
     III.2.4) that returns exactly what a binary search of the table
@@ -343,50 +340,38 @@ def _lanes(words: np.ndarray) -> np.ndarray:
 
 
 def _queue_kernel(law: PoissonLaw, n: int, C: float, level: float) -> _Kernel:
-    rows = _rows(_QUEUE_BLOCK, n)
+    # a step's window of Philox blocks, four words a block
+    window = _QUEUE_CHUNK // (_LANES * 4)
+    refine_window = _QUEUE_CHUNK // 4
     # the guide entry of every lane: its bucket is the lane's top 12 bits
     lane_guide = law._guide[np.arange(1 << _LANE_BITS) >> (_LANE_BITS - _GUIDE_BITS)]
 
     def kernel(gen: np.random.Generator, take: int) -> np.ndarray:
         # the refinement stream starts from the chunk's first state, jumped
         refine = np.random.Generator(gen.bit_generator.jumped())
-        block = min(rows, take)
-        lane = np.empty(block * n + _LANES - 1, dtype=np.intp)
-        arrivals = np.empty(block * n, dtype=np.int16)
-        q, peak = np.empty(block), np.empty(block)
-        over = np.empty(take, dtype=bool)
-        held = 0  # lanes of the last word drawn that the next rows start with
-        for lo in range(0, take, rows):
-            m = min(rows, take - lo)
-            size = m * n
-            words = gen.integers(0, 1 << 64, size=-(-(size - held) // _LANES),
-                                 dtype=np.uint64)
-            end = held + _LANES * words.size
-            lane[held:end] = _lanes(words)
-            lanes, a = lane[:size], arrivals[:size]
-            np.take(lane_guide, lanes, out=a)
+        size = -(-take // _LANES)
+        lane = np.empty(take, dtype=np.intp)
+        a = np.empty(take, dtype=np.int16)
+        q, peak = np.zeros(take), np.zeros(take)
+        for _ in range(n):
+            lane[:] = _lanes(gen.integers(0, 1 << 64, size=size, dtype=np.uint64))[:take]
+            gen.bit_generator.advance(window - -(-size // 4))
+            np.take(lane_guide, lane, out=a)
             marked = np.flatnonzero(a < 0)
             if marked.size:
                 # the lane's 16 bits, then 37 of a refinement word: a
                 # 53-bit uniform on the grid of (word >> 11) 2^-53
                 low = refine.integers(0, 1 << 64, size=marked.size, dtype=np.uint64)
-                u = np.take(lanes, marked).astype(np.uint64) << (53 - _LANE_BITS)
+                u = np.take(lane, marked).astype(np.uint64) << (53 - _LANE_BITS)
                 u |= low >> (11 + _LANE_BITS)
                 np.put(a, marked, law.quantile(u * 2.0 ** -53))
-            held = end - size
-            lane[:held] = lane[size:end]
-            a = a.reshape(m, n)
-            qm, pm = q[:m], peak[:m]
-            qm.fill(0.0)
-            pm.fill(0.0)
-            for k in range(n):
-                # Lindley step max(q + a - C, 0), rounded in that order
-                qm += a[:, k]
-                qm -= C
-                np.maximum(qm, 0.0, out=qm)
-                np.maximum(pm, qm, out=pm)
-            np.greater(pm, level, out=over[lo:lo + m])
-        return over
+            refine.bit_generator.advance(refine_window - -(-marked.size // 4))
+            # Lindley step max(q + a - C, 0), rounded in that order
+            q += a
+            q -= C
+            np.maximum(q, 0.0, out=q)
+            np.maximum(peak, q, out=peak)
+        return peak > level
 
     return kernel
 
@@ -402,8 +387,9 @@ def simulate_queue_overflow_prob(
     """Probability that the scaled workload maximum exceeds b in n steps.
 
     Arrivals are iid draws of arrival_law, one per step. Each
-    replication takes one row of 16-bit lanes, four to a Philox word,
-    and maps each lane through the law's guide table, refined to a
+    replication is a row, and each step gives every row one 16-bit lane,
+    four rows to a Philox word, from that step's window of its chunk's
+    stream. A lane maps through the law's guide table, refined to a
     53-bit uniform where its bucket is marked, so every arrival is the
     law's quantile of a uniform. Overflow is strict: max_k Q_k > n b.
     """

@@ -65,28 +65,42 @@ def workload_peaks(arrivals: np.ndarray, C: float) -> np.ndarray:
     return np.max(np.where(k[None, :] <= k[:, None], rise, -np.inf), axis=(1, 2))
 
 
+def _philox_words(key, counter: int, size: int) -> np.ndarray:
+    """size 64-bit words of a Philox stream whose counter starts at counter."""
+    gen = np.random.Generator(np.random.Philox(key=key, counter=counter))
+    return gen.integers(0, 2**64, size=size, dtype=np.uint64)
+
+
 def lane_uniforms(law, gen: np.random.Generator, take: int, n: int) -> np.ndarray:
     """The uniforms behind a queue chunk's take rows of n arrivals, from gen.
 
-    Written from the sampler's definition, with no row blocks. Each 64-bit
-    word w of gen gives four 16-bit lanes, lane j being (w >> 16 j) & 0xffff,
-    and the lanes fill the rows in row-major order; the lanes past the
-    last row are dropped. A lane whose top 12 bits name a marked bucket of
-    law's guide takes the next word r of the refinement stream (gen's
-    first state jumped ahead), in row-major order of those lanes, and
+    Written from the sampler's definition, one fresh Philox stream a step.
+    gen must be a chunk's generator in its first state, with counter c and
+    key K. Step k reads ceil(take / 4) words from counter c + 4096 k of K,
+    and row r's lane is lane r % 4 of word r // 4, lane j of a word w
+    being (w >> 16 j) & 0xffff. A lane whose top 12 bits name a marked
+    bucket of law's guide takes a word r of the refinement stream (gen's
+    first state jumped ahead, at counter c'): step k's marked lanes, in
+    row order, read the words from counter c' + 16384 k. Such a lane
     becomes u = (lane 2^37 + (r >> 27)) 2^-53. Any other lane becomes
     u = lane 2^-16, the start of its interval, where every u of the
     bucket has the same arrival count.
     """
-    refine = np.random.Generator(gen.bit_generator.jumped())
-    words = gen.integers(0, 2**64, size=-(-take * n // 4), dtype=np.uint64)
+    def counter(bits) -> int:
+        return sum(int(c) << 64 * i for i, c in enumerate(bits.state["state"]["counter"]))
+
+    key = gen.bit_generator.state["state"]["key"]
+    first, jumped = counter(gen.bit_generator), counter(gen.bit_generator.jumped())
     shifts = np.array([0, 16, 32, 48], dtype=np.uint64)
-    lanes = ((words[:, None] >> shifts) & np.uint64(0xffff)).reshape(-1)[:take * n]
-    lanes = lanes.reshape(take, n)
-    marked = law._guide[lanes >> np.uint64(4)] < 0
-    low = np.zeros(lanes.shape, dtype=np.uint64)
-    low[marked] = refine.integers(0, 2**64, size=int(marked.sum()), dtype=np.uint64) >> 27
-    return ((lanes << np.uint64(37)) | low) * 2.0**-53
+    u = np.empty((take, n))
+    for k in range(n):
+        words = _philox_words(key, first + 4096 * k, -(-take // 4))
+        lanes = ((words[:, None] >> shifts) & np.uint64(0xffff)).reshape(-1)[:take]
+        marked = law._guide[lanes >> np.uint64(4)] < 0
+        low = np.zeros(take, dtype=np.uint64)
+        low[marked] = _philox_words(key, jumped + 16384 * k, int(marked.sum())) >> 27
+        u[:, k] = ((lanes << np.uint64(37)) | low) * 2.0**-53
+    return u
 
 
 def _assert_script_runs_cli_entry() -> None:

@@ -2,14 +2,18 @@
 
 from __future__ import annotations
 
+import contextlib
+import io
 import json
 import math
 import shlex
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, strategies as st
 
 from renyibounds.applications.queueing import scaled_event_sandwich
 from renyibounds.cli import build_parser, main
@@ -308,6 +312,57 @@ class TestQueueCommand:
         code, _, _ = run_cli(capsys, [
             "queue", "--C", "2", "--b", "0.1", "--reps", "1000"])
         assert code == 2
+
+    def test_order_past_the_double_range(self, capsys):
+        # alpha / (alpha - 1) rounds to 1 here; the budget is inf, not an error
+        code, out, err = run_cli(capsys, [
+            "queue", "--C", "2", "--b", "0.1", "--n", "5", "--alpha", "1e300",
+            "--theta-rate", "1.1", "--reps", "100", "--format", "json"])
+        assert (code, err) == (0, "")
+        budget = json.loads(out)["per_step_budget"]
+        assert budget["d1"] == "inf"
+        assert 0.0 < budget["d2"] < 1e-300
+
+    @given(
+        alpha=st.floats(1.0, 1e300, exclude_min=True),
+        C=st.floats(1.0 + 2.0**-52, 1e300),
+        b=st.floats(1e-300, 1e300),
+        n=st.integers(1, 60),
+        theta=st.floats(5e-324, 30.0),
+        reps=st.integers(2, 50),
+    )
+    @example(alpha=1e300, C=2.0, b=0.1, n=5, theta=1.1, reps=100)
+    def test_is_total(self, alpha, C, b, n, theta, reps):
+        # any such flags give exit 0, 1 or 2, with no warning, and JSON with no nan
+        argv = ["queue", "--C", repr(C), "--b", repr(b), "--n", str(n), "--alpha", repr(alpha),
+                "--theta-rate", repr(theta), "--reps", str(reps), "--format", "json"]
+        out, err = io.StringIO(), io.StringIO()
+        with warnings.catch_warnings(), contextlib.redirect_stdout(out), \
+                contextlib.redirect_stderr(err):
+            warnings.simplefilter("error")
+            code = main(argv)
+        assert code in (0, 1, 2)
+        assert "Warning" not in err.getvalue()
+        if (alpha, C, b, n, theta, reps) == (1e300, 2.0, 0.1, 5, 1.1, 100):
+            assert code == 0
+        if code == 2:
+            return
+
+        def values(x):
+            if isinstance(x, dict):
+                for v in x.values():
+                    yield from values(v)
+            elif isinstance(x, list):
+                for v in x:
+                    yield from values(v)
+            else:
+                yield x
+
+        def no_constant(name):
+            raise AssertionError(f"bare {name} in the JSON")
+
+        for v in values(json.loads(out.getvalue(), parse_constant=no_constant)):
+            assert v != "nan" and not (isinstance(v, float) and math.isnan(v)), argv
 
 
 class TestLaplaceCommand:

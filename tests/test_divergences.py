@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import sys
 
 import mpmath
 import numpy as np
@@ -283,6 +284,41 @@ class TestPoisson:
             got = renyi_poisson(PoissonParams(l1), PoissonParams(l2), a)
             assert math.isfinite(got), (l1, l2, a)
             assert got == pytest.approx(float(_mp_poisson(l1, l2, a)), rel=1e-12), (l1, l2, a)
+
+    @pytest.mark.filterwarnings("error")
+    def test_large_orders_against_mpmath(self):
+        # orders from 1e4 to 1e300, both rate orders: past the double range
+        # the value is inf, and inside it within 1e-13 of mpmath (of the
+        # smallest normal where the value is subnormal), with no error or
+        # warning. (1 + 2^-52 || 1) is finite for alpha in [3.15e18, 3.58e18]
+        orders = [*np.geomspace(1e4, 1e300, 200), 3.2e18, 3.4e18]
+        for l1, l2 in ((1.1, 1.0), (30.0, 1.0), (1.0 + 2.0**-52, 1.0)):
+            for p, q in ((l1, l2), (l2, l1)):
+                for a in orders:
+                    got = renyi_poisson(PoissonParams(p), PoissonParams(q), float(a))
+                    want = _mp_poisson(p, q, float(a))
+                    if want > sys.float_info.max:
+                        assert got == math.inf, (p, q, a)
+                    else:
+                        assert got == pytest.approx(float(want), rel=1e-13,
+                                                    abs=1e-13 * sys.float_info.min), (p, q, a)
+        got = renyi_poisson(PoissonParams(1.0 + 2.0**-52), PoissonParams(1.0), 3.2e18)
+        assert got == pytest.approx(3.754e271, rel=1e-4)
+
+    @pytest.mark.filterwarnings("error")
+    def test_large_orders_near_the_top_of_the_range(self):
+        # the value is e^(alpha r) / alpha^2 to leading order, with
+        # alpha r = 700 to 795 here, so a half ulp of alpha r alone is
+        # 5.7e-14 of the value; the log form stays within a few of those
+        for l1, l2, lo, hi in ((1.0 + 2.0**-52, 1.0, 3.1e18, 3.6e18),
+                               (1.0, 1.0 - 2.0**-53, 6.2e18, 7.2e18)):
+            for a in np.linspace(lo, hi, 100):
+                got = renyi_poisson(PoissonParams(l1), PoissonParams(l2), float(a))
+                want = _mp_poisson(l1, l2, float(a))
+                if want > sys.float_info.max:
+                    assert got == math.inf
+                else:
+                    assert got == pytest.approx(float(want), rel=3e-13), (l1, l2, a)
 
     @pytest.mark.parametrize("l2", [1.0, 0.3, 2.5])
     def test_nearly_equal_rates_against_mpmath(self, l2):

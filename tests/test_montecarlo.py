@@ -103,6 +103,9 @@ class _CountingGenerator:
         self.jumps.append(self._gen.bit_generator.jumped())
         return self.jumps[-1]
 
+    def advance(self, delta):
+        self._gen.bit_generator.advance(delta)
+
     def integers(self, low, high, size, dtype):
         self.sizes.append(size)
         return self._gen.integers(low, high, size=size, dtype=dtype)
@@ -198,20 +201,35 @@ def _row_blocks_and_reference(monkeypatch, factory, reference, call):
     return got, want
 
 
-# (budget, rate, n, C, b, reps, rows): _QUEUE_BLOCK (None keeps it), the
-# arrival rate, the steps, C, b, the replications and the rows per block
-_QUEUE_BLOCK_CASES = [
-    # a chunk that is not a multiple of the block rows, then a remainder
-    # below one block; at rate log 2, P(0) = 1/2 lies on a bucket edge
-    pytest.param(None, math.log(2.0), 50, 1.0, 0.05, mc._QUEUE_CHUNK + 1000, 2621,
-                 id="remainder-log2"),
-    # one step: a block holds more rows than a chunk
-    pytest.param(None, 1.0, 1, 1.5, 0.25, 5000, 1 << 17, id="one-step"),
-    # more steps than a block holds: one row per block
-    pytest.param(32, 1.0, 50, 1.5, 0.1, 300, 1, id="one-row"),
-    # the largest rate and its long table, 61 whole blocks and 14 rows
-    pytest.param(1000, 30.0, 50, 30.5, 0.4, 1234, 20, id="rate30-blocks"),
+# (rate, n, C, b, reps): the arrival rate, the steps, C, b and the replications
+_QUEUE_TAKE_CASES = [
+    # a whole chunk, then a take of 1000 rows; at rate log 2, P(0) = 1/2
+    # lies on a bucket edge
+    pytest.param(math.log(2.0), 50, 1.0, 0.05, mc._QUEUE_CHUNK + 1000, id="remainder-log2"),
+    # one step: one window of words
+    pytest.param(1.0, 1, 1.5, 0.25, 5000, id="one-step"),
+    # a whole chunk, then a take of one row: one lane of one word a step
+    pytest.param(1.0, 50, 1.5, 0.1, mc._QUEUE_CHUNK + 1, id="one-row"),
+    # the largest rate and its long table; each step's 1234 rows end inside
+    # a word and inside a four-word Philox block
+    pytest.param(30.0, 50, 30.5, 0.4, 1234, id="rate30-blocks"),
 ]
+
+
+class _RecordingPhilox(np.random.Philox):
+    """Philox that logs (counter, buffer position, delta) before each advance.
+
+    jumped() makes its stream through advance(2**128), which is not logged.
+    """
+
+    log: list = []
+
+    def advance(self, delta):
+        if delta < 1 << 64:
+            state = self.state
+            counter = sum(int(c) << 64 * i for i, c in enumerate(state["state"]["counter"]))
+            self.log.append((counter, state["buffer_pos"], delta))
+        return super().advance(delta)
 
 
 class TestDeterminism:
@@ -481,29 +499,24 @@ class TestQueueSimulation:
 
     def test_lanes_are_the_words_in_order(self):
         # lane j of a word w is (w >> 16 j) & 0xffff on either byte order, a
-        # word's four lanes are consecutive draws, and they fill the rows in
-        # row-major order: 333 rows of 11 steps take 916 words and drop the
-        # last word's last lane
-        words = mc._rng(7, 3).integers(0, 2**64, size=999, dtype=np.uint64)
+        # word's four lanes are consecutive rows, and step k's rows read the
+        # words from counter 4096 k, word 16384 k of the stream: 333 rows
+        # take 84 words a step and drop the last word's last three lanes
+        words = mc._rng(7, 3).integers(0, 2**64, size=11 * 16384, dtype=np.uint64)
         lanes = mc._lanes(words)
-        assert lanes.shape == (4 * 999,)
+        assert lanes.shape == (4 * 11 * 16384,)
         for j in range(4):
             assert np.array_equal(lanes[j::4], (words >> np.uint64(16 * j)) & np.uint64(0xffff))
         assert np.array_equal(mc._lanes(words.astype(">u8")), lanes)
-        gen = mc._rng(7, 3)
-        u = lane_uniforms(PoissonLaw(1.0), gen, 333, 11)
-        assert np.array_equal(np.floor(u * 2.0**16).ravel(), lanes[:333 * 11])
-        assert gen.integers(0, 2**64, dtype=np.uint64) == words[916]
+        u = lane_uniforms(PoissonLaw(1.0), mc._rng(7, 3), 333, 11)
+        step_lanes = lanes.reshape(11, 4 * 16384)[:, :333].T
+        assert np.array_equal(np.floor(u * 2.0**16), step_lanes)
         # so the guide bucket floor(u * 4096) is the top 12 bits of the lane
-        assert np.array_equal(np.floor(u * 4096.0).ravel(), lanes[:333 * 11] >> 4)
+        assert np.array_equal(np.floor(u * 4096.0), step_lanes >> 4)
 
-    @pytest.mark.parametrize("budget, rate, n, C, b, reps, rows", _QUEUE_BLOCK_CASES)
-    def test_row_blocks_match_reference(self, monkeypatch, budget, rate, n, C, b, reps, rows):
-        if budget is not None:
-            monkeypatch.setattr(mc, "_QUEUE_BLOCK", budget)
-        law = PoissonLaw(rate)
-        assert mc._rows(mc._QUEUE_BLOCK, n) == rows
-        seed, level = 5, n * b
+    @pytest.mark.parametrize("rate, n, C, b, reps", _QUEUE_TAKE_CASES)
+    def test_takes_match_reference(self, rate, n, C, b, reps):
+        law, seed, level = PoissonLaw(rate), 5, n * b
         got = list(mc._stream(mc._queue_kernel(law, n, C, level), reps, mc._QUEUE_CHUNK, seed))
         want = list(mc._stream(_reference_queue_kernel(law, n, C, level), reps,
                                mc._QUEUE_CHUNK, seed))
@@ -512,18 +525,19 @@ class TestQueueSimulation:
             _assert_same_bits(g, w)
         assert 0 < sum(int(w.sum()) for w in want) < reps
 
-    def test_row_blocks_search_marked_buckets(self, monkeypatch):
-        # draws in marked buckets take the binary search, and only those
-        law = PoissonLaw(math.log(2.0))
+    def test_steps_search_marked_buckets(self, monkeypatch):
+        # lanes in marked buckets take the binary search, and only those,
+        # one search a step that has any
+        law, take, n = PoissonLaw(math.log(2.0)), 2600, 50
         searched = []
         quantile = PoissonLaw.quantile
         monkeypatch.setattr(PoissonLaw, "quantile",
                             lambda self, u: searched.append(u.size) or quantile(self, u))
-        gen = mc._rng(2, 0)
-        mc._queue_kernel(law, 50, 1.0, 2.5)(gen, 2600)
-        u = lane_uniforms(law, mc._rng(2, 0), 2600, 50)
-        assert searched == [int(np.sum(law._guide[np.floor(u * 4096.0).astype(np.intp)] < 0))]
-        assert 0 < searched[0] < 2600 * 50 / 100
+        mc._queue_kernel(law, n, 1.0, 2.5)(mc._rng(2, 0), take)
+        u = lane_uniforms(law, mc._rng(2, 0), take, n)
+        marked = np.sum(law._guide[np.floor(u * 4096.0).astype(np.intp)] < 0, axis=0)
+        assert searched == [int(m) for m in marked if m]
+        assert 0 < sum(searched) < take * n / 100
 
     def test_convolution_matches_the_hand_count(self):
         # the case test_against_exact_enumeration counts by hand
@@ -548,13 +562,23 @@ class TestQueueSimulation:
         assert abs(z.mean()) <= 3.0 / math.sqrt(20)
         assert 5.4068 <= 19.0 * z.var(ddof=1) <= 43.8202
 
+    @pytest.mark.parametrize("rate, exact", [(1.0, 7.0621e-3), (1.1, 1.7176e-2)])
+    def test_z_scores_at_the_benchmark_parameters(self, rate, exact):
+        # the README queue sandwich and the queue benchmark: C = 2, b = 0.1,
+        # n = 50, nominal rate 1 and alternative 1.1, with the gate above
+        assert _exact_overflow(rate, 50, 2.0, 0.1) == pytest.approx(exact, rel=1e-4)
+        exact = _exact_overflow(rate, 50, 2.0, 0.1)
+        z = np.array([(est.mean - exact) / est.std_error for est in (
+            simulate_queue_overflow_prob(PoissonLaw(rate), 2.0, 0.1, 50, 20_000, seed=seed)
+            for seed in range(20))])
+        assert abs(z.mean()) <= 3.0 / math.sqrt(20)
+        assert 5.4068 <= 19.0 * z.var(ddof=1) <= 43.8202
+
     @pytest.mark.parametrize("rate", [math.log(2.0), 1.0, 1.1, 7.5, 30.0])
     def test_refined_lanes_stay_in_their_interval(self, monkeypatch, rate):
         # one step at C = 0: the peak is the arrival, so the levels k + 1/2
-        # read every arrival of the kernel back; blocks of 1001 lanes carry
-        # lanes from one block to the next
+        # read every arrival of the kernel back
         law, take = PoissonLaw(rate), 40_000
-        monkeypatch.setattr(mc, "_QUEUE_BLOCK", 1001)
         searched = []
         quantile = PoissonLaw.quantile
         monkeypatch.setattr(PoissonLaw, "quantile",
@@ -577,35 +601,43 @@ class TestQueueSimulation:
         assert np.all((lanes[marked] <= scaled) & (scaled < lanes[marked] + 1))
         assert np.array_equal(quantile(law, refined), _searchsorted_quantile(law, refined))
 
-    @pytest.mark.parametrize("n, budget, take", [
-        (50, None, 3000), (48, None, 3000), (3, 7, 1001), (1, 1001, 5000), (50, 32, 41),
-        (1, 1, 9)])
-    def test_counting_generator_sees_a_quarter_of_the_lanes(self, monkeypatch, n, budget,
-                                                              take):
-        # each block draws the words that hold its lanes, carrying the lanes
-        # of a word it shares with the next block, so a chunk draws
-        # ceil(take n / 4) words; the refinement stream, jumped from the
-        # chunk's first state, gives one word to each marked lane
-        if budget is not None:
-            monkeypatch.setattr(mc, "_QUEUE_BLOCK", budget)
-        law, rows = PoissonLaw(math.log(2.0)), mc._rows(mc._QUEUE_BLOCK, n)
+    @pytest.mark.parametrize("n, take", [
+        (50, 3000), (48, 3000), (3, 1001), (1, 5000), (50, 41), (1, 9), (2, mc._QUEUE_CHUNK)])
+    def test_counting_generator_sees_a_quarter_of_the_lanes(self, n, take):
+        # each step draws the ceil(take / 4) words that hold its lanes, so a
+        # chunk draws n ceil(take / 4); the refinement stream, jumped from
+        # the chunk's first state, ends n windows of 16384 counters on
+        law = PoissonLaw(math.log(2.0))
         gen = _CountingGenerator(mc._rng(4, 0))
         mc._queue_kernel(law, n, 1.5, 1.0)(gen, take)
-        ends = [min(lo, take) * n for lo in range(0, take + rows, rows)]
-
-        def words(lanes):
-            return -(-lanes // 4)
-
-        assert gen.sizes == [words(hi) - words(lo) for lo, hi in zip(ends, ends[1:])]
-        assert sum(gen.sizes) == words(take * n)
-        if rows * n % 4 == 0:
-            assert gen.sizes[:-1] == [rows * n // 4] * (len(gen.sizes) - 1)
-        u = lane_uniforms(law, mc._rng(4, 0), take, n)
-        marked = int(np.sum(law._guide[np.floor(u * 4096.0).astype(np.intp)] < 0))
-        fresh = np.random.Generator(mc._rng(4, 0).bit_generator.jumped())
-        fresh.integers(0, 2**64, size=marked, dtype=np.uint64)
+        assert gen.sizes == [-(-take // 4)] * n
+        assert sum(gen.sizes) == n * -(-take // 4)
+        fresh = mc._rng(4, 0).bit_generator.jumped().advance(16384 * n)
         assert len(gen.jumps) == 1
-        np.testing.assert_equal(gen.jumps[0].state, fresh.bit_generator.state)
+        np.testing.assert_equal(gen.jumps[0].state, fresh.state)
+
+    @pytest.mark.parametrize("take", [1, 41, 1234, mc._QUEUE_CHUNK])
+    def test_each_step_reads_its_own_windows(self, take):
+        # step k draws ceil(take / 4) words from counter 4096 k and its
+        # refinement words from counter 16384 k of the jumped stream, also
+        # at a step with no marked lane, where it draws none
+        law, n, key = PoissonLaw(1.0), 12, 8 + (3 << 64)
+        _RecordingPhilox.log = log = []
+        gen = np.random.Generator(_RecordingPhilox(key=key))
+        over = mc._queue_kernel(law, n, 1.5, 0.4)(gen, take)
+        assert np.array_equal(over, mc._queue_kernel(law, n, 1.5, 0.4)(mc._rng(8, 3), take))
+        jumped = 1 << 128
+        main = [entry for entry in log if entry[0] < jumped]
+        refine = [entry for entry in log if entry[0] >= jumped]
+        words = -(-take // 4)
+        assert main == [(4096 * k + -(-words // 4), words % 4 or 4, 4096 - -(-words // 4))
+                        for k in range(n)]
+        u = lane_uniforms(law, mc._rng(8, 3), take, n)
+        marked = np.sum(law._guide[np.floor(u * 4096.0).astype(np.intp)] < 0, axis=0)
+        assert [(c - jumped - 16384 * k, d) for k, (c, _, d) in enumerate(refine)] == [
+            (-(-m // 4), 16384 - -(-m // 4)) for m in marked]
+        if take < 1000:
+            assert 0 in marked
 
     def test_validation(self):
         law = PoissonLaw(1.0)
@@ -957,11 +989,8 @@ class TestChunksOnThreads:
         assert _path_outputs(grid, n_paths, seed) == want
 
     @pytest.mark.parametrize("workers", [1, 2, 3])
-    @pytest.mark.parametrize("budget, rate, n, C, b, reps, rows", _QUEUE_BLOCK_CASES)
-    def test_queue_kernel_matches_serial(self, monkeypatch, workers, budget, rate, n, C, b,
-                                         reps, rows):
-        if budget is not None:
-            monkeypatch.setattr(mc, "_QUEUE_BLOCK", budget)
+    @pytest.mark.parametrize("rate, n, C, b, reps", _QUEUE_TAKE_CASES)
+    def test_queue_kernel_matches_serial(self, monkeypatch, workers, rate, n, C, b, reps):
         law = PoissonLaw(rate)
         monkeypatch.setattr(mc, "_WORKERS", 1)
         want = _queue_outputs(law, n, C, b, reps, seed=6)
@@ -1051,11 +1080,11 @@ def _traced_peak_mib(run) -> float:
 
 
 class TestQueueMemory:
-    """The queue kernel holds row blocks of words, not a chunk of uniforms."""
+    """The queue kernel holds a few vectors of its chunk's rows, not a chunk of uniforms."""
 
     def test_queue_estimate(self, monkeypatch):
-        # the whole-chunk kernel peaked at 27.7 MiB here; two threads hold
-        # a row block each
+        # the whole-chunk kernel peaked at 27.7 MiB here, the step-major one
+        # at 3.7 MiB: two threads hold a chunk's q, peak, lanes and arrivals each
         monkeypatch.setattr(mc, "_WORKERS", 2)
         peak = _traced_peak_mib(lambda: simulate_queue_overflow_prob(
             PoissonLaw(1.0), 2.0, 0.1, 50, 200_000))
