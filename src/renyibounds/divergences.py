@@ -222,7 +222,7 @@ def renyi_poisson(theta1: PoissonParams, nu1: PoissonParams, alpha: float) -> fl
         numer, denom = l2 * inner, alpha * am1
         if math.isfinite(numer) and math.isfinite(denom):
             return numer / denom
-        # past alpha of about 1.3e154 alpha (alpha - 1) overflows
+        # alpha (alpha - 1) overflows past alpha of about 1.3e154
         return l2 * (inner / alpha / am1)
     # the numerator is l2 e^(alpha r) times 1/(alpha - 1) + e^(-alpha r) -
     # alpha e^(-x) / (alpha - 1), x = (alpha - 1) r. For x >= 1 the expm1 form

@@ -291,7 +291,7 @@ class TestPoisson:
         # the value is inf, and inside it within 1e-13 of mpmath (of the
         # smallest normal where the value is subnormal), with no error or
         # warning. (1 + 2^-52 || 1) is finite for alpha in [3.15e18, 3.58e18]
-        orders = [*np.geomspace(1e4, 1e300, 200), 3.2e18, 3.4e18]
+        orders = [*np.geomspace(1e4, 1e300, 100), 3.2e18, 3.4e18]
         for l1, l2 in ((1.1, 1.0), (30.0, 1.0), (1.0 + 2.0**-52, 1.0)):
             for p, q in ((l1, l2), (l2, l1)):
                 for a in orders:
