@@ -566,9 +566,9 @@ class TestQueueSimulation:
     def test_z_scores_at_the_benchmark_parameters(self, rate, exact):
         # the README queue sandwich and the queue benchmark: C = 2, b = 0.1,
         # n = 50, nominal rate 1 and alternative 1.1, with the gate above
-        assert _exact_overflow(rate, 50, 2.0, 0.1) == pytest.approx(exact, rel=1e-4)
-        exact = _exact_overflow(rate, 50, 2.0, 0.1)
-        z = np.array([(est.mean - exact) / est.std_error for est in (
+        p = _exact_overflow(rate, 50, 2.0, 0.1)
+        assert p == pytest.approx(exact, rel=1e-4)
+        z = np.array([(est.mean - p) / est.std_error for est in (
             simulate_queue_overflow_prob(PoissonLaw(rate), 2.0, 0.1, 50, 20_000, seed=seed)
             for seed in range(20))])
         assert abs(z.mean()) <= 3.0 / math.sqrt(20)
