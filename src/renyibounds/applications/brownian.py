@@ -89,6 +89,9 @@ class FigureRow:
     scale: str
 
 
+_LOG_SQRT_PI = 0.5 * math.log(math.pi)
+
+
 def bm_exceedance_nominal(level: float, horizon: float = 1.0) -> float:
     """P(max_{s <= t} B_s >= level) = erfc(level / sqrt(2 t)) for a
     driftless Brownian motion, by the reflection principle."""
@@ -107,7 +110,14 @@ def _log_drift_terms(level: float, mu: float, horizon: float) -> tuple[float, fl
     root = math.sqrt(2.0 * t)
     log_half = math.log(0.5)
     first = log_half + log_erfc((k - mu * t) / root)
-    second = log_half + 2.0 * mu * k + log_erfc((k + mu * t) / root)
+    z = (k + mu * t) / root
+    second = log_half + 2.0 * mu * k + log_erfc(z)
+    if not math.isfinite(second) and z > 0.0:
+        # 2 mu K and z^2 >= 2 mu K overflow together, to inf - inf at mu = inf.
+        # Out there erfc(z) = e^{-z^2} / (z sqrt(pi)) to double precision,
+        # and 2 mu K - z^2 is the combined exponent -(K - mu t)^2 / (2t).
+        gap = k - mu * t
+        second = log_half - 0.5 * (gap * gap / t) - math.log(z) - _LOG_SQRT_PI
     return first, second
 
 

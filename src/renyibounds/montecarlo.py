@@ -28,20 +28,16 @@ threading variables of BLAS or OpenMP do not apply to these Python
 threads. A kernel's exception is raised where its chunk would have
 been yielded, after every helper has been joined.
 
-The block budgets below are per thread, so that the threads together
-hold about what one did. The skeleton crossing and Girsanov kernels
-walk their chunk in row blocks of about ``_PATH_BLOCK`` draws
-(``_block_rows`` paths, at least one) and do all arithmetic in place
-inside a block, so their working set stays in cache and nothing of
-chunk size is allocated apart from per-path vectors. The two exact
-kernels need no path and take chunks of ``_EXACT_CHUNK`` samples: the
-argmax kernel draws three uniforms per sample, in row blocks of about
-``_PATH_BLOCK`` draws, and the bridge kernel one normal per sample, a
-chunk at a time.
-The blocks change no bit of any sample: consecutive draws from one
-generator concatenate bitwise, ziggurat normals included, and every
-row is scaled, summed and reduced in the same order as a whole chunk
-would be.
+The grid kernels (skeleton crossing, Girsanov) walk a chunk of
+``_PATH_CHUNK`` paths one time step at a time, on vectors of all its
+rows, and never form a rows x steps block. Step k draws its normals
+from its own Philox window, counter ``k << 64`` of the chunk's key with
+an empty buffer, 2^64 blocks from the next, so the ziggurat's variable
+word use cannot reach the next step and a shorter take draws a prefix.
+The argmax kernel draws three uniforms a sample in row blocks of
+``_PATH_BLOCK // 3`` samples and the bridge kernel one normal a sample,
+both in chunks of ``_EXACT_CHUNK``; consecutive draws from one
+generator concatenate bitwise, so the blocks change no bit.
 
 The queue kernel walks its chunk one time step at a time, each a
 Lindley step on vectors of all the chunk's rows. Each arrival is a
@@ -99,7 +95,7 @@ _GUIDE_BITS = 12
 _GUIDE_BUCKETS = 1 << _GUIDE_BITS
 _LANE_BITS = 16
 _LANES = 64 // _LANE_BITS
-_PATH_DRAW_BUDGET = 1 << 21
+_PATH_CHUNK = 1 << 14
 _PATH_BLOCK = 1 << 14
 _EXACT_CHUNK = 1 << 16
 _Z95 = 1.959963984540054
@@ -249,17 +245,17 @@ class PathGrid:
         return self.horizon / self.n_steps
 
 
-def _rows(budget: int, width: int) -> int:
-    """Rows of width draws that fit in a budget of draws, at least one."""
-    return max(1, budget // width)
-
-
-def _path_chunk(grid: PathGrid) -> int:
-    return _rows(_PATH_DRAW_BUDGET, grid.n_steps)
-
-
-def _block_rows(grid: PathGrid) -> int:
-    return _rows(_PATH_BLOCK, grid.n_steps)
+def _step_windows(gen: np.random.Generator, n_steps: int) -> Iterator[int]:
+    """Yield k = 0 .. n_steps - 1, gen at the start of step k's window each time."""
+    bits = gen.bit_generator
+    state = bits.state
+    state["buffer_pos"], state["has_uint32"] = 4, 0
+    counter = state["state"]["counter"]
+    counter[:] = 0
+    for k in range(n_steps):
+        counter[1] = k
+        bits.state = state
+        yield k
 
 
 class PoissonLaw:
@@ -405,19 +401,18 @@ def simulate_queue_overflow_prob(
 def _crossing_kernel(level: float, mu: float, grid: PathGrid) -> _Kernel:
     """Indicator that the grid skeleton of X_s = mu s + B_s reaches level (biased low)."""
     level, mu = float(level), float(mu)
-    dt, rows = grid.dt, _block_rows(grid)
+    dt = grid.dt
 
     def kernel(gen: np.random.Generator, take: int) -> np.ndarray:
-        z = np.empty((min(rows, take), grid.n_steps))
-        crossed = np.empty(take, dtype=bool)
-        for lo in range(0, take, rows):
-            path = z[:min(rows, take - lo)]
-            gen.standard_normal(out=path)
-            path *= math.sqrt(dt)
-            path += mu * dt
-            np.cumsum(path, axis=1, out=path)
-            np.greater_equal(np.max(path, axis=1), level, out=crossed[lo:lo + len(path)])
-        return crossed
+        step, x = np.empty(take), np.zeros(take)
+        top = np.full(take, -math.inf)
+        for _ in _step_windows(gen, grid.n_steps):
+            gen.standard_normal(out=step)
+            step *= math.sqrt(dt)
+            step += mu * dt
+            x += step
+            np.maximum(top, x, out=top)
+        return top >= level
 
     return kernel
 
@@ -478,7 +473,7 @@ def bm_exceedance_estimate(
     if bridge:
         kernel, chunk = _bridge_kernel(level, mu, grid.horizon), _EXACT_CHUNK
     else:
-        kernel, chunk = _crossing_kernel(level, mu, grid), _path_chunk(grid)
+        kernel, chunk = _crossing_kernel(level, mu, grid), _PATH_CHUNK
     return _mean_ci(_stream(kernel, n_paths, chunk, seed), n_paths, seed)
 
 
@@ -495,7 +490,7 @@ def _argmax_kernel(gamma: float, mu: float, horizon: float) -> _Kernel:
     opposite signs and cannot overflow.
     """
     gamma, mu, t = float(gamma), float(mu), float(horizon)
-    rows = _rows(_PATH_BLOCK, 3)
+    rows = _PATH_BLOCK // 3
 
     def kernel(gen: np.random.Generator, take: int) -> np.ndarray:
         out = np.empty(take)
@@ -534,37 +529,35 @@ def argmax_laplace_estimate(
 
 
 def _girsanov_kernel(drift: Callable[[np.ndarray], np.ndarray], grid: PathGrid) -> _Kernel:
-    """Euler log likelihood ratio sum(m(X_k) dB_k) - (dt/2) sum(m(X_k)^2).
+    """Euler log likelihood ratio sum_k m(X_k) (dB_k - m(X_k) dt / 2), m = drift.
 
-    Paths are sampled under the driftless nominal model; the ratio
-    reweights them to the law of dX = drift(X) dt + dB. drift sees one
-    row block of pre-step values at a time.
+    Driftless paths, reweighted to the law of dX = drift(X) dt + dB. A
+    step's term past the double range reads -inf, never inf - inf.
     """
-    dt, rows = grid.dt, _block_rows(grid)
+    dt, half_dt = grid.dt, 0.5 * grid.dt
 
     def kernel(gen: np.random.Generator, take: int) -> np.ndarray:
-        z = np.empty((rows, grid.n_steps))
-        x = np.empty_like(z)
-        llr = np.empty(take)
-        for lo in range(0, take, rows):
-            db = z[:min(rows, take - lo)]
-            pre = x[:len(db)]
+        # one 640 KiB block, freed on this thread, and a copy of the ratio
+        # out: under glibc, later ops then reuse the heap's pages (separate
+        # vectors, or a block freed by the caller, cost them 200-500 minor
+        # faults an op as the heap was trimmed and grown again)
+        x, llr, db, term, pre = np.zeros((5, take))
+        pre = pre[:, None]
+        for _ in _step_windows(gen, grid.n_steps):
             gen.standard_normal(out=db)
             db *= math.sqrt(dt)
-            # the value before step k is the sum of the first k increments
-            pre[:, 0] = 0.0
-            np.cumsum(db[:, :-1], axis=1, out=pre[:, 1:])
+            pre[:, 0] = x
             m = np.asarray(drift(pre), dtype=float)
             if m.shape != pre.shape:
                 raise ValueError("drift must map a path array to an array of the same shape")
-            # m may be pre itself, so db takes both products
-            np.multiply(m, db, out=db)
-            drift_term = np.sum(db, axis=1)
-            # a square past the double range reads inf, and its LLR -inf
+            m = m[:, 0]
             with np.errstate(over="ignore"):
-                np.multiply(m, m, out=db)
-            llr[lo:lo + len(db)] = drift_term - 0.5 * dt * np.sum(db, axis=1)
-        return llr
+                np.multiply(m, half_dt, out=term)
+                np.subtract(db, term, out=term)
+                term *= m
+                llr += term
+            x += db
+        return llr.copy()
 
     return kernel
 
@@ -580,20 +573,24 @@ def girsanov_renyi_estimate(
 
     Uses log E_nominal exp(alpha LLR) scaled by 1/(alpha (alpha - 1)),
     with a delta-method standard error from the second empirical moment
-    of exp(alpha LLR). Orders very far from 1 need heavier tails than
-    1e5 paths resolve; the studies stay at alpha <= 3 where the
-    estimator is well behaved for the drifts considered. drift maps an
-    array of pre-step path values, one path per row, to an array of the
-    same shape holding the drift at each of them. It is applied to row
-    blocks of a few paths at a time, and to the blocks of different
-    chunks at once from helper threads, so it must act on each row of its
-    argument alone. A moment that is infinite, as when every LLR is
-    -inf, gives se inf and the interval [-inf, inf].
+    of exp(alpha LLR). LLR is the Euler log likelihood ratio on grid,
+    summed step by step over chunks of _PATH_CHUNK paths; step k's
+    normals come from its own Philox window (see the module docstring),
+    so a longer run only appends paths. Orders very far from 1 need
+    heavier tails than 1e5 paths resolve; the studies stay at alpha <= 3
+    where the estimator is well behaved for the drifts considered.
+
+    drift must be elementwise: it maps a (take, 1) array of pre-step
+    values, one path per row, to an array of the same shape holding the
+    drift at each value. Each step passes a scratch copy, so a drift that
+    writes into its argument changes no sample, and drift runs on the
+    chunks of helper threads at once. A moment that is infinite, as when
+    every LLR is -inf, gives se inf and the interval [-inf, inf].
     """
     alpha = check_alpha(alpha)
     n = _at_least_two(n_paths)
     lse1 = lse2 = -math.inf
-    for llr in _stream(_girsanov_kernel(drift, grid), n, _path_chunk(grid), seed):
+    for llr in _stream(_girsanov_kernel(drift, grid), n, _PATH_CHUNK, seed):
         lse1 = float(np.logaddexp(lse1, logsumexp(alpha * llr)))
         lse2 = float(np.logaddexp(lse2, logsumexp(2.0 * alpha * llr)))
     log_n = math.log(n)

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import functools
+import math
 import os
 import shutil
 import sys
@@ -101,6 +103,61 @@ def lane_uniforms(law, gen: np.random.Generator, take: int, n: int) -> np.ndarra
         low[marked] = _philox_words(key, jumped + 16384 * k, int(marked.sum())) >> 27
         u[:, k] = ((lanes << np.uint64(37)) | low) * 2.0**-53
     return u
+
+
+@functools.lru_cache(maxsize=8)
+def _window_normals(key: tuple, take: int, n_steps: int) -> np.ndarray:
+    columns = [np.random.Generator(np.random.Philox(key=np.array(key, dtype=np.uint64),
+                                                    counter=k << 64)).standard_normal(take)
+               for k in range(n_steps)]
+    out = np.stack(columns, axis=1)
+    out.flags.writeable = False
+    return out
+
+
+def step_normals(gen: np.random.Generator, take: int, n_steps: int) -> np.ndarray:
+    """The (take, n_steps) normals of a grid chunk, from the layout's definition.
+
+    Written without the kernels' code: column k is take normals of a fresh
+    Philox with gen's key at counter k << 64, so row r holds path r's
+    normals whatever the take. Read-only, since equal arguments share it.
+    """
+    key = tuple(int(w) for w in gen.bit_generator.state["state"]["key"])
+    return _window_normals(key, take, n_steps)
+
+
+def _along_steps(values: np.ndarray) -> np.ndarray:
+    """Running sums of each row, one step at a time from 0.0 (np.sum pairs them up)."""
+    return np.cumsum(np.concatenate([np.zeros((len(values), 1)), values], axis=1), axis=1)
+
+
+def reference_crossing_kernel(level, mu, grid):
+    """Skeleton crossing indicators in matrix form: the running maximum of X_k."""
+    dt = grid.dt
+
+    def kernel(gen, take):
+        steps = step_normals(gen, take, grid.n_steps) * math.sqrt(dt) + mu * dt
+        return np.max(_along_steps(steps)[:, 1:], axis=1) >= level
+
+    return kernel
+
+
+def reference_girsanov_kernel(drift, grid):
+    """Euler log likelihood ratios in matrix form: sum_k m_k (dB_k - m_k dt / 2).
+
+    drift sees the whole (take, n_steps) matrix of pre-step values, which
+    an elementwise drift must map as it maps each column.
+    """
+    dt = grid.dt
+
+    def kernel(gen, take):
+        db = step_normals(gen, take, grid.n_steps) * math.sqrt(dt)
+        pre = _along_steps(db)[:, :-1]
+        m = np.asarray(drift(pre), dtype=float)
+        with np.errstate(over="ignore"):
+            return _along_steps(m * (db - m * (0.5 * dt)))[:, -1]
+
+    return kernel
 
 
 def _assert_script_runs_cli_entry() -> None:

@@ -10,6 +10,7 @@ import pytest
 
 from renyibounds.applications.brownian import (
     _gauss_legendre,
+    _log_drift_terms,
     BrownianModel,
     bm_bound_curves,
     bm_exceedance_drift,
@@ -102,6 +103,39 @@ class TestDriftExceedance:
             0.5 * mpmath.erfc((40.0 - 0.1) / mpmath.sqrt(2))
             + 0.5 * mpmath.e ** 8.0 * mpmath.erfc((40.0 + 0.1) / mpmath.sqrt(2))))
         assert deep == pytest.approx(want, rel=1e-11)
+
+
+class TestDriftPastTheDoubleRange:
+    """2 mu K and log erfc((K + mu t)/sqrt(2t)) overflow together, to inf - inf at mu = inf."""
+
+    @pytest.mark.filterwarnings("error")
+    def test_infinite_drift(self):
+        assert bm_exceedance_drift(1.0, math.inf) == 1.0
+        assert bm_exceedance_drift(1.0, -math.inf) == 0.0
+        assert log_bm_exceedance_drift(1.0, math.inf) == 0.0
+        assert log_bm_exceedance_drift(1.0, -math.inf) == -math.inf
+        for mu in (1e200, 1.7976931348623157e308):
+            assert bm_exceedance_drift(1.0, mu) == 1.0
+            assert bm_exceedance_drift(1.0, -mu) == 0.0
+
+    @pytest.mark.parametrize("level, mu, horizon", [
+        (1e154, 1e154, 1.0), (1e200, 1e200, 1.0), (1e154, 1.0000001e154, 1.0),
+        (1e160, 2e160, 0.5)])
+    def test_second_term_against_the_exact_exponent(self, level, mu, horizon):
+        # there erfc(z) = e^{-z^2} / (z sqrt(pi)) to double precision; mpmath
+        # forms 2 mu K - z^2 exactly, where the doubles overflow
+        with mpmath.workdps(1000):
+            k, m, t = mpmath.mpf(level), mpmath.mpf(mu), mpmath.mpf(horizon)
+            z = (k + m * t) / mpmath.sqrt(2 * t)
+            want = float(mpmath.log(0.5) + 2 * m * k - z * z
+                         - mpmath.log(z * mpmath.sqrt(mpmath.pi)))
+        assert _log_drift_terms(level, mu, horizon)[1] == pytest.approx(want, rel=1e-14)
+
+    def test_level_at_the_drift_line(self):
+        # at K = mu t the exponent is 0 and only erfc's 1/(z sqrt(pi)) keeps
+        # the second term near 1e-155: P = 1/2, not 1
+        assert bm_exceedance_drift(1e154, 1e154) == 0.5
+        assert bm_exceedance_drift(1e200, 1e200) == 0.5
 
 
 class TestBoundCurves:

@@ -27,6 +27,27 @@ def run_cli(capsys, argv):
     return code, captured.out, captured.err
 
 
+def _parse_json_without_nan(text):
+    """The parsed JSON, after checking that no value in it is nan or a bare constant."""
+    def values(x):
+        if isinstance(x, dict):
+            for v in x.values():
+                yield from values(v)
+        elif isinstance(x, list):
+            for v in x:
+                yield from values(v)
+        else:
+            yield x
+
+    def no_constant(name):
+        raise AssertionError(f"bare {name} in the JSON")
+
+    data = json.loads(text, parse_constant=no_constant)
+    for v in values(data):
+        assert v != "nan" and not (isinstance(v, float) and math.isnan(v)), text
+    return data
+
+
 class TestRenyiCommand:
     def test_gaussian_mean_shift(self, capsys):
         code, out, _ = run_cli(capsys, [
@@ -214,6 +235,16 @@ class TestBrownianFigures:
         code, _, _ = run_cli(capsys, ["brownian-figures", "--points", "0"])
         assert code == 2
 
+    @pytest.mark.filterwarnings("error")
+    def test_drift_past_the_double_range(self, capsys):
+        # the exact column's second term met inf - inf here and read nan
+        code, out, err = run_cli(capsys, [
+            "brownian-figures", "--K", "4", "--mu", "1.7976931348623157e308",
+            "--points", "5", "--format", "json"])
+        assert (code, err) == (0, "")
+        rows = _parse_json_without_nan(out)
+        assert [r["exact"] for r in rows] == [1.0] * 5
+
 
 class TestQueueCommand:
     def test_rate_only(self, capsys):
@@ -347,22 +378,7 @@ class TestQueueCommand:
             assert code == 0
         if code == 2:
             return
-
-        def values(x):
-            if isinstance(x, dict):
-                for v in x.values():
-                    yield from values(v)
-            elif isinstance(x, list):
-                for v in x:
-                    yield from values(v)
-            else:
-                yield x
-
-        def no_constant(name):
-            raise AssertionError(f"bare {name} in the JSON")
-
-        for v in values(json.loads(out.getvalue(), parse_constant=no_constant)):
-            assert v != "nan" and not (isinstance(v, float) and math.isnan(v)), argv
+        _parse_json_without_nan(out.getvalue())
 
 
 class TestLaplaceCommand:
@@ -480,6 +496,26 @@ class TestMcCommands:
             "mc", "argmax", "--t", "1e308", "--mu", "10", "--gamma", "-10", "--paths", "10"])
         assert (code, out) == (1, "")
         assert err == "error: argmax transform quadrature did not reach its tolerance\n"
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("mu", ["inf", "1.7976931348623157e308"])
+    def test_bm_max_exact_at_infinite_drift(self, capsys, mu):
+        code, out, err = run_cli(capsys, [
+            "mc", "bm-max", "--K", "1", "--mu", mu, "--paths", "100", "--format", "json"])
+        assert (code, err) == (0, "")
+        assert _parse_json_without_nan(out)["exact"] == 1.0
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("drift", ["const", "tanh"])
+    def test_girsanov_at_the_top_of_the_double_range(self, capsys, drift):
+        # the LLR was sum m dB - (dt/2) sum m^2 = inf - inf; each step's
+        # term m (dB - m dt / 2) now reads -inf, and so does the LLR
+        code, out, err = run_cli(capsys, [
+            "mc", "girsanov", "--drift", drift, "--mu", "1.7976931348623157e308",
+            "--n-steps", "4", "--paths", "100", "--format", "json"])
+        assert (code, err) == (0, "")
+        est = _parse_json_without_nan(out)["estimate"]
+        assert (est["mean"], est["se"], est["ci95"]) == ("-inf", "inf", ["-inf", "inf"])
 
     @pytest.mark.parametrize("alpha", ["2", "-1"])
     def test_girsanov_past_float_range_has_infinite_se(self, console_script, alpha):

@@ -30,7 +30,12 @@ from renyibounds.montecarlo import (
     simulate_queue_overflow_prob,
 )
 
-from conftest import lane_uniforms
+from conftest import (
+    lane_uniforms,
+    reference_crossing_kernel,
+    reference_girsanov_kernel,
+    step_normals,
+)
 
 _GRID64 = PathGrid(n_steps=64)
 _DBL_MAX = 1.7976931348623157e308
@@ -111,18 +116,6 @@ class _CountingGenerator:
         return self._gen.integers(low, high, size=size, dtype=dtype)
 
 
-def _reference_crossing_kernel(level, mu, grid):
-    """Whole-chunk skeleton kernel that the row-block kernel must reproduce."""
-    dt = grid.dt
-
-    def kernel(gen, take):
-        normals = (mc._path_chunk(grid), grid.n_steps)
-        path = np.cumsum(math.sqrt(dt) * gen.standard_normal(normals)[:take] + mu * dt, axis=1)
-        return np.max(path, axis=1) >= level
-
-    return kernel
-
-
 def _reference_bridge_kernel(level, mu, horizon):
     """The exact crossing kernel in terms of the end value x ~ N(mu t + c sqrt(t), t).
 
@@ -147,7 +140,7 @@ def _crossing_samples(level, mu, grid, n, seed, bridge=True):
     if bridge:
         kernel, chunk = mc._bridge_kernel(level, mu, grid.horizon), mc._EXACT_CHUNK
     else:
-        kernel, chunk = mc._crossing_kernel(level, mu, grid), mc._path_chunk(grid)
+        kernel, chunk = mc._crossing_kernel(level, mu, grid), mc._PATH_CHUNK
     return np.concatenate(list(mc._stream(kernel, n, chunk, seed)))
 
 
@@ -174,26 +167,11 @@ def _argmax_samples(gamma, mu, horizon, n, chunk, seed):
 def _girsanov_samples(drift, grid, n, seed=0):
     """The per-path log likelihood ratios that girsanov_renyi_estimate reduces."""
     kernel = mc._girsanov_kernel(drift, grid)
-    return np.concatenate(list(mc._stream(kernel, n, mc._path_chunk(grid), seed)))
-
-
-def _reference_girsanov_kernel(drift, grid):
-    """Whole-chunk Girsanov kernel that the row-block kernel must reproduce."""
-    dt = grid.dt
-
-    def kernel(gen, take):
-        db = gen.standard_normal((take, grid.n_steps))
-        db *= math.sqrt(dt)
-        path = np.cumsum(db, axis=1)
-        pre = np.concatenate([np.zeros((take, 1)), path[:, :-1]], axis=1)
-        m = np.asarray(drift(pre), dtype=float)
-        return np.sum(m * db, axis=1) - 0.5 * dt * np.sum(m * m, axis=1)
-
-    return kernel
+    return np.concatenate(list(mc._stream(kernel, n, mc._PATH_CHUNK, seed)))
 
 
 def _row_blocks_and_reference(monkeypatch, factory, reference, call):
-    """call() as it runs, then again with the whole-chunk reference kernel."""
+    """call() as it runs, then again with the reference kernel."""
     got = call()
     with monkeypatch.context() as m:
         m.setattr(mc, factory, reference)
@@ -261,8 +239,8 @@ class TestPrefixProperty:
         assert np.array_equal(long[:500], short)
 
     def test_across_chunk_boundary(self):
-        # chunk size for 64-step paths is 2^21 / 64 = 32768; growing the
-        # sample count must only append, even through the boundary
+        # chunks of 2^14 paths: growing the sample count must only append,
+        # even through the boundaries
         short = _girsanov_samples(_tanh_drift(0.2), _GRID64, 33000, seed=1)
         long = _girsanov_samples(_tanh_drift(0.2), _GRID64, 40000, seed=1)
         assert np.array_equal(long[:33000], short)
@@ -802,6 +780,32 @@ class TestArgmax:
             argmax_laplace_estimate(1.0, 0.0, _GRID64, 1)
 
 
+def _tanh_divergence_feynman_kac(mu, alpha, t, n_x=2001, n_t=1000, half_width=8.0):
+    """D_alpha between dX = mu tanh(X) dt + dB and Brownian motion on [0, t].
+
+    With A = mu log cosh, b = A' and psi = (b^2 + b') / 2, Ito's formula
+    gives alpha LLR = alpha A(B_t) - alpha int_0^t psi(B_s) ds, so by
+    Feynman-Kac E exp(alpha LLR) = u(t, 0) for u_tau = u_xx / 2 - alpha psi u,
+    u(0, x) = cosh(x)^(alpha mu). Crank-Nicolson on [-8, 8] with u = 0 at
+    the ends, which paths from 0 reach by t = 1 with probability < 1e-14.
+    """
+    from scipy.linalg import solve_banded
+
+    x = np.linspace(-half_width, half_width, n_x)
+    tau, h = t / n_t, x[1] - x[0]
+    psi = 0.5 * (mu * mu * np.tanh(x[1:-1]) ** 2 + mu / np.cosh(x[1:-1]) ** 2)
+    r, damp = tau / (4.0 * h * h), 0.5 * tau * alpha * psi
+    implicit = np.zeros((3, n_x - 2))
+    implicit[0, 1:] = implicit[2, :-1] = -r
+    implicit[1] = 1.0 + 2.0 * r + damp
+    u = np.cosh(x) ** (alpha * mu)
+    u[0] = u[-1] = 0.0
+    for _ in range(n_t):
+        explicit = (1.0 - 2.0 * r - damp) * u[1:-1] + r * (u[:-2] + u[2:])
+        u[1:-1] = solve_banded((1, 1), implicit, explicit)
+    return math.log(u[n_x // 2]) / (alpha * (alpha - 1.0))
+
+
 class TestGirsanov:
     def test_single_path_constant_drift_llr(self):
         # a constant drift m gives LLR = m B_1 - m^2/2 on every path, so
@@ -831,6 +835,20 @@ class TestGirsanov:
                                       100_000, seed=0)
         assert est.mean <= 0.005 + 3.0 * est.std_error
 
+    def test_bounded_drift_matches_feynman_kac(self):
+        # two-sided, where the workload's mu^2/2 cap is one-sided: at
+        # mu = 0.1, alpha = 2, t = 1 the divergence is 1.32504e-3, a quarter
+        # of the cap, and a factor-3 error in either direction is over 5 se
+        exact = _tanh_divergence_feynman_kac(0.1, 2.0, 1.0)
+        assert exact == pytest.approx(_tanh_divergence_feynman_kac(
+            0.1, 2.0, 1.0, n_x=1001, n_t=500), abs=1e-6)
+        assert exact == pytest.approx(1.32504e-3, rel=1e-4)
+        est = girsanov_renyi_estimate(_tanh_drift(0.1), PathGrid(256), 2.0,
+                                      100_000, seed=0)
+        assert abs(est.mean - exact) <= 3.0 * est.std_error
+        # exact / 3 and 3 exact both lie more than 3 se from exact
+        assert 3.0 * est.std_error < exact - exact / 3.0
+
     def test_alpha_validation(self):
         with pytest.raises(ValueError):
             girsanov_renyi_estimate(_const_drift(0.1), _GRID64, 1.0, 100)
@@ -843,18 +861,16 @@ class TestGirsanov:
 
 
 # Grids run to t = 1.5, so dt is not a power of two and any change in the
-# rounding order shows. (n_steps, n_paths): fewer paths than one block's
-# rows (1 step); one chunk of a whole block and a short one (64 steps);
-# two chunks plus a remainder that is not a multiple of the block rows
-# (64 steps); a chunk plus 13 paths at 4 rows per block (4096 steps); and
-# more steps than a block holds, one row per block. So streams of one,
-# two and three chunks are covered, the last chunk short. The exact argmax
-# kernel reads only the path counts: within one block of 5461 rows, or two
-# chunks of 2^16 with a short last block.
+# rounding order shows. (n_steps, n_paths): one step and one short chunk;
+# one short chunk (64 steps); four whole chunks of 2^14 paths and a short
+# fifth (64 steps); a short chunk at 4096 steps; and 55 paths at 40000
+# steps, so 40000 windows. The exact argmax kernel reads only the path
+# counts: within one block of 5461 rows, or two chunks of 2^16 with a
+# short last block.
 _BLOCK_CASES = [
     (1, 5000),
     (64, 300),
-    (64, 2 * 32768 + 777),
+    (64, 4 * 16384 + 777),
     (4096, 512 + 13),
     (40000, 52 + 3),
 ]
@@ -866,20 +882,18 @@ def _assert_same_bits(got, want):
 
 
 class TestRowBlocksMatchWholeChunks:
-    """The row-block kernels keep every sample of the whole-chunk kernels."""
+    """The step-major and row-block kernels keep every sample of the matrix-form references."""
 
     def test_cases_cover_the_layouts(self):
-        rows = [mc._block_rows(PathGrid(n_steps)) for n_steps, _ in _BLOCK_CASES]
-        chunks = [mc._path_chunk(PathGrid(n_steps)) for n_steps, _ in _BLOCK_CASES]
-        assert rows == [16384, 256, 256, 4, 1]
-        assert chunks == [1 << 21, 32768, 32768, 512, 52]
-        assert [n % r for (_, n), r in zip(_BLOCK_CASES, rows)] == [5000, 44, 9, 1, 0]
+        chunks = [-(-n // mc._PATH_CHUNK) for _, n in _BLOCK_CASES]
+        assert mc._PATH_CHUNK == 1 << 14
+        assert chunks == [1, 1, 5, 1, 1]
+        assert [n % mc._PATH_CHUNK for _, n in _BLOCK_CASES] == [5000, 300, 777, 525, 55]
 
     @pytest.mark.parametrize("n_steps, n_paths", _BLOCK_CASES)
     @pytest.mark.parametrize("mu", [-2.0, 0.0, 0.3])
     def test_crossing(self, monkeypatch, n_steps, n_paths, mu):
-        # the skeleton kernel behind bridge=False; the exact kernel has no
-        # row blocks
+        # the skeleton kernel behind bridge=False
         grid = PathGrid(n_steps, horizon=1.5)
         seed = 1000 + n_steps
 
@@ -887,25 +901,24 @@ class TestRowBlocksMatchWholeChunks:
             return (_crossing_samples(0.5, mu, grid, n_paths, seed=seed, bridge=False),
                     bm_exceedance_estimate(0.5, mu, grid, n_paths, seed=seed, bridge=False))
         got, want = _row_blocks_and_reference(
-            monkeypatch, "_crossing_kernel", _reference_crossing_kernel, call)
+            monkeypatch, "_crossing_kernel", reference_crossing_kernel, call)
         _assert_same_bits(got[0], want[0])
         assert repr(got[1].to_json_dict()) == repr(want[1].to_json_dict())
 
     @pytest.mark.parametrize("n_steps, n_paths", _BLOCK_CASES)
     def test_crossing_without_bridge_draws_only_kept_rows(self, n_steps, n_paths):
-        # nothing follows the normals, so the rows past take are never
-        # drawn: the samples match the whole-chunk reference, and the
-        # generator ends where take * n_steps normals leave a fresh one
+        # each step draws take normals from its own window and nothing
+        # more, so the generator ends take normals into the last window
         grid = PathGrid(n_steps, horizon=1.5)
-        take = min(n_paths, mc._path_chunk(grid))
+        take = min(n_paths, mc._PATH_CHUNK)
         seed = 4000 + n_steps
         gen = mc._rng(seed, 0)
         got = mc._crossing_kernel(0.5, 0.3, grid)(gen, take)
-        want = _reference_crossing_kernel(0.5, 0.3, grid)(mc._rng(seed, 0), take)
+        want = reference_crossing_kernel(0.5, 0.3, grid)(mc._rng(seed, 0), take)
         _assert_same_bits(got, want)
-        fresh = mc._rng(seed, 0)
-        fresh.standard_normal(take * n_steps)
-        np.testing.assert_equal(gen.bit_generator.state, fresh.bit_generator.state)
+        last = np.random.Philox(key=seed, counter=(n_steps - 1) << 64)
+        np.random.Generator(last).standard_normal(take)
+        np.testing.assert_equal(gen.bit_generator.state, last.state)
 
     @pytest.mark.parametrize("n_steps, n_paths", _BLOCK_CASES)
     @pytest.mark.parametrize("mu", [-2.0, 0.0, 0.3])
@@ -932,21 +945,23 @@ class TestRowBlocksMatchWholeChunks:
             return (_girsanov_samples(drift, grid, n_paths, seed=seed),
                     girsanov_renyi_estimate(drift, grid, 2.5, n_paths, seed=seed))
         got, want = _row_blocks_and_reference(
-            monkeypatch, "_girsanov_kernel", _reference_girsanov_kernel, call)
+            monkeypatch, "_girsanov_kernel", reference_girsanov_kernel, call)
         _assert_same_bits(got[0], want[0])
         assert repr(got[1].to_json_dict()) == repr(want[1].to_json_dict())
 
     def test_drift_mutating_its_input(self, monkeypatch):
-        # each block hands drift a fresh start column, as whole chunks did
+        # each step hands drift a scratch copy of the pre-step values, so
+        # a drift that overwrites its argument changes no sample
         def clobber(x):
             m = np.tanh(x)
             x[:] = 5.0
             return m
 
         got, want = _row_blocks_and_reference(
-            monkeypatch, "_girsanov_kernel", _reference_girsanov_kernel,
+            monkeypatch, "_girsanov_kernel", reference_girsanov_kernel,
             lambda: _girsanov_samples(clobber, PathGrid(256), 700, seed=4))
         _assert_same_bits(got, want)
+        _assert_same_bits(got, _girsanov_samples(np.tanh, PathGrid(256), 700, seed=4))
 
 
 def _path_outputs(grid, n_paths, seed):
@@ -1053,15 +1068,13 @@ class TestChunksOnThreads:
 
     @pytest.mark.parametrize("workers", [1, 2, 3])
     def test_drift_error_on_the_second_chunk(self, monkeypatch, workers):
-        # only the second chunk ends in a short row block, and only there
-        # does drift return the wrong shape
-        rows = mc._block_rows(_GRID64)
-
+        # only the second chunk is short, and only there does drift return
+        # the wrong shape
         def drift(x):
-            return np.tanh(x) if len(x) == rows else np.zeros(3)
+            return np.tanh(x) if len(x) == mc._PATH_CHUNK else np.zeros(3)
 
         monkeypatch.setattr(mc, "_WORKERS", workers)
-        n_paths = mc._path_chunk(_GRID64) + 100
+        n_paths = mc._PATH_CHUNK + 100
         before = threading.active_count()
         for call in (lambda: _girsanov_samples(drift, _GRID64, n_paths),
                      lambda: girsanov_renyi_estimate(drift, _GRID64, 2.0, n_paths)):
@@ -1092,18 +1105,22 @@ class TestQueueMemory:
 
 
 class TestPathMemory:
-    """Path kernels hold row blocks, not whole chunks (numpy reports to tracemalloc)."""
+    """Path kernels hold vectors of a chunk's rows or row blocks, never rows x steps.
+
+    numpy reports its arrays to tracemalloc.
+    """
 
     # whole-chunk kernels peaked at 80, 80 and 16 MiB on these runs
     LIMIT_MIB = 8.0
 
     @pytest.fixture(autouse=True)
     def _two_workers(self, monkeypatch):
-        # every run spans two or more chunks, so two threads hold a row block each
+        # every run spans two or more chunks, so two threads hold a chunk's
+        # vectors or a row block each
         monkeypatch.setattr(mc, "_WORKERS", 2)
 
     def test_crossing_estimate(self):
-        # the skeleton's row blocks, and the exact kernel's 2^16-sample chunks
+        # the skeleton's step vectors, and the exact kernel's 2^16-sample chunks
         for bridge in (True, False):
             peak = _traced_peak_mib(lambda: bm_exceedance_estimate(
                 1.0, 0.1, _GRID64, 140_000, seed=1, bridge=bridge))
