@@ -39,23 +39,25 @@ The argmax kernel draws three uniforms a sample in row blocks of
 both in chunks of ``_EXACT_CHUNK``; consecutive draws from one
 generator concatenate bitwise, so the blocks change no bit.
 
-The queue kernel walks its chunk one time step at a time, each a
-Lindley step on vectors of all the chunk's rows. Each arrival is a
-16-bit lane of a 64-bit Philox word, lane j of a word w being
-``(w >> 16 j) & 0xffff`` whatever the byte order. Step k reads
-``ceil(take / 4)`` words from Philox counter ``k * _QUEUE_CHUNK / 16``,
-row r takes lane ``r % 4`` of word ``r // 4``, and
-``bit_generator.advance`` moves on to the next step's window; so a
-row's lanes sit at fixed places, and a shorter take draws a prefix. A
-lane's top 12 bits are its guide bucket, so a step's arrivals come
-from one gather in a small integer table. Only a lane in a marked
-bucket needs more bits: it takes a word r of the refinement stream,
-the chunk's generator jumped ahead (``bit_generator.jumped()``) from
-its first state, step k's marked lanes in row order from that stream's
-counter ``k * _QUEUE_CHUNK / 4``, and is searched as the uniform
-``((lane << 37) | (r >> 27)) * 2**-53``: 53 uniform bits on the grid
-of ``gen.random()``'s ``(word >> 11) * 2**-53``. So every arrival has
-the law of inversion from one whole uniform, from a quarter of the words.
+The queue kernel walks its chunk one time step at a time, each a Lindley
+step on vectors of all the chunk's rows. Each arrival is a 16-bit lane
+of a 64-bit Philox word, lane j of a word w being ``(w >> 16 j) & 0xffff``
+whatever the byte order. Step k reads ``ceil(take / 4)`` words from
+Philox counter ``k * _QUEUE_CHUNK / 16``, row r takes lane ``r % 4`` of
+word ``r // 4``, and ``bit_generator.advance`` moves on to the next
+step's window; so a row's lanes sit at fixed places, and a shorter take
+draws a prefix. A lane's top 12 bits are its guide bucket, and one
+gather in a table of all 2^16 lanes answers every lane of an unmarked
+bucket. A lane in a marked bucket takes a raw word r of the refinement
+stream, the chunk's bit generator jumped (``bit_generator.jumped()``)
+from its first state, step k's marked lanes in row order from its
+counter ``k * _QUEUE_CHUNK / 4``, and ``PoissonLaw.quantile``, a binary
+search, inverts ``((lane << 37) | (r >> 27)) * 2**-53``: 53 uniform bits
+on the grid of ``gen.random()``'s ``(word >> 11) * 2**-53``. So every
+arrival has the law of inversion from one whole uniform, from a quarter
+of the words. Overflow is a running flag, ``hit |= q > level``. A step's
+few small calls hold the interpreter lock only briefly, so the chunks on
+helper threads overlap.
 
 The kernels cover the three studies: queue overflow under iid
 arrivals, Brownian level crossing (exactly, from the end value and the
@@ -99,6 +101,7 @@ _PATH_CHUNK = 1 << 14
 _PATH_BLOCK = 1 << 14
 _EXACT_CHUNK = 1 << 16
 _Z95 = 1.959963984540054
+_TINY = 2.0 ** -1022  # the smallest normal double
 # the chunks of a stream run this many at a time, one per usable CPU
 _WORKERS = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
             else os.cpu_count() or 1)
@@ -208,19 +211,30 @@ def _mean_ci(chunks: Iterable[np.ndarray], n: int, seed: int) -> EstimateWithCI:
 
     Samples or squares past the double range read inf, without a
     warning, and a sum of squares that reaches inf gives se inf: an
-    infinite mean reads inf with se inf, never nan.
+    infinite mean reads inf with se inf, never nan. Squares that sum
+    below the normal range are taken of x 2^-e, exactly, max |x| in
+    [2^(e-1), 2^e), and the moments at the largest such 2^e: that is 1
+    if any chunk's squares are normal, so those estimates keep their bits.
     """
     n = _at_least_two(n)
-    total = total_sq = 0.0
+    total, squares = 0.0, []
     with np.errstate(over="ignore"):
         for x in chunks:
             total += float(np.sum(x))
-            total_sq += float(np.sum(x * x))
-    mean = total / n
+            sq, e = float(np.sum(x * x)), 0
+            if sq < _TINY:
+                e = math.frexp(float(np.max(np.abs(x))))[1]
+                sq = float(np.sum(np.square(np.ldexp(x, -e))))
+            squares.append((sq, e))
+    mean, total_sq = total / n, 0.0
+    lift = max((e for sq, e in squares if sq), default=0)
+    for sq, e in squares:
+        total_sq += math.ldexp(sq, 2 * (e - lift))
     if total_sq == math.inf:
         return _estimate(mean, math.inf, n, seed)
-    var = max(total_sq - n * mean * mean, 0.0) / (n - 1)
-    return _estimate(mean, math.sqrt(var / n), n, seed)
+    scaled = math.ldexp(mean, -lift)
+    var = max(total_sq - n * scaled * scaled, 0.0) / (n - 1)
+    return _estimate(mean, math.ldexp(math.sqrt(var / n), lift), n, seed)
 
 
 @dataclass(frozen=True)
@@ -267,22 +281,19 @@ class PoissonLaw:
     u < P(X <= k), so the arrivals are a deterministic function of the
     lanes the queue kernel draws, laid out the same for every law.
 
-    Inversion is an indexed search (Chen & Asau 1974; Devroye 1986,
-    III.2.4) that returns exactly what a binary search of the table
-    returns. The table is sorted: cumulative sums may round above 1.0
-    before the last entry, so they are clamped to 1.0, which moves no
-    entry below 1 and keeps the quantile monotone for u >= 1 too. For u
-    in [0, 1) the answer is therefore the count of entries <= u.
-    [0, 1) is cut into _GUIDE_BUCKETS equal buckets; their number is a
-    power of two, so u * _GUIDE_BUCKETS and each edge j / _GUIDE_BUCKETS
-    are exact, and the bucket of a uniform whose top 16 bits are a
-    16-bit lane, as the queue kernel forms it, is the lane's top 12
-    bits. The count is the same for every u in bucket j, and the int16
-    guide stores it, unless an entry lies strictly inside the bucket.
-    Such buckets are marked -1 and fall back to the binary search, as
-    does every u outside [0, 1), nan included, through a last marked
-    slot; only there does the queue kernel need a lane's other bits.
-    For rate 1, 7 of the 4096 buckets are marked.
+    quantile is a binary search of the table, for any double (nan and
+    u >= 1 read the last index). Cumulative sums may round above 1.0
+    before the last entry, so they are clamped to 1.0: the table stays
+    sorted, no entry below 1 moves, and for u in [0, 1) the answer is
+    the count of entries <= u.
+
+    The int16 guide (Chen & Asau 1974; Devroye 1986, III.2.4) holds that
+    count for each of _GUIDE_BUCKETS equal buckets of [0, 1), or -1
+    (marked) where an entry lies strictly inside the bucket. Their
+    number is a power of two, so each edge is exact, and a uniform whose
+    top 16 bits are a lane (as the queue kernel forms it) falls in the
+    bucket of the lane's top 12 bits. The guide is the source of the
+    kernel's lane table; for rate 1, 7 of the 4096 buckets are marked.
     """
 
     __slots__ = ("rate", "_cdf", "_guide")
@@ -301,26 +312,15 @@ class PoissonLaw:
             pmf[k] = pmf[k - 1] * (rate / k)
         cdf = np.minimum(np.cumsum(pmf), 1.0)
         cdf[-1] = 1.0
-        self._cdf = cdf
         edges = np.arange(_GUIDE_BUCKETS + 1) / _GUIDE_BUCKETS
-        at_or_below = np.searchsorted(cdf, edges, side="right")
-        below_next = np.searchsorted(cdf, edges[1:], side="left")
-        guide = at_or_below.astype(np.int16)
-        guide[:-1][below_next > at_or_below[:-1]] = -1
-        guide[-1] = -1
-        self._guide = guide
+        guide = np.searchsorted(cdf, edges[:-1], side="right").astype(np.int16)
+        guide[np.searchsorted(cdf, edges[1:], side="left") > guide] = -1
+        self._cdf, self._guide = cdf, guide
 
     def quantile(self, u: np.ndarray) -> np.ndarray:
         """Smallest k with u < P(X <= k), as floats for workload math."""
-        u = np.asarray(u, dtype=float)
-        t = u * _GUIDE_BUCKETS
-        inside = (t >= 0.0) & (t < _GUIDE_BUCKETS)
-        k = self._guide[np.where(inside, t, _GUIDE_BUCKETS).astype(np.intp)].astype(float)
-        search = k < 0.0
-        if search.any():
-            idx = np.searchsorted(self._cdf, u[search], side="right")
-            k[search] = np.minimum(idx, self._cdf.size - 1)
-        return k
+        k = np.searchsorted(self._cdf, u, side="right")
+        return np.minimum(k, self._cdf.size - 1).astype(float)
 
     def __repr__(self) -> str:
         return f"PoissonLaw(rate={self.rate!r})"
@@ -336,19 +336,18 @@ def _lanes(words: np.ndarray) -> np.ndarray:
 
 
 def _queue_kernel(law: PoissonLaw, n: int, C: float, level: float) -> _Kernel:
-    # a step's window of Philox blocks, four words a block
-    window = _QUEUE_CHUNK // (_LANES * 4)
-    refine_window = _QUEUE_CHUNK // 4
+    # a step's windows of Philox blocks, four words a block
+    window, refine_window = _QUEUE_CHUNK // (_LANES * 4), _QUEUE_CHUNK // 4
     # the guide entry of every lane: its bucket is the lane's top 12 bits
     lane_guide = law._guide[np.arange(1 << _LANE_BITS) >> (_LANE_BITS - _GUIDE_BITS)]
 
     def kernel(gen: np.random.Generator, take: int) -> np.ndarray:
         # the refinement stream starts from the chunk's first state, jumped
-        refine = np.random.Generator(gen.bit_generator.jumped())
+        refine = gen.bit_generator.jumped()
         size = -(-take // _LANES)
         lane = np.empty(take, dtype=np.intp)
         a = np.empty(take, dtype=np.int16)
-        q, peak = np.zeros(take), np.zeros(take)
+        q, over, hit = np.zeros(take), np.empty(take, dtype=bool), np.zeros(take, dtype=bool)
         for _ in range(n):
             lane[:] = _lanes(gen.integers(0, 1 << 64, size=size, dtype=np.uint64))[:take]
             gen.bit_generator.advance(window - -(-size // 4))
@@ -357,17 +356,17 @@ def _queue_kernel(law: PoissonLaw, n: int, C: float, level: float) -> _Kernel:
             if marked.size:
                 # the lane's 16 bits, then 37 of a refinement word: a
                 # 53-bit uniform on the grid of (word >> 11) 2^-53
-                low = refine.integers(0, 1 << 64, size=marked.size, dtype=np.uint64)
                 u = np.take(lane, marked).astype(np.uint64) << (53 - _LANE_BITS)
-                u |= low >> (11 + _LANE_BITS)
+                u |= refine.random_raw(marked.size) >> (11 + _LANE_BITS)
                 np.put(a, marked, law.quantile(u * 2.0 ** -53))
-            refine.bit_generator.advance(refine_window - -(-marked.size // 4))
+            refine.advance(refine_window - -(-marked.size // 4))
             # Lindley step max(q + a - C, 0), rounded in that order
             q += a
             q -= C
             np.maximum(q, 0.0, out=q)
-            np.maximum(peak, q, out=peak)
-        return peak > level
+            np.greater(q, level, out=over)
+            hit |= over
+        return hit
 
     return kernel
 

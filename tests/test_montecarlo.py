@@ -8,9 +8,12 @@ import math
 import threading
 import time
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
+from hypothesis.extra.numpy import arrays
 
 from renyibounds import montecarlo as mc
 from renyibounds.applications.brownian import (
@@ -329,6 +332,49 @@ class TestMcMeanCi:
         assert est.ci95 == (mean - mc._Z95 * se, mean + mc._Z95 * se)
 
 
+class TestFarTailReduction:
+    """Squares that underflow are taken at a power-of-two scale, exactly."""
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("level", [28.0, 30.0])
+    def test_crossing_se_survives_underflowing_squares(self, level):
+        # mc bm-max --K 28 (and 30) --paths 2000: every sample is below
+        # 1e-154, so its square underflows; se once read 0 and the CI was
+        # a point that missed the exact value
+        est = bm_exceedance_estimate(level, 0.0, _GRID64, 2000)
+        exact = bm_exceedance_nominal(level)
+        assert est.mean < 1e-170 and est.std_error > 0.0
+        assert est.ci95[0] <= exact <= est.ci95[1]
+        probs = _crossing_samples(level, 0.0, _GRID64, 2000, seed=0)
+        scale = 2.0 ** -math.frexp(probs.max())[1]
+        scaled = probs * scale
+        want = scaled.std(ddof=1) / math.sqrt(2000) / scale
+        assert est.std_error == pytest.approx(want, rel=1e-9, abs=0.0)
+
+    def test_scaling_is_exact(self):
+        # x 2^-e is exact, so the moments of samples whose squares
+        # underflow, subnormal ones included, are those of the samples
+        # times 2^600 (whose squares are normal), scaled back
+        x = np.array([3e-170, 1e-171, 7e-169, 5e-324, 2e-310])
+        est = mc._mean_ci(iter([x[:2], x[2:]]), 5, 0)
+        big = mc._mean_ci(iter([x[:2] * 2.0**600, x[2:] * 2.0**600]), 5, 0)
+        assert est.mean == big.mean * 2.0**-600
+        assert est.std_error == pytest.approx(big.std_error * 2.0**-600, rel=1e-15, abs=0.0)
+
+    def test_all_zero_and_normal_chunks(self):
+        # an all-zero run keeps se 0, as the queue's zero-hit side needs; a
+        # chunk whose squares are normal keeps the plain moments, and an
+        # underflowing chunk next to it adds what it adds unscaled
+        zeros = [np.zeros(5, dtype=bool), np.zeros(3, dtype=bool)]
+        assert mc._mean_ci(iter(zeros), 8, 0).std_error == 0.0
+        normal, tiny = np.array([0.1, 0.7, 0.2]), np.array([1e-200, 3e-200])
+        est = mc._mean_ci(iter([tiny, normal]), 5, 0)
+        total = float(np.sum(tiny)) + float(np.sum(normal))
+        mean = total / 5
+        se = math.sqrt(max(float(np.sum(normal ** 2)) - 5 * mean * mean, 0.0) / 4 / 5)
+        assert (est.mean, est.std_error) == (mean, se)
+
+
 class TestEstimatesReduceSamples:
     # 33000 paths of 64 steps span two chunks of 32768
     N = 33000
@@ -410,6 +456,33 @@ class TestPoissonLaw:
         got = law.quantile(u)
         assert np.array_equal(got, _searchsorted_quantile(law, u))
         assert got.dtype == np.float64
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("rate", [1e-3, math.log(2.0), 1.0, 30.0])
+    def test_quantile_is_total(self, rate):
+        # every double, nan and the infinities included, reads the binary
+        # search's answer, with no warning
+        law = PoissonLaw(rate)
+        edge = np.array([math.nan, -math.nan, math.inf, -math.inf, 0.0, -0.0, -5e-324,
+                         -1e-300, -2.0 ** -53, 5e-324, 1.0, np.nextafter(1.0, 2.0),
+                         np.nextafter(1.0, 0.0), _DBL_MAX, -_DBL_MAX])
+        got = law.quantile(edge)
+        assert np.array_equal(got, _searchsorted_quantile(law, edge))
+        assert got.dtype == np.float64
+        assert got[0] == got[1] == got[2] == law._cdf.size - 1
+        assert got[3] == got[4] == got[5] == got[6] == 0.0
+
+    @given(rate=st.sampled_from([1e-3, math.log(2.0), 1.0, 7.5, 30.0]),
+           u=arrays(np.float64, st.integers(0, 50), elements=st.floats(width=64)))
+    def test_quantile_is_total_over_all_doubles(self, rate, u):
+        # the warnings filter sits inside the test, so a failing example is
+        # reported by hypothesis rather than stopped by its own warnings
+        law = PoissonLaw(rate)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = law.quantile(u)
+        assert np.array_equal(got, _searchsorted_quantile(law, u))
+        assert got.dtype == np.float64 and got.shape == u.shape
 
 
     def test_cdf_table_is_sorted(self):
