@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .measures import FiniteMeasure, logsumexp
+from .measures import FiniteMeasure, _logsumexp
 
 __all__ = [
     "GaussianParams",
@@ -110,13 +110,24 @@ def renyi_log_integral_rows(log_num: np.ndarray, log_den: np.ndarray, alpha: flo
     alpha > 1, the joint-support restriction happens automatically when
     0 < alpha < 1, and for alpha < 0 the roles of the two measures swap
     exactly as in the skew identity.
+
+    The exponents take one array of the broadcast shape: the larger
+    side's term, with the smaller side's term added in place, shifted in
+    place by the log-sum-exp. The both-zero mask is formed only when the
+    smaller side holds a -inf, since otherwise it cannot select an atom.
     """
     ln = np.asarray(log_num, dtype=float)
     lt = np.asarray(log_den, dtype=float)
+    big, small = (ln, lt) if ln.size >= lt.size else (lt, ln)
+    big_coef, small_coef = (alpha, 1.0 - alpha) if big is ln else (1.0 - alpha, alpha)
+    w = np.empty(np.broadcast_shapes(ln.shape, lt.shape))
     with np.errstate(invalid="ignore"):
-        w = alpha * ln + (1.0 - alpha) * lt
-    w[np.isneginf(ln) & np.isneginf(lt)] = -math.inf
-    return logsumexp(w, axis=0)
+        np.multiply(big, big_coef, out=w)
+        # the sum of the two terms is the same in either order
+        w += small_coef * small
+    if np.isneginf(small).any():
+        w[np.isneginf(ln) & np.isneginf(lt)] = -math.inf
+    return _logsumexp(w, 0, out=w)
 
 
 def _shared_support(nu: FiniteMeasure, theta: FiniteMeasure) -> None:

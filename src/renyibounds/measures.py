@@ -36,16 +36,25 @@ def logsumexp(a, axis=None):
 
     Entirely -inf slices return -inf, and any +inf entry propagates to
     +inf, so the function is safe on log weights of measures with zero
-    atoms and on divergence exponents that legitimately diverge.
+    atoms and on divergence exponents that legitimately diverge. The
+    input is never written into.
     """
-    a = np.asarray(a, dtype=float)
+    return _logsumexp(np.asarray(a, dtype=float), axis)
+
+
+def _logsumexp(a: np.ndarray, axis, out: np.ndarray | None = None):
+    """logsumexp of a float array; the finite branch forms a - max in out.
+
+    out=a shifts a caller's scratch array in place and saves a full-size
+    allocation; without out, a is left as it is.
+    """
     if a.size == 0:
         raise ValueError("logsumexp of an empty array")
     m = np.max(a, axis=axis, keepdims=True)
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         if np.isfinite(m).all():
             # every shifted entry is <= 0 and every slice sum >= 1: no masking
-            s = a - m
+            s = np.subtract(a, m, out=out)
             np.exp(s, out=s)
             s = np.sum(s, axis=axis, keepdims=True)
             np.log(s, out=s)

@@ -27,13 +27,14 @@ The oracle depends only on (dim, grid_step, oracle_samples, seed), so
 its candidates and their logs are built once, as read-only arrays, and
 the last such block is kept: both forms of one instance scan the same
 block. A new block replaces the old one, which is dropped first. The
-scan takes the block's columns in contiguous pieces of ``_PIECE``
-columns, so its temporaries stay small enough for the CPU caches, and
-a zero-mass candidate sends only its own piece through the masked
-branch of ``logsumexp``. The tilted optimizer and nu are scored as a
-separate two-column block. Each column sums its atoms in the same
-order in any piece, so every certificate is bitwise the same as with
-one whole block.
+grid is built part by part, each stage the size of its output. The scan
+takes the block's columns in contiguous pieces of ``_PIECE`` columns,
+so its temporaries stay cache-sized; each exponent array is made once
+and shifted in place, and a zero-mass candidate sends only its own
+piece through the masked branch of ``logsumexp``. The tilted optimizer
+and nu are scored as a separate two-column block. Each column sums its
+atoms in the same order in any piece, so every certificate is bitwise
+the same as with one whole block.
 """
 
 from __future__ import annotations
@@ -48,9 +49,9 @@ from .measures import (
     FiniteMeasure,
     FunctionLike,
     OrderParams,
+    _logsumexp,
     aligned_values,
     exp_tilt,
-    logsumexp,
     risk_sensitive,
 )
 
@@ -127,22 +128,17 @@ class IdentityReport:
 def _grid_simplex(dim: int, step: float) -> np.ndarray:
     """Grid points of the simplex as the columns of a (dim, N) array."""
     m = int(round(1.0 / step))
-    # compositions of each total n <= m into k parts, one per column, totals
-    # descending and lexicographic within a total; the columns summing to at
-    # most n are then a suffix, and stacking the head part n - sum on top of
-    # it gives the total-n block
-    cols = np.zeros((0, 1), dtype=np.int64)
-    for k in range(1, dim + 1):
-        totals = np.arange(m, -1, -1) if k < dim else np.array([m])
-        sums = cols.sum(axis=0)
-        start = np.searchsorted(-sums, -totals)
-        lengths = cols.shape[1] - start
+    # the first dim - 1 parts, one prefix per column in lexicographic order:
+    # each stage extends every prefix by each next part that keeps its sum
+    # <= m, and the last part is m - sum
+    rows, sums = [], np.zeros(1, dtype=np.int64)
+    for _ in range(dim - 1):
+        lengths = m + 1 - sums
         ends = np.cumsum(lengths)
-        idx = np.arange(ends[-1]) - np.repeat(ends - lengths - start, lengths)
-        cols = np.vstack([np.repeat(totals, lengths) - sums[idx], cols[:, idx]])
-    # fancy indexing leaves cols in column-major order; the oracle reduces
-    # down axis 0 fastest on a row-major array
-    return np.divide(cols, m, order="C")
+        nxt = np.arange(ends[-1]) - np.repeat(ends - lengths, lengths)
+        rows = [np.repeat(r, lengths) for r in rows] + [nxt]
+        sums = np.repeat(sums, lengths) + nxt
+    return np.vstack(rows + [m - sums]) / m
 
 
 def _candidates(
@@ -191,19 +187,20 @@ def _rhs_values(
     params: OrderParams,
 ) -> np.ndarray:
     alpha = params.alpha
-    span = params.span
     if direction == "infimum":
-        risk = logsumexp(log_candidates + params.gamma * values[:, None], axis=0) / params.gamma
+        order = params.gamma
         div = renyi_log_integral_rows(nu.log_weights[:, None], log_candidates, alpha)
     else:
-        risk = logsumexp(log_candidates + params.beta * values[:, None], axis=0) / params.beta
+        order = params.beta
         div = renyi_log_integral_rows(log_candidates, nu.log_weights[:, None], alpha)
-    denom = alpha * (alpha - 1.0)
+    # one exponent array at a time, each shifted in place by the log-sum-exp
+    risk = log_candidates + order * values[:, None]
+    risk = _logsumexp(risk, 0, out=risk) / order
     with np.errstate(invalid="ignore"):
-        div = np.where(np.isneginf(div), math.inf, div / denom)
+        div = np.where(np.isneginf(div), math.inf, div / (alpha * (alpha - 1.0)))
     if direction == "infimum":
-        return risk + div / span
-    return risk - div / span
+        return risk + div / params.span
+    return risk - div / params.span
 
 
 def _certify(

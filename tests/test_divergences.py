@@ -9,6 +9,7 @@ import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
+from hypothesis.extra.numpy import arrays
 from scipy import integrate
 
 from renyibounds.divergences import (
@@ -24,7 +25,7 @@ from renyibounds.divergences import (
     renyi_log_integral_rows,
     renyi_poisson,
 )
-from renyibounds.measures import FiniteMeasure
+from renyibounds.measures import FiniteMeasure, logsumexp
 
 from conftest import measure_from_weights
 
@@ -170,6 +171,74 @@ class TestRowsKernel:
         lt = np.array([math.log(0.5), math.log(0.5), -math.inf])
         out = renyi_log_integral_rows(ln, lt, 2.0)
         assert float(out) == pytest.approx(0.0, abs=1e-14)
+
+
+def reference_log_integral_rows(log_num, log_den, alpha):
+    """The rows kernel as first written: both terms, then the mask, always."""
+    ln = np.asarray(log_num, dtype=float)
+    lt = np.asarray(log_den, dtype=float)
+    with np.errstate(invalid="ignore"):
+        w = alpha * ln + (1.0 - alpha) * lt
+    w[np.isneginf(ln) & np.isneginf(lt)] = -math.inf
+    return logsumexp(w, axis=0)
+
+
+@st.composite
+def row_operands(draw):
+    """(log_num, log_den) in the shapes the oracle and renyi_discrete pass,
+    with -inf on neither side, on one side or on both."""
+    dim, n = draw(st.integers(1, 6)), draw(st.integers(1, 9))
+    shapes = draw(st.sampled_from([((dim, 1), (dim, n)), ((dim, n), (dim, 1)),
+                                   ((dim, n), (dim, n)), ((3, 1), (1, 3))]))
+    zeros = draw(st.sampled_from([(False, False), (True, False), (False, True),
+                                  (True, True)]))
+    sides = []
+    for shape, zero in zip(shapes, zeros):
+        side = draw(arrays(np.float64, shape, elements=st.floats(-40.0, 5.0)))
+        if zero:
+            mask = draw(arrays(np.bool_, shape, elements=st.booleans()))
+            side[mask] = -math.inf
+            side.flat[draw(st.integers(0, side.size - 1))] = -math.inf
+        sides.append(side)
+    return sides
+
+
+_ROW_ORDERS = st.one_of(st.floats(-30.0, 30.0).filter(lambda a: a not in (0.0, 1.0)),
+                        st.sampled_from([-3.0, -0.5, 0.5, 2.0, 1e-6, 1.0 + 1e-6]))
+
+
+class TestRowsKernelBitwise:
+    """One broadcast-shape array and a conditional mask give the old bits."""
+
+    @given(row_operands(), _ROW_ORDERS)
+    def test_bitwise_equal_to_unconditional_mask(self, operands, alpha):
+        ln, lt = operands
+        got = renyi_log_integral_rows(ln, lt, alpha)
+        want = reference_log_integral_rows(ln, lt, alpha)
+        assert got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("alpha", [-2.0, 0.5, 3.0])
+    def test_zero_atoms_on_one_side(self, alpha):
+        # a zero numerator atom's term is +inf at a negative order, a zero
+        # denominator atom's past order 1; otherwise the atom drops out
+        finite = np.log(np.array([[0.5, 0.25], [0.5, 0.75]]))
+        holed = np.array([[math.log(0.5)], [-math.inf]])
+        for ln, lt, inf in ((holed, finite, alpha < 0.0), (finite, holed, alpha > 1.0)):
+            got = renyi_log_integral_rows(ln, lt, alpha)
+            want = reference_log_integral_rows(ln, lt, alpha)
+            assert got.tobytes() == want.tobytes()
+            assert np.all(got == math.inf) == inf
+            assert np.all(np.isfinite(got)) == (not inf)
+
+    def test_inputs_are_not_written(self):
+        # a both-zero atom, so the mask is formed too
+        ln = np.array([[math.log(0.5), -math.inf], [math.log(0.5), 0.0]])
+        lt = np.array([[-math.inf], [0.0]])
+        for side in (ln, lt):
+            side.flags.writeable = False
+        renyi_log_integral_rows(ln, lt, 2.0)
+        renyi_log_integral_rows(lt, ln, -1.5)
 
 
 class TestGaussian:

@@ -113,6 +113,26 @@ class TestLogsumexpExtendedReals:
         logsumexp(a)
         assert np.array_equal(a, before)
 
+    @given(st.one_of(finite_matrices, extended_matrices), st.booleans())
+    def test_never_writes_into_its_argument(self, a, read_only):
+        # finite and masked branches alike; a write into a read-only input raises
+        before = a.tobytes()
+        a.flags.writeable = not read_only
+        for axis in _AXES:
+            logsumexp(a, axis=axis)
+        assert a.tobytes() == before
+
+    @pytest.mark.parametrize("axis", _AXES)
+    def test_read_only_inputs_on_both_branches(self, axis):
+        finite = np.array([[0.5, -1.0, 2.0], [2.0, 3.0, -4.0]])
+        masked = np.array([[0.5, -math.inf, math.inf], [-math.inf, -math.inf, 1.0]])
+        for a in (finite, masked):
+            before = a.copy()
+            a.flags.writeable = False
+            logsumexp(a, axis=axis)
+            logsumexp(a.tolist(), axis=axis)
+            assert a.tobytes() == before.tobytes()
+
 
 class TestFiniteMeasure:
     def test_from_probs_normalizes_and_masks_zeros(self):

@@ -9,6 +9,7 @@ import threading
 import time
 import tracemalloc
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -350,6 +351,23 @@ class TestFarTailReduction:
         scaled = probs * scale
         want = scaled.std(ddof=1) / math.sqrt(2000) / scale
         assert est.std_error == pytest.approx(want, rel=1e-9, abs=0.0)
+
+    @pytest.mark.filterwarnings("error")
+    def test_subnormal_mean_is_the_sample_mean_rounded_once(self):
+        # mc bm-max --K 38 --paths 2000: the mean, 5.54e-316, is subnormal
+        # and holds only about 27 bits, but sums of subnormals are exact, so
+        # it is the exact sample mean rounded once; its gap from the exact
+        # 5.77e-316 is sampling error (under half an se)
+        est = bm_exceedance_estimate(38.0, 0.0, _GRID64, 2000)
+        probs = _crossing_samples(38.0, 0.0, _GRID64, 2000, seed=0)
+        assert est.mean == float(sum(map(Fraction, probs.tolist())) / 2000)
+        # the moments of the samples taken at a normal scale, scaled back
+        e = math.frexp(probs.max())[1]
+        scaled = np.ldexp(probs, -e)
+        assert est.mean == pytest.approx(math.ldexp(scaled.mean(), e), rel=1e-7, abs=0.0)
+        want = math.ldexp(scaled.std(ddof=1) / math.sqrt(2000), e)
+        assert est.std_error == pytest.approx(want, rel=1e-6, abs=0.0)
+        assert est.ci95[0] <= bm_exceedance_nominal(38.0) <= est.ci95[1]
 
     def test_scaling_is_exact(self):
         # x 2^-e is exact, so the moments of samples whose squares
