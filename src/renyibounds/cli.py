@@ -31,6 +31,7 @@ from .applications import (
 from .divergences import (
     GaussianParams,
     PoissonParams,
+    check_budget,
     renyi_bm_drift,
     renyi_discrete,
     renyi_gaussian,
@@ -262,10 +263,13 @@ def cmd_brownian_figures(args) -> int:
 
 
 def _queue_budgets(args) -> tuple[float, float]:
+    """Per-step budgets (d1, d2), checked with the order before any simulation."""
     alpha = args.alpha
     d1, d2 = args.d1, args.d2
     if (d1 is None or d2 is None) and args.theta_rate is None:
         raise ValueError("need --theta-rate or explicit --d1 and --d2 budgets")
+    if not alpha > 1.0:
+        raise ValueError("event bounds need alpha > 1")
     if d1 is None:
         d1 = renyi_poisson(PoissonParams(args.theta_rate), PoissonParams(args.nominal_rate), alpha)
     if d2 is None:
@@ -274,9 +278,7 @@ def _queue_budgets(args) -> tuple[float, float]:
                                alpha - 1.0)
         else:
             d2 = math.inf
-    if d1 < 0.0 or d2 < 0.0:
-        raise ValueError("budgets must be nonnegative")
-    return float(d1), float(d2)
+    return check_budget("d1", d1), check_budget("d2", d2)
 
 
 def _nominal_interval(est) -> tuple[float, float]:
@@ -379,12 +381,10 @@ def cmd_laplace(args) -> int:
 
 
 def cmd_mc_bm_max(args) -> int:
-    grid = PathGrid(args.n_steps, args.t)
-    est = bm_exceedance_estimate(args.K, args.mu, grid, args.paths, seed=args.seed,
-                                 bridge=not args.no_bridge)
+    grid = PathGrid(1, args.t)  # the exact sampler reads only the horizon
+    est = bm_exceedance_estimate(args.K, args.mu, grid, args.paths, seed=args.seed)
     exact = bm_exceedance_drift(args.K, args.mu, args.t)
-    _emit_json({"study": "bm-max", "K": args.K, "mu": args.mu,
-                "n_steps": args.n_steps, "t": args.t, "bridge": not args.no_bridge,
+    _emit_json({"study": "bm-max", "K": args.K, "mu": args.mu, "t": args.t,
                 "estimate": est.to_json_dict(), "exact": exact}, args)
     return 0
 
@@ -502,10 +502,7 @@ def build_parser() -> argparse.ArgumentParser:
     q.add_argument("--K", type=float, default=1.0)
     q.add_argument("--mu", type=float, default=0.0)
     q.add_argument("--paths", type=int, default=100_000)
-    q.add_argument("--n-steps", type=int, default=64)
     q.add_argument("--t", type=float, default=1.0)
-    q.add_argument("--no-bridge", action="store_true",
-                   help="skeleton-only indicator without the bridge correction")
     q.set_defaults(func=cmd_mc_bm_max)
 
     q = mc.add_parser("girsanov", parents=[common], help="path divergence estimate")

@@ -28,9 +28,9 @@ threading variables of BLAS or OpenMP do not apply to these Python
 threads. A kernel's exception is raised where its chunk would have
 been yielded, after every helper has been joined.
 
-The grid kernels (skeleton crossing, Girsanov) walk a chunk of
+The Girsanov kernel, the one grid kernel, walks a chunk of
 ``_PATH_CHUNK`` paths one time step at a time, on vectors of all its
-rows, and never form a rows x steps block. Step k draws its normals
+rows, and never forms a rows x steps block. Step k draws its normals
 from its own Philox window, counter ``k << 64`` of the chunk's key with
 an empty buffer, 2^64 blocks from the next, so the ziggurat's variable
 word use cannot reach the next step and a shorter take draws a prefix.
@@ -61,8 +61,7 @@ helper threads overlap.
 
 The kernels cover the three studies: queue overflow under iid
 arrivals, Brownian level crossing (exactly, from the end value and the
-bridge's crossing probability, or from a grid skeleton that misses the
-crossings between its points), and the argmax time of a drifted path,
+bridge's crossing probability), and the argmax time of a drifted path,
 sampled exactly with no grid. Girsanov reweighting turns
 driftless samples into the drifted argmax transform and into
 divergence estimates for state-dependent drifts.
@@ -397,25 +396,6 @@ def simulate_queue_overflow_prob(
     return _mean_ci(_stream(kernel, reps, _QUEUE_CHUNK, seed), reps, seed)
 
 
-def _crossing_kernel(level: float, mu: float, grid: PathGrid) -> _Kernel:
-    """Indicator that the grid skeleton of X_s = mu s + B_s reaches level (biased low)."""
-    level, mu = float(level), float(mu)
-    dt = grid.dt
-
-    def kernel(gen: np.random.Generator, take: int) -> np.ndarray:
-        step, x = np.empty(take), np.zeros(take)
-        top = np.full(take, -math.inf)
-        for _ in _step_windows(gen, grid.n_steps):
-            gen.standard_normal(out=step)
-            step *= math.sqrt(dt)
-            step += mu * dt
-            x += step
-            np.maximum(top, x, out=top)
-        return top >= level
-
-    return kernel
-
-
 def _bridge_kernel(level: float, mu: float, horizon: float) -> _Kernel:
     """Exact crossing samples for X_s = mu s + B_s, one normal a path.
 
@@ -457,23 +437,17 @@ def bm_exceedance_estimate(
     grid: PathGrid,
     n_paths: int,
     seed: int = 0,
-    bridge: bool = True,
 ) -> EstimateWithCI:
     """Estimate of P(max_{s <= t} X_s >= level) for X_s = mu s + B_s, t = grid.horizon.
 
-    bridge=True averages the exact, weighted crossing probabilities of
-    _bridge_kernel, with their sample standard error; the step count of
-    grid plays no part. bridge=False averages the skeleton's crossing
-    indicators, with their binomial standard error, and underestimates.
+    Averages the exact, weighted crossing probabilities of _bridge_kernel,
+    with their sample standard error; the step count of grid plays no part.
     """
     level, mu = float(level), float(mu)
     if not 0.0 < level < math.inf:
         raise ValueError("level must be positive and finite")
-    if bridge:
-        kernel, chunk = _bridge_kernel(level, mu, grid.horizon), _EXACT_CHUNK
-    else:
-        kernel, chunk = _crossing_kernel(level, mu, grid), _PATH_CHUNK
-    return _mean_ci(_stream(kernel, n_paths, chunk, seed), n_paths, seed)
+    kernel = _bridge_kernel(level, mu, grid.horizon)
+    return _mean_ci(_stream(kernel, n_paths, _EXACT_CHUNK, seed), n_paths, seed)
 
 
 def _argmax_kernel(gamma: float, mu: float, horizon: float) -> _Kernel:

@@ -131,17 +131,6 @@ def _along_steps(values: np.ndarray) -> np.ndarray:
     return np.cumsum(np.concatenate([np.zeros((len(values), 1)), values], axis=1), axis=1)
 
 
-def reference_crossing_kernel(level, mu, grid):
-    """Skeleton crossing indicators in matrix form: the running maximum of X_k."""
-    dt = grid.dt
-
-    def kernel(gen, take):
-        steps = step_normals(gen, take, grid.n_steps) * math.sqrt(dt) + mu * dt
-        return np.max(_along_steps(steps)[:, 1:], axis=1) >= level
-
-    return kernel
-
-
 def reference_girsanov_kernel(drift, grid):
     """Euler log likelihood ratios in matrix form: sum_k m_k (dB_k - m_k dt / 2).
 

@@ -487,8 +487,7 @@ def test_c10_cli_determinism(capsys, console_script):
          "--theta-rate", "1.1", "--reps", "20000", "--format", "json"],
         ["laplace", "--gamma", "1", "--alpha", "3", "--mu", "0.1",
          "--format", "json"],
-        ["mc", "bm-max", "--paths", "3000", "--n-steps", "16",
-         "--format", "json"],
+        ["mc", "bm-max", "--paths", "3000", "--format", "json"],
         ["mc", "girsanov", "--paths", "3000", "--n-steps", "16",
          "--format", "json"],
         ["mc", "argmax", "--paths", "1000", "--format", "json"],

@@ -15,6 +15,7 @@ from pathlib import Path
 import pytest
 from hypothesis import example, given, strategies as st
 
+from renyibounds import cli
 from renyibounds.applications.queueing import scaled_event_sandwich
 from renyibounds.cli import build_parser, main
 from renyibounds.divergences import renyi_discrete
@@ -339,6 +340,25 @@ class TestQueueCommand:
         data = json.loads(out)
         assert data["per_step_budget"] == {"d1": 0.005, "d2": 0.005}
 
+    @pytest.mark.parametrize("flags, error", [
+        (["--alpha", "0.5", "--d1", "0.005", "--d2", "0.005"], "alpha > 1"),
+        (["--alpha", "1", "--d1", "0.005", "--d2", "0.005"], "alpha > 1"),
+        (["--alpha", "nan", "--d1", "0.005", "--d2", "0.005"], "alpha > 1"),
+        (["--alpha", "0.5", "--theta-rate", "1.1"], "alpha > 1"),
+        (["--d1", "nan", "--d2", "0.005"], "budget d1 must be nonnegative"),
+        (["--d1", "0.005", "--d2", "-1"], "budget d2 must be nonnegative"),
+    ], ids=["alpha-0.5", "alpha-1", "alpha-nan", "alpha-0.5-theta-rate", "d1-nan", "d2-negative"])
+    def test_bad_order_or_budget_fails_before_simulating(self, capsys, monkeypatch,
+                                                         flags, error):
+        def simulate(*args, **kwargs):
+            raise AssertionError("simulated before checking its inputs")
+
+        monkeypatch.setattr(cli, "simulate_queue_overflow_prob", simulate)
+        code, out, err = run_cli(capsys, ["queue", "--C", "2", "--b", "0.1", "--n", "50",
+                                          "--reps", "200000", *flags])
+        assert (code, out) == (2, "")
+        assert error in err
+
     def test_missing_budgets(self, capsys):
         code, _, _ = run_cli(capsys, [
             "queue", "--C", "2", "--b", "0.1", "--reps", "1000"])
@@ -425,26 +445,21 @@ class TestLaplaceCommand:
 class TestMcCommands:
     def test_bm_max(self, capsys):
         code, out, _ = run_cli(capsys, [
-            "mc", "bm-max", "--paths", "2000", "--n-steps", "8",
-            "--format", "json"])
+            "mc", "bm-max", "--paths", "2000", "--format", "json"])
         assert code == 0
         data = json.loads(out)
-        assert data["bridge"] is True
         assert 0.0 <= data["estimate"]["mean"] <= 1.0
         assert data["exact"] == pytest.approx(0.31731050786291415, rel=1e-10)
 
-    @pytest.mark.parametrize("bridge", [[], ["--no-bridge"]], ids=["bridge", "no-bridge"])
-    def test_bm_max_level_at_infinity_is_an_input_error(self, capsys, bridge):
-        code, out, err = run_cli(capsys, ["mc", "bm-max", "--K", "inf", "--paths", "10", *bridge])
+    @pytest.mark.parametrize("flags, error", [
+        (["--K", "inf"], "error: level must be positive and finite"),
+        (["--no-bridge"], "error: unrecognized arguments: --no-bridge"),
+        (["--n-steps", "8"], "error: unrecognized arguments: --n-steps 8"),
+    ], ids=["level-at-infinity", "no-bridge", "n-steps"])
+    def test_bm_max_input_errors(self, capsys, flags, error):
+        code, out, err = run_cli(capsys, ["mc", "bm-max", "--paths", "10", *flags])
         assert (code, out) == (2, "")
-        assert err.startswith("error: level must be positive and finite")
-
-    def test_bm_max_no_bridge(self, capsys):
-        code, out, _ = run_cli(capsys, [
-            "mc", "bm-max", "--paths", "2000", "--n-steps", "8", "--no-bridge",
-            "--format", "json"])
-        assert code == 0
-        assert json.loads(out)["bridge"] is False
+        assert error in err
 
     def test_girsanov_const(self, capsys):
         code, out, _ = run_cli(capsys, [
@@ -545,8 +560,7 @@ class TestDeterminismAndSeeds:
              "--d1", "0.005", "--d2", "0.005", "--reps", "5000",
              "--format", "json"],
             ["laplace", "--gamma", "2", "--alpha", "3", "--format", "json"],
-            ["mc", "bm-max", "--paths", "1000", "--n-steps", "8",
-             "--format", "json"],
+            ["mc", "bm-max", "--paths", "1000", "--format", "json"],
             ["mc", "girsanov", "--paths", "1000", "--n-steps", "8",
              "--format", "json"],
             ["mc", "argmax", "--paths", "500", "--format", "json"],
@@ -557,15 +571,13 @@ class TestDeterminismAndSeeds:
             assert out1 == out2, argv
 
     def test_seed_changes_estimates(self, capsys):
-        base = ["mc", "bm-max", "--paths", "2000", "--n-steps", "8",
-                "--format", "json"]
+        base = ["mc", "bm-max", "--paths", "2000", "--format", "json"]
         _, out0, _ = run_cli(capsys, base + ["--seed", "0"])
         _, out1, _ = run_cli(capsys, base + ["--seed", "1"])
         assert out0 != out1
 
     def test_env_seed_sets_default(self, capsys, monkeypatch):
-        base = ["mc", "bm-max", "--paths", "2000", "--n-steps", "8",
-                "--format", "json"]
+        base = ["mc", "bm-max", "--paths", "2000", "--format", "json"]
         monkeypatch.setenv("RENYI_SEED", "7")
         _, out_env, _ = run_cli(capsys, base)
         monkeypatch.delenv("RENYI_SEED")
@@ -574,8 +586,7 @@ class TestDeterminismAndSeeds:
         assert json.loads(out_env)["estimate"]["seed"] == 7
 
     def test_explicit_seed_beats_env(self, capsys, monkeypatch):
-        base = ["mc", "bm-max", "--paths", "2000", "--n-steps", "8",
-                "--format", "json"]
+        base = ["mc", "bm-max", "--paths", "2000", "--format", "json"]
         monkeypatch.setenv("RENYI_SEED", "7")
         _, out, _ = run_cli(capsys, base + ["--seed", "3"])
         assert json.loads(out)["estimate"]["seed"] == 3
@@ -613,10 +624,11 @@ class TestOutputAndConfig:
     def test_config_boolean_flag(self, capsys, tmp_path):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps(
-            {"paths": 500, "n_steps": 8, "no_bridge": True, "format": "json"}))
-        code, out, _ = run_cli(capsys, ["mc", "bm-max", "--config", str(cfg)])
-        assert code == 0
-        assert json.loads(out)["bridge"] is False
+            {"measure": "[0.5,0.5]", "g": "[0,1]", "beta": 1, "gamma": 2,
+             "corrupt_optimizer": True, "format": "json"}))
+        code, _, err = run_cli(capsys, ["identity", "--config", str(cfg)])
+        assert code == 1
+        assert "identity certificate failed" in err
 
     def test_config_must_be_object(self, capsys, tmp_path):
         cfg = tmp_path / "cfg.json"
@@ -648,10 +660,12 @@ class TestOutputAndConfig:
          ["identity", "--config", "CFG"],
          ["identity", "--measure", "[0.5,0.5]", "--g", "[0,1]", "--beta", "1", "--gamma", "2",
           "--oracle-samples", "500"]),
-        # false adds nothing, so the bridge stays on
-        ({"paths": 500, "n_steps": 8, "no_bridge": False, "format": "json"},
-         ["mc", "bm-max", "--config", "CFG"],
-         ["mc", "bm-max", "--paths", "500", "--n-steps", "8", "--format", "json"]),
+        # false adds nothing, so the certificate is not corrupted
+        ({"measure": "[0.5,0.5]", "g": "[0,1]", "beta": 1, "gamma": 2,
+          "corrupt_optimizer": False, "format": "json"},
+         ["identity", "--config", "CFG"],
+         ["identity", "--measure", "[0.5,0.5]", "--g", "[0,1]", "--beta", "1", "--gamma", "2",
+          "--format", "json"]),
         ({"C": 2.0, "b": 1.0}, ["queue", "--config", "CFG"], ["queue", "--C", "2.0", "--b", "1.0"]),
         # the real parse checks what the file gives: each of these exits 2
         ({"alpha": 2, "nope": 1}, ["renyi", *GAUSS, "--config", "CFG"], None),
@@ -685,8 +699,7 @@ def test_console_script_end_to_end(console_script):
     command, env = console_script
     env["RENYI_SEED"] = "5"
     proc = subprocess.run(
-        command + ["mc", "bm-max", "--paths", "1000", "--n-steps", "8",
-                   "--format", "json"],
+        command + ["mc", "bm-max", "--paths", "1000", "--format", "json"],
         capture_output=True, text=True, env=env,
     )
     assert proc.returncode == 0

@@ -36,7 +36,6 @@ from renyibounds.montecarlo import (
 
 from conftest import (
     lane_uniforms,
-    reference_crossing_kernel,
     reference_girsanov_kernel,
     step_normals,
 )
@@ -139,13 +138,10 @@ def _reference_bridge_kernel(level, mu, horizon):
     return kernel
 
 
-def _crossing_samples(level, mu, grid, n, seed, bridge=True):
+def _crossing_samples(level, mu, grid, n, seed):
     """The per-path samples that bm_exceedance_estimate averages."""
-    if bridge:
-        kernel, chunk = mc._bridge_kernel(level, mu, grid.horizon), mc._EXACT_CHUNK
-    else:
-        kernel, chunk = mc._crossing_kernel(level, mu, grid), mc._PATH_CHUNK
-    return np.concatenate(list(mc._stream(kernel, n, chunk, seed)))
+    kernel = mc._bridge_kernel(level, mu, grid.horizon)
+    return np.concatenate(list(mc._stream(kernel, n, mc._EXACT_CHUNK, seed)))
 
 
 def _reference_argmax_kernel(gamma, mu, horizon):
@@ -216,12 +212,11 @@ class _RecordingPhilox(np.random.Philox):
 
 class TestDeterminism:
     def test_same_seed_same_samples(self):
-        for bridge in (True, False):
-            a = _crossing_samples(1.0, 0.1, _GRID64, 2000, seed=3, bridge=bridge)
-            b = _crossing_samples(1.0, 0.1, _GRID64, 2000, seed=3, bridge=bridge)
-            assert np.array_equal(a, b)
-            c = _crossing_samples(1.0, 0.1, _GRID64, 2000, seed=4, bridge=bridge)
-            assert not np.array_equal(a, c)
+        a = _crossing_samples(1.0, 0.1, _GRID64, 2000, seed=3)
+        b = _crossing_samples(1.0, 0.1, _GRID64, 2000, seed=3)
+        assert np.array_equal(a, b)
+        c = _crossing_samples(1.0, 0.1, _GRID64, 2000, seed=4)
+        assert not np.array_equal(a, c)
 
     def test_estimates_are_reproducible(self):
         e1 = girsanov_renyi_estimate(_const_drift(0.3), _GRID64, 2.0, 5000, seed=9)
@@ -230,10 +225,9 @@ class TestDeterminism:
         assert e1.std_error == e2.std_error
 
     def test_seed_validation(self):
-        for bridge in (True, False):
-            for bad in (-1, 1 << 64):
-                with pytest.raises(ValueError):
-                    bm_exceedance_estimate(1.0, 0.0, _GRID64, 10, seed=bad, bridge=bridge)
+        for bad in (-1, 1 << 64):
+            with pytest.raises(ValueError):
+                bm_exceedance_estimate(1.0, 0.0, _GRID64, 10, seed=bad)
 
 
 class TestPrefixProperty:
@@ -261,10 +255,9 @@ class TestPrefixProperty:
 
     def test_crossing_samples_prefix(self):
         grid = PathGrid(n_steps=16)
-        for bridge in (True, False):
-            short = _crossing_samples(1.0, 0.0, grid, 700, seed=2, bridge=bridge)
-            long = _crossing_samples(1.0, 0.0, grid, 1200, seed=2, bridge=bridge)
-            assert np.array_equal(long[:700], short)
+        short = _crossing_samples(1.0, 0.0, grid, 700, seed=2)
+        long = _crossing_samples(1.0, 0.0, grid, 1200, seed=2)
+        assert np.array_equal(long[:700], short)
 
     def test_bridge_samples_prefix(self):
         # chunks of 100 samples: growing the count only appends, through
@@ -394,16 +387,10 @@ class TestFarTailReduction:
 
 
 class TestEstimatesReduceSamples:
-    # 33000 paths of 64 steps span two chunks of 32768
+    # 33000 paths of 64 steps span three chunks of 2^14
     N = 33000
 
     def test_crossing(self):
-        # the skeleton's indicators, with their binomial standard error
-        hits = _crossing_samples(1.0, 0.1, _GRID64, self.N, seed=4, bridge=False)
-        est = bm_exceedance_estimate(1.0, 0.1, _GRID64, self.N, seed=4, bridge=False)
-        assert est.mean * self.N == hits.sum()
-        assert est.std_error == pytest.approx(
-            math.sqrt(est.mean * (1.0 - est.mean) / (self.N - 1)), rel=1e-12)
         # the exact kernel's probabilities, over two chunks of 2^16
         n = mc._EXACT_CHUNK + 1000
         probs = _crossing_samples(1.0, 0.1, _GRID64, n, seed=4)
@@ -734,12 +721,6 @@ class TestBridgeCrossing:
         exact = bm_exceedance_drift(2.0, 0.1, 1.0)
         assert abs(est.mean - exact) <= 3.0 * est.std_error
 
-    def test_raw_skeleton_underestimates(self):
-        grid = PathGrid(n_steps=16)
-        est = bm_exceedance_estimate(1.0, 0.0, grid, 100_000, seed=0, bridge=False)
-        exact = bm_exceedance_nominal(1.0)
-        assert est.mean < exact - 3.0 * est.std_error
-
     @pytest.mark.parametrize("level, mu, t", [
         (1.0, 0.1, 1.0), (2.0, 0.1, 1.0), (4.0, 0.0, 1.0), (1.0, -1.0, 2.5), (0.5, 2.0, 0.3)])
     def test_z_scores_are_standard_normal(self, level, mu, t):
@@ -793,12 +774,11 @@ class TestBridgeCrossing:
         assert np.all(_crossing_samples(1.0, 0.0, PathGrid(1, horizon=5e-324), 100, seed=0) == 0.0)
 
     def test_validation(self):
-        for bridge in (True, False):
-            for bad in (0.0, -1.0, math.nan, math.inf):
-                with pytest.raises(ValueError):
-                    bm_exceedance_estimate(bad, 0.0, _GRID64, 10, bridge=bridge)
+        for bad in (0.0, -1.0, math.nan, math.inf):
             with pytest.raises(ValueError):
-                bm_exceedance_estimate(1.0, 0.0, _GRID64, 1, bridge=bridge)
+                bm_exceedance_estimate(bad, 0.0, _GRID64, 10)
+        with pytest.raises(ValueError):
+            bm_exceedance_estimate(1.0, 0.0, _GRID64, 1)
 
 
 class TestArgmax:
@@ -983,36 +963,6 @@ class TestRowBlocksMatchWholeChunks:
 
     @pytest.mark.parametrize("n_steps, n_paths", _BLOCK_CASES)
     @pytest.mark.parametrize("mu", [-2.0, 0.0, 0.3])
-    def test_crossing(self, monkeypatch, n_steps, n_paths, mu):
-        # the skeleton kernel behind bridge=False
-        grid = PathGrid(n_steps, horizon=1.5)
-        seed = 1000 + n_steps
-
-        def call():
-            return (_crossing_samples(0.5, mu, grid, n_paths, seed=seed, bridge=False),
-                    bm_exceedance_estimate(0.5, mu, grid, n_paths, seed=seed, bridge=False))
-        got, want = _row_blocks_and_reference(
-            monkeypatch, "_crossing_kernel", reference_crossing_kernel, call)
-        _assert_same_bits(got[0], want[0])
-        assert repr(got[1].to_json_dict()) == repr(want[1].to_json_dict())
-
-    @pytest.mark.parametrize("n_steps, n_paths", _BLOCK_CASES)
-    def test_crossing_without_bridge_draws_only_kept_rows(self, n_steps, n_paths):
-        # each step draws take normals from its own window and nothing
-        # more, so the generator ends take normals into the last window
-        grid = PathGrid(n_steps, horizon=1.5)
-        take = min(n_paths, mc._PATH_CHUNK)
-        seed = 4000 + n_steps
-        gen = mc._rng(seed, 0)
-        got = mc._crossing_kernel(0.5, 0.3, grid)(gen, take)
-        want = reference_crossing_kernel(0.5, 0.3, grid)(mc._rng(seed, 0), take)
-        _assert_same_bits(got, want)
-        last = np.random.Philox(key=seed, counter=(n_steps - 1) << 64)
-        np.random.Generator(last).standard_normal(take)
-        np.testing.assert_equal(gen.bit_generator.state, last.state)
-
-    @pytest.mark.parametrize("n_steps, n_paths", _BLOCK_CASES)
-    @pytest.mark.parametrize("mu", [-2.0, 0.0, 0.3])
     def test_argmax(self, monkeypatch, n_steps, n_paths, mu):
         grid = PathGrid(n_steps, horizon=1.5)
         seed = 2000 + n_steps
@@ -1057,13 +1007,10 @@ class TestRowBlocksMatchWholeChunks:
 
 def _path_outputs(grid, n_paths, seed):
     """Every path kernel's samples and estimate at one layout, as bytes and reprs."""
-    out = []
-    for bridge in (True, False):
-        out += [_crossing_samples(0.5, 0.3, grid, n_paths, seed, bridge=bridge).tobytes(),
-                repr(bm_exceedance_estimate(0.5, 0.3, grid, n_paths, seed=seed,
-                                            bridge=bridge).to_json_dict())]
     drift = _tanh_drift(-2.0)
-    return out + [
+    return [
+        _crossing_samples(0.5, 0.3, grid, n_paths, seed).tobytes(),
+        repr(bm_exceedance_estimate(0.5, 0.3, grid, n_paths, seed=seed).to_json_dict()),
         repr(argmax_laplace_estimate(1.5, 0.3, grid, n_paths, seed=seed).to_json_dict()),
         _girsanov_samples(drift, grid, n_paths, seed=seed).tobytes(),
         repr(girsanov_renyi_estimate(drift, grid, 2.5, n_paths, seed=seed).to_json_dict()),
@@ -1211,11 +1158,10 @@ class TestPathMemory:
         monkeypatch.setattr(mc, "_WORKERS", 2)
 
     def test_crossing_estimate(self):
-        # the skeleton's step vectors, and the exact kernel's 2^16-sample chunks
-        for bridge in (True, False):
-            peak = _traced_peak_mib(lambda: bm_exceedance_estimate(
-                1.0, 0.1, _GRID64, 140_000, seed=1, bridge=bridge))
-            assert peak < self.LIMIT_MIB, bridge
+        # the exact kernel's 2^16-sample chunks
+        peak = _traced_peak_mib(lambda: bm_exceedance_estimate(
+            1.0, 0.1, _GRID64, 140_000, seed=1))
+        assert peak < self.LIMIT_MIB
 
     def test_girsanov_estimate(self):
         peak = _traced_peak_mib(lambda: girsanov_renyi_estimate(
