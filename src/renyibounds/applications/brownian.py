@@ -24,7 +24,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from ..bounds import BoundResult, event_bounds, rs_lower, rs_upper
-from ..divergences import DivergenceBudget, renyi_bm_drift
+from ..divergences import DivergenceBudget, check_alpha, renyi_bm_drift
 from ..specfun import ConvergenceError, erfc, log_bessel_i0, log_bessel_i0e, log_erfc
 
 __all__ = [
@@ -312,6 +312,7 @@ def laplace_h_bounds(
     alpha = float(alpha)
     if not alpha > 1.0:
         raise ValueError("the upper bound needs alpha > 1")
+    check_alpha(alpha)
     _require("gamma and mu must be finite and the horizon positive",
              positive=(t,), finite=(g, m, t))
     d = renyi_bm_drift(m) * t

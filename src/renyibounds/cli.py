@@ -31,6 +31,7 @@ from .applications import (
 from .divergences import (
     GaussianParams,
     PoissonParams,
+    check_alpha,
     check_budget,
     renyi_bm_drift,
     renyi_discrete,
@@ -262,14 +263,19 @@ def cmd_brownian_figures(args) -> int:
     return 0
 
 
+def _check_queue_order(args) -> None:
+    """Check the order before any other work; the bounds need alpha > 1."""
+    if args.reps > 0 and not args.alpha > 1.0:
+        raise ValueError("event bounds need alpha > 1")
+    check_alpha(args.alpha)
+
+
 def _queue_budgets(args) -> tuple[float, float]:
-    """Per-step budgets (d1, d2), checked with the order before any simulation."""
+    """Per-step budgets (d1, d2), checked before any simulation."""
     alpha = args.alpha
     d1, d2 = args.d1, args.d2
     if (d1 is None or d2 is None) and args.theta_rate is None:
         raise ValueError("need --theta-rate or explicit --d1 and --d2 budgets")
-    if not alpha > 1.0:
-        raise ValueError("event bounds need alpha > 1")
     if d1 is None:
         d1 = renyi_poisson(PoissonParams(args.theta_rate), PoissonParams(args.nominal_rate), alpha)
     if d2 is None:
@@ -299,6 +305,7 @@ def _nominal_interval(est) -> tuple[float, float]:
 
 
 def cmd_queue(args) -> int:
+    _check_queue_order(args)
     rate = overflow_decay_rate(args.C, args.b)
     report = {
         "model": {"C": args.C, "b": args.b, "n": args.n},
@@ -347,14 +354,16 @@ def _laplace_exact(gamma: float, t: float, mu: float) -> float:
 
 
 def cmd_laplace(args) -> int:
+    # the bounds check the order before the quadrature runs
+    bound = None if args.alpha is None else laplace_h_bounds(args.gamma, args.t, args.alpha,
+                                                             args.mu)
     value = _laplace_exact(args.gamma, args.t, args.mu)
-    if args.alpha is None:
+    if bound is None:
         if args.format == "pretty":
             _emit(_fmt(value), args)
         else:
             _emit_json({"gamma": args.gamma, "t": args.t, "mu": args.mu, "value": value}, args)
         return 0
-    bound = laplace_h_bounds(args.gamma, args.t, args.alpha, args.mu)
     inner = (args.alpha - 1.0) * args.gamma
     inner_value = _laplace_exact(inner, args.t, args.mu)
     if inner_value == math.inf:

@@ -24,17 +24,41 @@ than a rounding allowance. The beta -> 0 and order -> 0 limits give the
 classical Kullback-Leibler dualities and the support functional.
 
 The oracle depends only on (dim, grid_step, oracle_samples, seed), so
-its candidates and their logs are built once, as read-only arrays, and
-the last such block is kept: both forms of one instance scan the same
-block. A new block replaces the old one, which is dropped first. The
-grid is built part by part, each stage the size of its output. The scan
-takes the block's columns in contiguous pieces of ``_PIECE`` columns,
-so its temporaries stay cache-sized; each exponent array is made once
-and shifted in place, and a zero-mass candidate sends only its own
-piece through the masked branch of ``logsumexp``. The tilted optimizer
-and nu are scored as a separate two-column block. Each column sums its
-atoms in the same order in any piece, so every certificate is bitwise
-the same as with one whole block.
+its candidates, their logs and their floor (-log of the smallest
+positive coordinate: log m on the grid of step 1/m, looked up once on a
+sample) are built once, as read-only arrays, and the last such block is
+kept: both forms of one instance scan the same block. A new block
+replaces the old one, which is dropped first. The grid is built part by
+part, each stage the size of its output; the sample is unit
+exponentials scaled by their sums, as numpy's ``dirichlet`` draws it.
+
+The scan takes the block's columns in contiguous pieces of ``_PIECE``
+columns, so its temporaries stay cache-sized. On a finite support both
+integrals are weighted sums over the atoms, and the scan sums them as
+such where a range check admits it. With o the risk order (gamma for
+the infimum, beta for the supremum) and (k, e) the powers of nu and
+theta in the divergence ((alpha, 1 - alpha) for the infimum, (1 - alpha,
+alpha) for the supremum), the risk term is s + log sum_i theta_i
+exp(o g_i - s) and the divergence's log-integral t + log sum_i c_i
+theta_i^e, with s = max o g_i, t = max k log nu_i and c_i = exp(k log
+nu_i - t). The check is made once per certificate: nu has no zero atom,
+and |o| ptp(g), |k| ptp(log nu) and max(1, |e|) times the floor of the
+block and of the optimizer and nu are each at most ``_RANGE`` = 300.
+Then every nonzero term lies in [e^-600, e^300], so each sum is a
+normal double with relative error at most dim eps, and a zero
+coordinate gives the 0 or inf of the log-sum-exp conventions. The atoms
+are added one row at a time, in order, by numpy ufuncs and never by
+BLAS, whose kernels and threads vary by machine. These objectives agree
+with the log-sum-exp ones to a few ulps of their exponents.
+
+Every other certificate (a zero atom in nu, a far atom, or a payoff
+spread too wide for its order) takes the log-sum-exp scan: each
+exponent array is made once and shifted in place, and a zero-mass
+candidate sends only its own piece through the masked branch
+of ``logsumexp``. On either scan the tilted optimizer and nu are scored
+as a separate two-column block, and each column sums its atoms in the
+same order in any piece, so every certificate is bitwise the same as
+with one whole block.
 """
 
 from __future__ import annotations
@@ -67,9 +91,11 @@ NEAR_OPTIMAL_WINDOW = 1e-6
 NEAR_OPTIMAL_DISTANCE = 0.05
 # candidate columns per piece of the oracle scan
 _PIECE = 1 << 14
+# bound on each log-scale of the atom-weighted scan (see the module docstring)
+_RANGE = 300.0
 
 # the last oracle block built, under its (dim, grid_step, samples, seed)
-_last_block: tuple[tuple, tuple[np.ndarray, np.ndarray, str, float]] | None = None
+_last_block: tuple[tuple, tuple[np.ndarray, np.ndarray, str, float, float]] | None = None
 
 
 @dataclass(frozen=True)
@@ -144,25 +170,44 @@ def _grid_simplex(dim: int, step: float) -> np.ndarray:
 def _candidates(
     dim: int, grid_step: float, samples: int, seed: int
 ) -> tuple[np.ndarray, str, float]:
-    """Oracle points as the columns of a (dim, N) array."""
+    """Oracle points as the columns of a (dim, N) array.
+
+    From dim 4 on the points are a uniform (flat Dirichlet) sample: unit
+    exponentials in numpy's ``dirichlet`` draw order, each row summed
+    atom by atom and scaled by the reciprocal of its sum. That is how
+    numpy's ``dirichlet`` normalizes the unit-parameter gammas it draws as
+    exponentials, so the bits are those of ``rng.dirichlet(np.ones(dim))``
+    for as long as numpy keeps that algorithm for parameters 1.
+    """
     if dim <= 3:
         return _grid_simplex(dim, grid_step), "grid", grid_step
     rng = np.random.Generator(np.random.Philox(key=int(seed)))
-    pts = np.ascontiguousarray(rng.dirichlet(np.ones(dim), size=int(samples)).T)
+    pts = np.ascontiguousarray(rng.standard_exponential((int(samples), dim)).T)
+    scale = np.sum(pts, axis=0)
+    pts *= np.divide(1.0, scale, out=scale)
     # nominal spacing of a uniform sample of the (dim-1)-simplex
     resolution = float(samples) ** (-1.0 / (dim - 1))
     return pts, "dirichlet", resolution
 
 
+def _log_floor(pts: np.ndarray) -> float:
+    """-log of the smallest positive coordinate."""
+    low = float(np.min(pts))
+    if low == 0.0:
+        low = float(np.min(pts, where=pts > 0.0, initial=1.0))
+    return -math.log(low)
+
+
 def _oracle_block(
     dim: int, grid_step: float, samples: int, seed: int
-) -> tuple[np.ndarray, np.ndarray, str, float]:
-    """The candidates, their logs (both read-only), kind and resolution.
+) -> tuple[np.ndarray, np.ndarray, str, float, float]:
+    """The candidates, their logs (both read-only), kind, resolution and floor.
 
-    The block depends on these four arguments alone, so the last one
-    built is kept: the infimum and supremum forms of one instance scan
-    the same block. The old block is dropped before a new one is built,
-    so two never coexist.
+    The floor is -log of the smallest positive coordinate: log m on the
+    grid of step 1/m, looked up once on a sample. The block depends on
+    these four arguments alone, so the last one built is kept: the
+    infimum and supremum forms of one instance scan the same block. The
+    old block is dropped before a new one is built, so two never coexist.
     """
     global _last_block
     key = (dim, grid_step, samples, seed)
@@ -171,33 +216,96 @@ def _oracle_block(
         return last[1]
     _last_block = None
     pts, kind, resolution = _candidates(dim, grid_step, samples, seed)
+    floor = math.log(round(1.0 / grid_step)) if kind == "grid" else _log_floor(pts)
     with np.errstate(divide="ignore"):
         log_pts = np.log(pts)
     pts.flags.writeable = log_pts.flags.writeable = False
-    block = (pts, log_pts, kind, resolution)
+    block = (pts, log_pts, kind, resolution, floor)
     _last_block = (key, block)
     return block
 
 
+def _atom_sums(
+    direction: str, nu: FiniteMeasure, values: np.ndarray, params: OrderParams, floor: float
+) -> tuple | None:
+    """(o, s, exp(o g - s), e, t, exp(k log nu - t)) for the atom-weighted
+    scan, or None where the range check of the module docstring fails."""
+    alpha = params.alpha
+    if direction == "infimum":
+        order, k, e = params.gamma, alpha, 1.0 - alpha
+    else:
+        order, k, e = params.beta, 1.0 - alpha, alpha
+    log_nu = nu.log_weights
+    if (np.isneginf(log_nu).any()
+            or abs(order) * np.ptp(values) > _RANGE
+            or abs(k) * np.ptp(log_nu) > _RANGE
+            or max(1.0, abs(e)) * floor > _RANGE):
+        return None
+    risk_exp, div_exp = order * values, k * log_nu
+    s, t = float(np.max(risk_exp)), float(np.max(div_exp))
+    return order, s, np.exp(risk_exp - s), e, t, np.exp(div_exp - t)
+
+
+def _atom_weighted(
+    candidates: np.ndarray, log_candidates: np.ndarray, sums: tuple
+) -> tuple[np.ndarray, np.ndarray]:
+    """The risk term and the divergence's log-integral as atom-weighted sums.
+
+    The atoms are added one row at a time, in order. A zero coordinate
+    adds 0 to the risk sum, and 0^e is 0 for e > 0 and inf for e < 0,
+    the values the log-sum-exp conventions give.
+    """
+    order, s, risk_w, e, t, div_w = sums
+    term = np.empty(candidates.shape[1])
+    risk = np.multiply(candidates[0], risk_w[0])
+    div = np.multiply(log_candidates[0], e)
+    np.exp(div, out=div)
+    div *= div_w[0]
+    for i in range(1, candidates.shape[0]):
+        risk += np.multiply(candidates[i], risk_w[i], out=term)
+        np.multiply(log_candidates[i], e, out=term)
+        np.exp(term, out=term)
+        term *= div_w[i]
+        div += term
+    np.log(risk, out=risk)
+    risk += s
+    risk /= order
+    np.log(div, out=div)
+    div += t
+    return risk, div
+
+
 def _rhs_values(
     direction: str,
+    candidates: np.ndarray,
     log_candidates: np.ndarray,
     nu: FiniteMeasure,
     values: np.ndarray,
     params: OrderParams,
+    sums: tuple | None = None,
 ) -> np.ndarray:
+    """The objective at each column of candidates and of their logs.
+
+    Without sums both log-integrals are log-sum-exps over the logs; with
+    the weights of _atom_sums they are atom-weighted sums.
+    """
     alpha = params.alpha
-    if direction == "infimum":
-        order = params.gamma
-        div = renyi_log_integral_rows(nu.log_weights[:, None], log_candidates, alpha)
+    if sums is None:
+        if direction == "infimum":
+            order = params.gamma
+            div = renyi_log_integral_rows(nu.log_weights[:, None], log_candidates, alpha)
+        else:
+            order = params.beta
+            div = renyi_log_integral_rows(log_candidates, nu.log_weights[:, None], alpha)
+        # one exponent array at a time, each shifted in place by the log-sum-exp
+        risk = log_candidates + order * values[:, None]
+        risk = _logsumexp(risk, 0, out=risk) / order
+        with np.errstate(invalid="ignore"):
+            div = np.where(np.isneginf(div), math.inf, div / (alpha * (alpha - 1.0)))
     else:
-        order = params.beta
-        div = renyi_log_integral_rows(log_candidates, nu.log_weights[:, None], alpha)
-    # one exponent array at a time, each shifted in place by the log-sum-exp
-    risk = log_candidates + order * values[:, None]
-    risk = _logsumexp(risk, 0, out=risk) / order
-    with np.errstate(invalid="ignore"):
-        div = np.where(np.isneginf(div), math.inf, div / (alpha * (alpha - 1.0)))
+        risk, div = _atom_weighted(candidates, log_candidates, sums)
+        # each sum is at least exp(-2 _RANGE), so div is never -inf
+        div /= alpha * (alpha - 1.0)
     if direction == "infimum":
         return risk + div / params.span
     return risk - div / params.span
@@ -227,17 +335,20 @@ def _certify(
         )
 
     # one column per candidate; the tilted optimizer and nu itself go last
-    pts, log_pts, kind, resolution = _oracle_block(nu.dim, grid_step, oracle_samples, seed)
+    pts, log_pts, kind, resolution, floor = _oracle_block(
+        nu.dim, grid_step, oracle_samples, seed)
     extra = np.column_stack([optimizer.probs, nu.probs])
     with np.errstate(divide="ignore"):
         log_extra = np.log(extra)
+    sums = _atom_sums(direction, nu, values, params, max(floor, _log_floor(extra)))
     n = pts.shape[1]
     # each column sums its atoms in the same order whatever block or piece
     # holds it
     rhs = np.concatenate(
-        [_rhs_values(direction, log_pts[:, lo:lo + _PIECE], nu, values, params)
+        [_rhs_values(direction, pts[:, lo:lo + _PIECE], log_pts[:, lo:lo + _PIECE],
+                     nu, values, params, sums)
          for lo in range(0, n, _PIECE)]
-        + [_rhs_values(direction, log_extra, nu, values, params)])
+        + [_rhs_values(direction, extra, log_extra, nu, values, params, sums)])
 
     if direction == "infimum":
         best = float(np.min(rhs))

@@ -442,6 +442,28 @@ class TestLaplaceCommand:
         assert err.startswith("error: ") and "Traceback" not in err
 
 
+class TestInfiniteOrder:
+    """One rule for --alpha inf: exit 2 before any simulation or quadrature."""
+
+    @pytest.fixture(autouse=True)
+    def _no_work(self, monkeypatch):
+        def work(*args, **kwargs):
+            raise AssertionError("worked before checking the order")
+
+        monkeypatch.setattr(cli, "simulate_queue_overflow_prob", work)
+        monkeypatch.setattr(cli, "_laplace_exact", work)
+
+    @pytest.mark.parametrize("argv", [
+        ["queue", "--d1", "1", "--d2", "1", "--reps", "100", "--alpha", "inf"],
+        ["queue", "--theta-rate", "1.1", "--alpha", "inf"],
+        ["laplace", "--gamma", "1", "--alpha", "inf", "--mu", "0.1"],
+    ], ids=["queue-budgets", "queue-theta-rate", "laplace"])
+    def test_is_an_input_error(self, capsys, argv):
+        code, out, err = run_cli(capsys, argv)
+        assert (code, out) == (2, "")
+        assert "alpha must be finite" in err
+
+
 class TestMcCommands:
     def test_bm_max(self, capsys):
         code, out, _ = run_cli(capsys, [

@@ -74,6 +74,27 @@ def test_one_thread_engine(path):
     assert found == []
 
 
+# BLAS kernels and their thread settings vary by machine, so a product routed
+# through them would make certificate bits depend on the platform
+ORACLE = PACKAGE / "variational.py"
+BLAS_NAMES = {"dot", "matmul", "einsum", "inner", "tensordot", "vdot"}
+
+
+def test_oracle_sums_without_blas():
+    tree = ast.parse(ORACLE.read_text(encoding="utf-8"))
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.MatMult):
+            found.append(f"line {node.lineno}: @")
+        elif isinstance(node, ast.Attribute) and node.attr in BLAS_NAMES:
+            found.append(f"line {node.lineno}: {node.attr}")
+        elif isinstance(node, ast.Name) and node.id in BLAS_NAMES:
+            found.append(f"line {node.lineno}: {node.id}")
+        elif isinstance(node, ast.ImportFrom):
+            found += [f"line {node.lineno}: {a.name}" for a in node.names if a.name in BLAS_NAMES]
+    assert found == []
+
+
 def test_cli_loads_no_optional_modules():
     # the closed-form and Monte Carlo commands run on numpy and the stdlib;
     # scipy and mpmath are test-only oracles, and numpy.polynomial is large

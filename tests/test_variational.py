@@ -7,11 +7,12 @@ import math
 import sys
 import threading
 import tracemalloc
+from contextlib import contextmanager
 from itertools import combinations
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import assume, given, strategies as st
 
 from renyibounds import variational
 from renyibounds.divergences import kl_discrete, renyi_discrete
@@ -22,13 +23,16 @@ from renyibounds.measures import (
     exp_tilt,
     expectation,
     logsumexp,
+    normalize,
     risk_sensitive,
 )
 from renyibounds.variational import (
     NEAR_OPTIMAL_WINDOW,
     IdentityReport,
+    _atom_sums,
     _candidates,
     _grid_simplex,
+    _log_floor,
     _rhs_values,
     inf_identity,
     sup_identity,
@@ -275,14 +279,47 @@ def assert_same_report(nu, g, params, **kwargs):
         assert got.oracle_points == want.oracle_points
 
 
+def assert_close_report(nu, g, params, **kwargs):
+    # the summation order moves the last digits; the verdict may not move
+    for direction, form in _FORMS.items():
+        got = form(nu, g, params, **kwargs)
+        want = reference_certify(direction, nu, g, params, **kwargs)
+        assert got.oracle_points == want.oracle_points
+        assert np.array_equal(got.optimizer.log_weights, want.optimizer.log_weights)
+        for name in ("lhs", "rhs_at_optimizer", "oracle_min_or_max",
+                     "dominance_margin", "near_optimal_max_distance"):
+            assert getattr(got, name) == pytest.approx(getattr(want, name), rel=0, abs=1e-14)
+        assert got.passes() == want.passes()
+
+
+def assert_close_objective(got, want, tol=1e-14):
+    # the same infinite entries, the finite ones within tol
+    inf = np.isinf(want)
+    assert np.array_equal(np.isinf(got), inf)
+    assert np.array_equal(got[inf], want[inf])
+    assert np.all(np.abs(got[~inf] - want[~inf]) <= np.broadcast_to(tol, want.shape)[~inf])
+
+
+@contextmanager
+def exact_path():
+    """Certificates inside take the log-sum-exp scan: no range admits them."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(variational, "_RANGE", -1.0)
+        yield
+
+
 class TestAtomsMajorOracle:
     @pytest.mark.parametrize("regime", range(len(_PARAM_SET)))
     @pytest.mark.parametrize("dim", [2, 3, 4, 5, 6, 7])
     def test_bitwise_equal_to_row_major(self, dim, regime):
-        # dims 2-3 scan the grid, dims 4-7 a Dirichlet sample
+        # dims 2-3 scan the grid, dims 4-7 a Dirichlet sample; the log-sum-exp
+        # scan is bitwise the row-major one, the atom-weighted scan close to it
         nu, g, seed = random_instance(dim, 100 * dim + regime)
-        assert_same_report(nu, g, _PARAM_SET[regime], grid_step={2: 1e-3}.get(dim, 1e-2),
-                           oracle_samples=20_000, seed=seed)
+        kwargs = {"grid_step": {2: 1e-3}.get(dim, 1e-2), "oracle_samples": 20_000,
+                  "seed": seed}
+        with exact_path():
+            assert_same_report(nu, g, _PARAM_SET[regime], **kwargs)
+        assert_close_report(nu, g, _PARAM_SET[regime], **kwargs)
 
     @pytest.mark.parametrize("direction", ["infimum", "supremum"])
     @pytest.mark.parametrize("dim", [2, 3, 4, 5, 6, 7])
@@ -290,7 +327,8 @@ class TestAtomsMajorOracle:
         # the report mostly reflects the optimizer column, so compare the
         # candidates and the objective at each of them as well
         nu, g, seed = random_instance(dim, 7 * dim)
-        # a zero atom meets the grid's zero coordinates: both-zero atoms are dropped
+        # a zero atom meets the grid's zero coordinates: both-zero atoms are
+        # dropped, and the log-sum-exp scan is the only one
         zeroed = measure_from_weights(np.r_[0.0, nu.probs[1:]])
         step = {2: 1e-3}.get(dim, 1e-2)
         pts, kind, _ = _candidates(dim, step, 20_000, seed)
@@ -299,11 +337,18 @@ class TestAtomsMajorOracle:
         assert np.array_equal(pts.view(np.int64), np.ascontiguousarray(rows.T).view(np.int64))
         with np.errstate(divide="ignore"):
             log_pts, log_rows = np.log(pts), np.log(rows)
+        floor = _log_floor(pts)
         for measure in (nu, zeroed):
             for params in _PARAM_SET:
-                got = _rhs_values(direction, log_pts, measure, g, params)
+                got = _rhs_values(direction, pts, log_pts, measure, g, params)
                 want = reference_rhs_values(direction, log_rows, measure, g, params)
                 assert np.array_equal(got.view(np.int64), want.view(np.int64))
+                sums = _atom_sums(direction, measure, g, params, floor)
+                if measure is zeroed:
+                    assert sums is None
+                else:
+                    assert_close_objective(
+                        _rhs_values(direction, pts, log_pts, measure, g, params, sums), want)
 
     @pytest.mark.parametrize("weights,g", [
         ([1, 1, 0], [0.0, 1.0, -2.0]),
@@ -311,9 +356,12 @@ class TestAtomsMajorOracle:
         ([1, 3], [0.7, 0.7]),
     ])
     def test_bitwise_equal_with_zero_atoms_and_flat_payoff(self, weights, g):
+        # a zero atom keeps the log-sum-exp scan; a flat payoff without one
+        # takes the atom-weighted scan
+        check = assert_same_report if 0 in weights else assert_close_report
         for params in _PARAM_SET:
-            assert_same_report(measure_from_weights(weights), np.asarray(g), params,
-                               oracle_samples=20_000, seed=3)
+            check(measure_from_weights(weights), np.asarray(g), params,
+                  oracle_samples=20_000, seed=3)
 
     @pytest.mark.parametrize("weights,g,distance", [
         ([1, 22, 1, 1, 1], [-1.0, 3.0, 0.0, 0.0, -1.0], 0.06831755599885064),
@@ -323,7 +371,9 @@ class TestAtomsMajorOracle:
         # the flat-objective instances behind test_full_certificate's flakes
         nu = measure_from_weights(weights)
         params = OrderParams(2.0, 3.0)
-        assert_same_report(nu, np.asarray(g), params, oracle_samples=20_000)
+        with exact_path():
+            assert_same_report(nu, np.asarray(g), params, oracle_samples=20_000)
+        assert_close_report(nu, np.asarray(g), params, oracle_samples=20_000)
         rep = inf_identity(nu, np.asarray(g), params, oracle_samples=20_000)
         assert rep.near_optimal_max_distance == distance
         assert not rep.passes()
@@ -334,16 +384,121 @@ class TestAtomsMajorOracle:
         # numpy's last-axis sum unrolls 8 ways from 8 atoms on, so the row-major
         # order can move the last digits; the verdict may not move
         nu, g, seed = random_instance(dim, 100 * dim + regime)
-        params = _PARAM_SET[regime]
+        assert_close_report(nu, g, _PARAM_SET[regime], oracle_samples=20_000, seed=seed)
+
+
+def scan_columns(direction, nu, g, params, pts):
+    """A block's columns with the optimizer and nu, their logs, and the scan's sums."""
+    sign = -1.0 if direction == "infimum" else 1.0
+    optimizer = exp_tilt(nu, g, sign * params.span)
+    cols = np.column_stack([pts, optimizer.probs, nu.probs])
+    with np.errstate(divide="ignore"):
+        logs = np.log(cols)
+    return cols, logs, _atom_sums(direction, nu, g, params, _log_floor(cols))
+
+
+@st.composite
+def scan_instances(draw, max_spread, min_scale):
+    """Instances within the range check: dims 2-7, the five regimes.
+
+    nu's log weights spread up to max_spread (a fraction of the most the
+    check admits), and the orders scale from min_scale up to where
+    |order| ptp(g) reaches the bound; the tilted optimizer may still
+    fail the check, and the tests skip those.
+    """
+    dim = draw(st.integers(2, 7))
+    params = draw(st.sampled_from(_PARAM_SET))
+    g = np.asarray(draw(st.lists(st.floats(-3.0, 3.0, width=32), min_size=dim, max_size=dim)))
+    alpha = params.alpha
+    spread = max_spread * variational._RANGE / max(1.0, abs(alpha), abs(1.0 - alpha))
+    log_w = draw(st.lists(st.floats(-spread, 0.0), min_size=dim, max_size=dim))
+    # |order| max|g| stays within the bound too, so the tilts stay normalizable
+    size = max(np.ptp(g), np.max(np.abs(g)), 1e-3)
+    top = 0.999 * variational._RANGE / (max(-params.beta, params.gamma) * size)
+    scale = min_scale * (top / min_scale) ** draw(st.floats(0.0, 1.0))
+    params = OrderParams(params.beta * scale, params.gamma * scale)
+    return normalize(log_w, [str(j) for j in range(dim)]), g, params
+
+
+class TestAtomWeightedScan:
+    """The atom-weighted scan against the log-sum-exp scan it stands in for."""
+
+    @pytest.fixture(autouse=True)
+    def _empty_cache(self, monkeypatch):
+        monkeypatch.setattr(variational, "_last_block", None)
+
+    @staticmethod
+    def objectives(instance, direction):
+        nu, g, params = instance
+        pts = variational._oracle_block(nu.dim, 0.05, 2_000, 5)[0]
+        cols, logs, sums = scan_columns(direction, nu, g, params, pts)
+        # the tilted optimizer's smallest atom can fail the range check first
+        assume(sums is not None)
+        return (_rhs_values(direction, cols, logs, nu, g, params),
+                _rhs_values(direction, cols, logs, nu, g, params, sums))
+
+    @given(scan_instances(max_spread=6.9 / variational._RANGE, min_scale=1.0))
+    def test_matches_the_log_sum_exp_scan(self, instance):
+        # nu's atoms within a factor of 1000 and payoffs in [-3, 3], as in the
+        # certify workload, with the orders up to the range check
         for direction, form in _FORMS.items():
-            got = form(nu, g, params, oracle_samples=20_000, seed=seed)
-            want = reference_certify(direction, nu, g, params, oracle_samples=20_000, seed=seed)
-            assert got.oracle_points == want.oracle_points
-            assert np.array_equal(got.optimizer.log_weights, want.optimizer.log_weights)
-            for name in ("lhs", "rhs_at_optimizer", "oracle_min_or_max",
-                         "dominance_margin", "near_optimal_max_distance"):
-                assert getattr(got, name) == pytest.approx(getattr(want, name), rel=0, abs=1e-14)
-            assert got.passes() == want.passes()
+            want, got = self.objectives(instance, direction)
+            assert_close_objective(got, want)
+            kwargs = {"grid_step": 0.05, "oracle_samples": 2_000, "seed": 5}
+            with exact_path():
+                exact = form(*instance, **kwargs)
+            assert form(*instance, **kwargs).passes() == exact.passes()
+
+    @given(scan_instances(max_spread=0.999, min_scale=1.0 / 16.0))
+    def test_close_up_to_the_range_check(self, instance):
+        # far atoms and small orders: both scans round exponents up to
+        # 2 _RANGE in size, so allow a few ulps of that through the divisions
+        # by the risk order and by alpha (alpha - 1) span
+        _, _, params = instance
+        alpha = params.alpha
+        for direction, order in (("infimum", params.gamma), ("supremum", params.beta)):
+            want, got = self.objectives(instance, direction)
+            ulps = 16.0 * sys.float_info.epsilon * variational._RANGE * (
+                1.0 / abs(order) + 1.0 / abs(alpha * (alpha - 1.0) * params.span))
+            assert_close_objective(got, want, 1e-14 * np.maximum(1.0, np.abs(want)) + ulps)
+
+    # (direction, orders, guarded quantity as a multiple f of the bound ->
+    # (nu's log weights, payoff)), one case per clause of the range check
+    _BOUNDS = {
+        "risk order": ("infimum", (1.0, 2.0),
+                       lambda f: ([0.0, -1.0, -2.0], [0.0, 150.0 * f, 1.0])),
+        "nu spread": ("infimum", (1.0, 2.0),
+                      lambda f: ([0.0, -150.0 * f, -1.0], [0.0, 0.5, 1.0])),
+        "floor": ("supremum", (2.0, 3.0),
+                  lambda f: ([0.0, 0.0, math.log(2.0) - 100.0 * f], [0.0, 0.0, 1.0])),
+        "floor below unit power": ("infimum", (-1.0, 1.0),
+                                   lambda f: ([0.0, 0.0, math.log(2.0) - 300.0 * f],
+                                              [0.0, 0.0, -1.0])),
+    }
+
+    @pytest.mark.parametrize("case", list(_BOUNDS))
+    def test_just_past_each_bound_is_exact(self, case):
+        direction, orders, build = self._BOUNDS[case]
+        params = OrderParams(*orders)
+        pts = variational._oracle_block(3, 1e-2, 2_000, 0)[0]
+        for f, past in ((1.0 - 1e-9, False), (1.0 + 1e-9, True)):
+            log_w, g = build(f)
+            nu = normalize(log_w, ["a", "b", "c"])
+            assert (scan_columns(direction, nu, np.asarray(g), params, pts)[2] is None) == past
+        got = _FORMS[direction](nu, g, params)
+        want = reference_certify(direction, nu, np.asarray(g), params)
+        assert json.dumps(got.to_json_dict()) == json.dumps(want.to_json_dict())
+
+    @pytest.mark.parametrize("direction", list(_FORMS))
+    def test_zero_atom_is_exact(self, direction):
+        nu = measure_from_weights([3, 0, 1, 2])
+        g = np.array([0.5, -1.0, 2.0, 0.0])
+        for params in _PARAM_SET:
+            pts = variational._oracle_block(4, 1e-2, 2_000, 0)[0]
+            assert scan_columns(direction, nu, g, params, pts)[2] is None
+            got = _FORMS[direction](nu, g, params, oracle_samples=2_000)
+            want = reference_certify(direction, nu, g, params, oracle_samples=2_000)
+            assert json.dumps(got.to_json_dict()) == json.dumps(want.to_json_dict())
 
 
 class TestOracleBlock:
@@ -384,11 +539,21 @@ class TestOracleBlock:
     def test_cached_arrays_are_read_only(self, dim):
         nu, g, seed = random_instance(dim, 13)
         inf_identity(nu, g, OrderParams(1.0, 2.0), oracle_samples=5_000, seed=seed)
-        pts, log_pts, _, _ = variational._oracle_block(dim, 1e-2, 5_000, seed)
+        pts, log_pts, *_ = variational._oracle_block(dim, 1e-2, 5_000, seed)
         for array in (pts, log_pts):
             with pytest.raises(ValueError, match="read-only"):
                 array[0, 0] = 0.5
         assert variational._last_block[1][0] is pts
+
+    @pytest.mark.parametrize("dim,step", [(2, 1e-5), (3, 2.2e-3), (5, 1e-2)])
+    def test_block_records_its_floor(self, dim, step):
+        # -log of the smallest positive coordinate: log m on the grid of step 1/m
+        pts, _, kind, _, floor = variational._oracle_block(dim, step, 5_000, 7)
+        smallest = np.min(pts[pts > 0.0])
+        if kind == "grid":
+            assert floor == math.log(round(1.0 / step))
+            assert smallest == 1.0 / round(1.0 / step)
+        assert floor == pytest.approx(-math.log(smallest), rel=1e-15)
 
     @pytest.mark.parametrize("dim", [2, 3, 4, 6, 9])
     def test_reports_match_at_every_piece_size(self, monkeypatch, dim):
@@ -438,30 +603,44 @@ class TestOracleBlock:
 
 
 class TestScanMemory:
-    """The scan makes each exponent array once and shifts it in place.
+    """Each scan of a piece makes few piece-sized temporaries.
 
     numpy reports its arrays to tracemalloc. On a (6, 2^14) piece the
-    scan peaked at 2.5 piece-sized arrays when the log-sum-exp shifted a
-    copy and both divergence terms were materialized; it now peaks at
-    1.5: one exponent array and a few one-per-column vectors.
+    log-sum-exp scan peaked at 2.5 piece-sized arrays when the
+    log-sum-exp shifted a copy and both divergence terms were
+    materialized; it now peaks at 1.5: one exponent array and a few
+    one-per-column vectors. The atom-weighted scan makes one exponent row
+    at a time and peaks at four one-per-column vectors, 0.67 of a piece
+    at dim 6; its pin leaves a margin of about 20%.
     """
+
+    @staticmethod
+    def peak(direction, params, sums_of):
+        nu, g, _ = random_instance(6, 29)
+        values = aligned_values(nu, g)
+        rng = np.random.default_rng(29)
+        probs = np.ascontiguousarray(rng.dirichlet(np.ones(6), size=1 << 14).T)
+        piece = np.log(probs)
+        probs.flags.writeable = piece.flags.writeable = False
+        sums = sums_of(direction, nu, values, params, _log_floor(probs))
+        _rhs_values(direction, probs, piece, nu, values, params, sums)
+        tracemalloc.start()
+        try:
+            _rhs_values(direction, probs, piece, nu, values, params, sums)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        return peak / piece.nbytes
 
     @pytest.mark.parametrize("direction", list(_FORMS))
     @pytest.mark.parametrize("params", [OrderParams(1.0, 2.0), OrderParams(-2.0, -1.0)])
     def test_no_scratch_copies(self, direction, params):
-        nu, g, _ = random_instance(6, 29)
-        values = aligned_values(nu, g)
-        rng = np.random.default_rng(29)
-        piece = np.log(np.ascontiguousarray(rng.dirichlet(np.ones(6), size=1 << 14).T))
-        piece.flags.writeable = False
-        _rhs_values(direction, piece, nu, values, params)
-        tracemalloc.start()
-        try:
-            _rhs_values(direction, piece, nu, values, params)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < 2.0 * piece.nbytes
+        assert self.peak(direction, params, lambda *args: None) < 2.0
+
+    @pytest.mark.parametrize("direction", list(_FORMS))
+    @pytest.mark.parametrize("params", [OrderParams(1.0, 2.0), OrderParams(-2.0, -1.0)])
+    def test_atom_weighted_scan_makes_rows(self, direction, params):
+        assert self.peak(direction, params, _atom_sums) < 0.8
 
 
 class TestScalingInvariance:
