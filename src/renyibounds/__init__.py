@@ -20,7 +20,6 @@ from .divergences import (
     DivergenceBudget,
     GaussianParams,
     PoissonParams,
-    kl_discrete,
     renyi_bm_drift,
     renyi_discrete,
     renyi_gaussian,
@@ -31,7 +30,6 @@ from .measures import (
     FiniteMeasure,
     OrderParams,
     exp_tilt,
-    expectation,
     logsumexp,
     normalize,
     risk_sensitive,
@@ -61,14 +59,12 @@ __all__ = [
     "FiniteMeasure",
     "OrderParams",
     "exp_tilt",
-    "expectation",
     "logsumexp",
     "normalize",
     "risk_sensitive",
     "DivergenceBudget",
     "GaussianParams",
     "PoissonParams",
-    "kl_discrete",
     "renyi_bm_drift",
     "renyi_discrete",
     "renyi_gaussian",

@@ -24,7 +24,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from ..bounds import BoundResult, event_bounds, rs_lower, rs_upper
-from ..divergences import DivergenceBudget, check_alpha, renyi_bm_drift
+from ..divergences import DivergenceBudget, check_alpha, check_upper_alpha, renyi_bm_drift
 from ..specfun import ConvergenceError, erfc, log_bessel_i0, log_bessel_i0e, log_erfc
 
 __all__ = [
@@ -309,10 +309,7 @@ def laplace_h_bounds(
     the lower side requiring alpha > 2 and reported as -inf otherwise.
     """
     g, t, m = float(gamma), float(horizon), float(mu)
-    alpha = float(alpha)
-    if not alpha > 1.0:
-        raise ValueError("the upper bound needs alpha > 1")
-    check_alpha(alpha)
+    alpha = check_alpha(check_upper_alpha(alpha))
     _require("gamma and mu must be finite and the horizon positive",
              positive=(t,), finite=(g, m, t))
     d = renyi_bm_drift(m) * t

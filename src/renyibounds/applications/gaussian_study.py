@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import math
 
-from ..divergences import GaussianParams, check_alpha, renyi_gaussian
+from ..divergences import GaussianParams, check_alpha, check_upper_alpha, renyi_gaussian
 
 __all__ = ["gaussian_linear_risk", "gaussian_rs_sides", "tightness_witness"]
 
@@ -48,9 +48,7 @@ def gaussian_rs_sides(
     the nominal plus R_alpha(alternative || nominal). Requires
     alpha > 1 so the inequality lhs <= rhs is the upper-bound regime.
     """
-    alpha = check_alpha(alpha)
-    if alpha <= 1.0:
-        raise ValueError("the upper bound needs alpha > 1")
+    alpha = check_alpha(check_upper_alpha(alpha))
     lhs = gaussian_linear_risk(alternative, slope, alpha - 1.0)
     rhs = gaussian_linear_risk(nominal, slope, alpha) + renyi_gaussian(alternative, nominal, alpha)
     return lhs, rhs
@@ -67,9 +65,7 @@ def tightness_witness(alpha: float, budget: float) -> tuple[float, GaussianParam
     (1/alpha) log E_nom e^{alpha g} + budget is attained at every
     order alpha > 1.
     """
-    alpha = check_alpha(alpha)
-    if alpha <= 1.0:
-        raise ValueError("the upper bound needs alpha > 1")
+    alpha = check_alpha(check_upper_alpha(alpha))
     budget = float(budget)
     if not (math.isfinite(budget) and budget > 0.0):
         raise ValueError("budget must be positive and finite")

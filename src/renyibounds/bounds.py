@@ -28,7 +28,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .divergences import DivergenceBudget, check_budget
+from .divergences import DivergenceBudget, check_budget, check_upper_alpha
 
 __all__ = [
     "BoundResult",
@@ -62,8 +62,7 @@ def rs_upper(nominal_alpha_value: float, d1: float, alpha: float) -> float:
     nominal_alpha_value is (1/alpha) log int exp(alpha g) d nu, computed
     by the caller. Requires alpha > 1. An infinite budget yields +inf.
     """
-    if not alpha > 1.0:
-        raise ValueError("the upper bound needs alpha > 1")
+    check_upper_alpha(alpha)
     d1 = check_budget("d1", d1)
     nominal = float(nominal_alpha_value)
     if math.isnan(nominal):
@@ -105,9 +104,7 @@ def event_bounds(
     bounds the normalized value (1/(alpha-1)) log theta(A), and the
     probability scale is exp((alpha-1) * log scale), clamped to 1.
     """
-    alpha = float(alpha)
-    if not alpha > 1.0:
-        raise ValueError("event bounds need alpha > 1")
+    alpha = check_upper_alpha(alpha)
     if scale not in SCALES:
         raise ValueError(f"scale must be one of {SCALES}")
     p = float(p_nominal)

@@ -33,6 +33,7 @@ from .divergences import (
     PoissonParams,
     check_alpha,
     check_budget,
+    check_upper_alpha,
     renyi_bm_drift,
     renyi_discrete,
     renyi_gaussian,
@@ -265,8 +266,8 @@ def cmd_brownian_figures(args) -> int:
 
 def _check_queue_order(args) -> None:
     """Check the order before any other work; the bounds need alpha > 1."""
-    if args.reps > 0 and not args.alpha > 1.0:
-        raise ValueError("event bounds need alpha > 1")
+    if args.reps > 0:
+        check_upper_alpha(args.alpha)
     check_alpha(args.alpha)
 
 

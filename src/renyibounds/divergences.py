@@ -33,7 +33,6 @@ __all__ = [
     "PoissonParams",
     "DivergenceBudget",
     "renyi_discrete",
-    "kl_discrete",
     "renyi_gaussian",
     "renyi_poisson",
     "renyi_bm_drift",
@@ -52,6 +51,14 @@ def check_alpha(alpha: float) -> float:
         raise ValueError("alpha must be finite")
     if min(abs(a), abs(a - 1.0)) <= _ALPHA_EXCLUSION:
         raise ValueError("alpha must stay away from 0 and 1 (use the KL limit instead)")
+    return a
+
+
+def check_upper_alpha(alpha: float) -> float:
+    """Reject orders that are not above 1, where the upper bound holds."""
+    a = float(alpha)
+    if not a > 1.0:
+        raise ValueError("the upper bound needs alpha > 1")
     return a
 
 
@@ -151,16 +158,6 @@ def renyi_discrete(nu: FiniteMeasure, theta: FiniteMeasure, alpha: float) -> flo
         # only reachable for 0 < alpha < 1: empty joint support
         return math.inf
     return s / denom
-
-
-def kl_discrete(nu: FiniteMeasure, theta: FiniteMeasure) -> float:
-    """Kullback-Leibler divergence, the alpha -> 1 limit of R_alpha."""
-    _shared_support(nu, theta)
-    mask = nu.support_mask()
-    if np.any(np.isneginf(theta.log_weights[mask])):
-        return math.inf
-    diff = nu.log_weights[mask] - theta.log_weights[mask]
-    return float(np.sum(np.exp(nu.log_weights[mask]) * diff))
 
 
 def renyi_gaussian(theta1: GaussianParams, nu1: GaussianParams, alpha: float) -> float:

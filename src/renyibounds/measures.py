@@ -23,7 +23,6 @@ __all__ = [
     "logsumexp",
     "normalize",
     "risk_sensitive",
-    "expectation",
     "exp_tilt",
 ]
 
@@ -252,11 +251,6 @@ def risk_sensitive(nu: FiniteMeasure, g: FunctionLike, beta: float) -> float:
         raise ValueError("beta must be nonzero and finite")
     values = aligned_values(nu, g)
     return logsumexp(nu.log_weights + beta * values) / beta
-
-
-def expectation(nu: FiniteMeasure, g: FunctionLike) -> float:
-    values = aligned_values(nu, g)
-    return float(np.sum(nu.probs * values))
 
 
 def exp_tilt(nu: FiniteMeasure, g: FunctionLike, s: float) -> FiniteMeasure:

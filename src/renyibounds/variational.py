@@ -27,10 +27,21 @@ The oracle depends only on (dim, grid_step, oracle_samples, seed), so
 its candidates, their logs and their floor (-log of the smallest
 positive coordinate: log m on the grid of step 1/m, looked up once on a
 sample) are built once, as read-only arrays, and the last such block is
-kept: both forms of one instance scan the same block. A new block
-replaces the old one, which is dropped first. The grid is built part by
-part, each stage the size of its output; the sample is unit
-exponentials scaled by their sums, as numpy's ``dirichlet`` draws it.
+kept: both forms of one instance scan the same block. A new block is
+written over the old one, in memory the module holds: one buffer for
+the candidates, one for their logs and one draw piece, each grown only
+when a block larger than any before it comes. So the process keeps the
+memory of the largest block certified so far, as much as it held while
+certifying that block, and a warm certificate faults in no fresh pages.
+One lock covers building a block and scanning it, so no caller's block
+is overwritten under its scan. Callers on threads take turns: separate
+slots would hold one block per thread, for a scan that a second thread
+speeds up little or not at all. The grid is built part by part, each
+stage the size of its output, and written into its buffer row by row.
+The sample is unit exponentials scaled by their sums, as numpy's
+``dirichlet`` draws it, drawn ``_PIECE`` rows at a time from one stream
+(consecutive draws concatenate bitwise); each piece is transposed,
+scaled and logged while it is in cache.
 
 The scan takes the block's columns in contiguous pieces of ``_PIECE``
 columns, so its temporaries stay cache-sized. On a finite support both
@@ -64,7 +75,10 @@ with one whole block.
 from __future__ import annotations
 
 import math
+import threading
 from dataclasses import dataclass
+from functools import partial
+from typing import Callable
 
 import numpy as np
 
@@ -89,13 +103,17 @@ EQUALITY_TOL = 1e-9
 DOMINANCE_SLACK = 1e-9
 NEAR_OPTIMAL_WINDOW = 1e-6
 NEAR_OPTIMAL_DISTANCE = 0.05
-# candidate columns per piece of the oracle scan
+# candidate columns per piece of the oracle scan, and rows per Dirichlet draw
 _PIECE = 1 << 14
 # bound on each log-scale of the atom-weighted scan (see the module docstring)
 _RANGE = 300.0
 
 # the last oracle block built, under its (dim, grid_step, samples, seed)
 _last_block: tuple[tuple, tuple[np.ndarray, np.ndarray, str, float, float]] | None = None
+# the memory every block is written into
+_held = {"points": np.empty(0), "logs": np.empty(0), "draws": np.empty(0)}
+# held by each caller from building its block to the end of its scan
+_block_lock = threading.Lock()
 
 
 @dataclass(frozen=True)
@@ -151,8 +169,13 @@ class IdentityReport:
         }
 
 
-def _grid_simplex(dim: int, step: float) -> np.ndarray:
-    """Grid points of the simplex as the columns of a (dim, N) array."""
+def _grid_simplex(
+    dim: int, step: float, empty: Callable[[tuple[int, int]], np.ndarray] = np.empty
+) -> np.ndarray:
+    """Grid points of the simplex as the columns of a (dim, N) array.
+
+    The points are written row by row into the array empty((dim, N)).
+    """
     m = int(round(1.0 / step))
     # the first dim - 1 parts, one prefix per column in lexicographic order:
     # each stage extends every prefix by each next part that keeps its sum
@@ -164,30 +187,22 @@ def _grid_simplex(dim: int, step: float) -> np.ndarray:
         nxt = np.arange(ends[-1]) - np.repeat(ends - lengths, lengths)
         rows = [np.repeat(r, lengths) for r in rows] + [nxt]
         sums = np.repeat(sums, lengths) + nxt
-    return np.vstack(rows + [m - sums]) / m
+    out = empty((dim, sums.size))
+    for i, row in enumerate(rows + [np.subtract(m, sums, out=sums)]):
+        np.divide(row, m, out=out[i])
+    return out
 
 
-def _candidates(
-    dim: int, grid_step: float, samples: int, seed: int
-) -> tuple[np.ndarray, str, float]:
-    """Oracle points as the columns of a (dim, N) array.
-
-    From dim 4 on the points are a uniform (flat Dirichlet) sample: unit
-    exponentials in numpy's ``dirichlet`` draw order, each row summed
-    atom by atom and scaled by the reciprocal of its sum. That is how
-    numpy's ``dirichlet`` normalizes the unit-parameter gammas it draws as
-    exponentials, so the bits are those of ``rng.dirichlet(np.ones(dim))``
-    for as long as numpy keeps that algorithm for parameters 1.
-    """
-    if dim <= 3:
-        return _grid_simplex(dim, grid_step), "grid", grid_step
-    rng = np.random.Generator(np.random.Philox(key=int(seed)))
-    pts = np.ascontiguousarray(rng.standard_exponential((int(samples), dim)).T)
-    scale = np.sum(pts, axis=0)
-    pts *= np.divide(1.0, scale, out=scale)
-    # nominal spacing of a uniform sample of the (dim-1)-simplex
-    resolution = float(samples) ** (-1.0 / (dim - 1))
-    return pts, "dirichlet", resolution
+def _held_array(name: str, shape: tuple[int, int]) -> np.ndarray:
+    """A C-contiguous view of the named held buffer, grown only when too small."""
+    if min(shape) < 0:
+        raise ValueError("negative dimensions are not allowed")
+    size = shape[0] * shape[1]
+    if _held[name].size < size:
+        # the old buffer goes before the new one comes, so two never coexist
+        _held[name] = np.empty(0)
+        _held[name] = np.empty(size)
+    return _held[name][:size].reshape(shape)
 
 
 def _log_floor(pts: np.ndarray) -> float:
@@ -198,6 +213,49 @@ def _log_floor(pts: np.ndarray) -> float:
     return -math.log(low)
 
 
+def _candidates(
+    dim: int, grid_step: float, samples: int, seed: int
+) -> tuple[np.ndarray, np.ndarray, str, float, float]:
+    """The oracle points and their logs as (dim, N) arrays, kind, resolution
+    and floor, written over the held memory.
+
+    The kept block is dropped first, since its arrays are overwritten.
+    From dim 4 on the points are a uniform (flat Dirichlet) sample: unit
+    exponentials in numpy's ``dirichlet`` draw order, each row summed
+    atom by atom and scaled by the reciprocal of its sum. That is how
+    numpy's ``dirichlet`` normalizes the unit-parameter gammas it draws as
+    exponentials, so the bits are those of ``rng.dirichlet(np.ones(dim))``
+    for as long as numpy keeps that algorithm for parameters 1.
+    """
+    global _last_block
+    _last_block = None
+    if dim <= 3:
+        pts = _grid_simplex(dim, grid_step, partial(_held_array, "points"))
+        log_pts = _held_array("logs", pts.shape)
+        with np.errstate(divide="ignore"):
+            np.log(pts, out=log_pts)
+        return pts, log_pts, "grid", grid_step, math.log(round(1.0 / grid_step))
+    n = int(samples)
+    pts, log_pts = _held_array("points", (dim, n)), _held_array("logs", (dim, n))
+    draws = _held_array("draws", (min(_PIECE, n), dim))
+    rng = np.random.Generator(np.random.Philox(key=int(seed)))
+    low = math.inf
+    for lo in range(0, n, _PIECE):
+        cols = pts[:, lo:lo + _PIECE]
+        piece = draws[:cols.shape[1]]
+        np.copyto(cols, rng.standard_exponential(out=piece).T)
+        # the draws are copied out, so their memory takes the row sums
+        scale = np.sum(cols, axis=0, out=piece.reshape(-1)[:cols.shape[1]])
+        cols *= np.divide(1.0, scale, out=scale)
+        with np.errstate(divide="ignore"):
+            np.log(cols, out=log_pts[:, lo:lo + _PIECE])
+        low = min(low, float(np.min(cols)))
+    floor = -math.log(low) if low > 0.0 else _log_floor(pts)
+    # nominal spacing of a uniform sample of the (dim-1)-simplex
+    resolution = float(samples) ** (-1.0 / (dim - 1))
+    return pts, log_pts, "dirichlet", resolution, floor
+
+
 def _oracle_block(
     dim: int, grid_step: float, samples: int, seed: int
 ) -> tuple[np.ndarray, np.ndarray, str, float, float]:
@@ -206,19 +264,16 @@ def _oracle_block(
     The floor is -log of the smallest positive coordinate: log m on the
     grid of step 1/m, looked up once on a sample. The block depends on
     these four arguments alone, so the last one built is kept: the
-    infimum and supremum forms of one instance scan the same block. The
-    old block is dropped before a new one is built, so two never coexist.
+    infimum and supremum forms of one instance scan the same block. A new
+    block is written over the old one, so two never coexist, and a
+    caller holds _block_lock for as long as it reads the block.
     """
     global _last_block
     key = (dim, grid_step, samples, seed)
     last = _last_block
     if last is not None and last[0] == key:
         return last[1]
-    _last_block = None
-    pts, kind, resolution = _candidates(dim, grid_step, samples, seed)
-    floor = math.log(round(1.0 / grid_step)) if kind == "grid" else _log_floor(pts)
-    with np.errstate(divide="ignore"):
-        log_pts = np.log(pts)
+    pts, log_pts, kind, resolution, floor = _candidates(*key)
     pts.flags.writeable = log_pts.flags.writeable = False
     block = (pts, log_pts, kind, resolution, floor)
     _last_block = (key, block)
@@ -335,40 +390,42 @@ def _certify(
         )
 
     # one column per candidate; the tilted optimizer and nu itself go last
-    pts, log_pts, kind, resolution, floor = _oracle_block(
-        nu.dim, grid_step, oracle_samples, seed)
     extra = np.column_stack([optimizer.probs, nu.probs])
     with np.errstate(divide="ignore"):
         log_extra = np.log(extra)
-    sums = _atom_sums(direction, nu, values, params, max(floor, _log_floor(extra)))
-    n = pts.shape[1]
-    # each column sums its atoms in the same order whatever block or piece
-    # holds it
-    rhs = np.concatenate(
-        [_rhs_values(direction, pts[:, lo:lo + _PIECE], log_pts[:, lo:lo + _PIECE],
-                     nu, values, params, sums)
-         for lo in range(0, n, _PIECE)]
-        + [_rhs_values(direction, extra, log_extra, nu, values, params, sums)])
+    extra_floor = _log_floor(extra)
+    with _block_lock:
+        pts, log_pts, kind, resolution, floor = _oracle_block(
+            nu.dim, grid_step, oracle_samples, seed)
+        sums = _atom_sums(direction, nu, values, params, max(floor, extra_floor))
+        n = pts.shape[1]
+        # each column sums its atoms in the same order whatever block or piece
+        # holds it
+        rhs = np.concatenate(
+            [_rhs_values(direction, pts[:, lo:lo + _PIECE], log_pts[:, lo:lo + _PIECE],
+                         nu, values, params, sums)
+             for lo in range(0, n, _PIECE)]
+            + [_rhs_values(direction, extra, log_extra, nu, values, params, sums)])
 
-    if direction == "infimum":
-        best = float(np.min(rhs))
-        margin = best - lhs
-        near = rhs <= lhs + NEAR_OPTIMAL_WINDOW
-    else:
-        best = float(np.max(rhs))
-        margin = lhs - best
-        near = rhs >= lhs - NEAR_OPTIMAL_WINDOW
+        if direction == "infimum":
+            best = float(np.min(rhs))
+            margin = best - lhs
+            near = rhs <= lhs + NEAR_OPTIMAL_WINDOW
+        else:
+            best = float(np.max(rhs))
+            margin = lhs - best
+            near = rhs >= lhs - NEAR_OPTIMAL_WINDOW
 
-    if np.ptp(values) == 0.0:
-        # constant g: every candidate with zero divergence is optimal, so
-        # the localization certificate is trivially satisfied
-        max_dist = 0.0
-    elif np.any(near):
-        diffs = np.abs(np.hstack([pts[:, near[:n]], extra[:, near[n:]]])
-                       - optimizer.probs[:, None])
-        max_dist = float(np.max(diffs))
-    else:
-        max_dist = 0.0
+        if np.ptp(values) == 0.0:
+            # constant g: every candidate with zero divergence is optimal, so
+            # the localization certificate is trivially satisfied
+            max_dist = 0.0
+        elif np.any(near):
+            diffs = np.abs(np.hstack([pts[:, near[:n]], extra[:, near[n:]]])
+                           - optimizer.probs[:, None])
+            max_dist = float(np.max(diffs))
+        else:
+            max_dist = 0.0
 
     return IdentityReport(
         direction=direction,

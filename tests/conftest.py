@@ -31,6 +31,17 @@ def measure_from_weights(weights) -> FiniteMeasure:
     return FiniteMeasure.from_probs(labels, w / w.sum())
 
 
+def reference_kl(nu: FiniteMeasure, theta: FiniteMeasure) -> float:
+    """KL(nu || theta), the alpha -> 1 limit of R_alpha: +inf where theta misses an atom of nu."""
+    on = nu.probs > 0.0
+    return float(np.sum(nu.probs[on] * (nu.log_weights[on] - theta.log_weights[on])))
+
+
+def reference_expectation(nu: FiniteMeasure, g) -> float:
+    """The integral of g against nu, the beta -> 0 limit of the risk-sensitive value."""
+    return float(np.sum(nu.probs * np.asarray(g, dtype=float)))
+
+
 @st.composite
 def finite_measures(draw, min_dim: int = 2, max_dim: int = 6, allow_zero: bool = False):
     dim = draw(st.integers(min_dim, max_dim))

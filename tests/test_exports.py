@@ -117,9 +117,6 @@ BENCHMARKS = Path(__file__).resolve().parent.parent / "benchmarks"
 # the north star names the Gaussian study, whose sides and witness only its
 # acceptance check and tests call
 STUDY_ONLY = {"gaussian_rs_sides", "tightness_witness"}
-# the alpha -> 1 and beta -> 0 limits of the divergence and of the
-# risk-sensitive value: library primitives the limit dualities are tested with
-LIMIT_PRIMITIVES = {"kl_discrete", "expectation"}
 
 
 def test_every_export_ships():
@@ -135,5 +132,5 @@ def test_every_export_ships():
                       and isinstance(node.ctx, ast.Load))
         if path in shipping:
             exported.update(dict.fromkeys(_exported(tree), path.stem))
-    unshipped = set(exported) - loaded - STUDY_ONLY - LIMIT_PRIMITIVES
+    unshipped = set(exported) - loaded - STUDY_ONLY
     assert sorted(f"{exported[n]}.{n}" for n in unshipped) == []

@@ -16,13 +16,12 @@ from renyibounds.measures import (
     OrderParams,
     aligned_values,
     exp_tilt,
-    expectation,
     logsumexp,
     normalize,
     risk_sensitive,
 )
 
-from conftest import finite_measures, measure_from_weights, payoff_values
+from conftest import finite_measures, measure_from_weights, payoff_values, reference_expectation
 
 
 class TestLogsumexp:
@@ -231,7 +230,7 @@ class TestRiskSensitive:
         nu = FiniteMeasure.from_probs(["a", "b", "c"], [0.2, 0.3, 0.5])
         g = [1.0, -0.5, 2.0]
         assert risk_sensitive(nu, g, 1e-9) == pytest.approx(
-            expectation(nu, g), abs=1e-6)
+            reference_expectation(nu, g), abs=1e-6)
 
     def test_rejects_zero_beta(self):
         nu = FiniteMeasure.from_probs(["a", "b"], [0.5, 0.5])
@@ -313,8 +312,11 @@ class TestAlignment:
             BoundedFunction.on(nu, [1.0, math.nan])
 
     def test_expectation(self):
+        # the beta -> 0 limit, from both sides of 0
         nu = measure_from_weights([1, 3])
-        assert expectation(nu, [0.0, 1.0]) == pytest.approx(0.75, rel=1e-15)
+        assert reference_expectation(nu, [0.0, 1.0]) == pytest.approx(0.75, rel=1e-15)
+        for beta in (-1e-9, 1e-9):
+            assert risk_sensitive(nu, [0.0, 1.0], beta) == pytest.approx(0.75, abs=1e-6)
 
 
 def test_payoff_strategy_shapes():

@@ -15,13 +15,12 @@ import pytest
 from hypothesis import assume, given, strategies as st
 
 from renyibounds import variational
-from renyibounds.divergences import kl_discrete, renyi_discrete
+from renyibounds.divergences import renyi_discrete
 from renyibounds.measures import (
     FiniteMeasure,
     OrderParams,
     aligned_values,
     exp_tilt,
-    expectation,
     logsumexp,
     normalize,
     risk_sensitive,
@@ -38,7 +37,7 @@ from renyibounds.variational import (
     sup_identity,
 )
 
-from conftest import finite_measures, measure_from_weights
+from conftest import finite_measures, measure_from_weights, reference_expectation, reference_kl
 
 _PARAM_SET = [
     OrderParams(-2.0, -1.0),
@@ -331,13 +330,15 @@ class TestAtomsMajorOracle:
         # dropped, and the log-sum-exp scan is the only one
         zeroed = measure_from_weights(np.r_[0.0, nu.probs[1:]])
         step = {2: 1e-3}.get(dim, 1e-2)
-        pts, kind, _ = _candidates(dim, step, 20_000, seed)
+        pts, log_pts, kind, _, floor = _candidates(dim, step, 20_000, seed)
         rows, want_kind, _ = reference_candidates(dim, step, 20_000, seed)
         assert kind == want_kind
         assert np.array_equal(pts.view(np.int64), np.ascontiguousarray(rows.T).view(np.int64))
         with np.errstate(divide="ignore"):
-            log_pts, log_rows = np.log(pts), np.log(rows)
-        floor = _log_floor(pts)
+            log_rows = np.log(rows)
+        assert np.array_equal(log_pts.view(np.int64),
+                              np.ascontiguousarray(log_rows.T).view(np.int64))
+        assert floor == pytest.approx(_log_floor(pts), rel=1e-15)
         for measure in (nu, zeroed):
             for params in _PARAM_SET:
                 got = _rhs_values(direction, pts, log_pts, measure, g, params)
@@ -424,8 +425,10 @@ class TestAtomWeightedScan:
     """The atom-weighted scan against the log-sum-exp scan it stands in for."""
 
     @pytest.fixture(autouse=True)
-    def _empty_cache(self, monkeypatch):
-        monkeypatch.setattr(variational, "_last_block", None)
+    def _empty_cache(self):
+        # dropped, never restored: a kept block is only valid until the next
+        # build writes over its memory
+        variational._last_block = None
 
     @staticmethod
     def objectives(instance, direction):
@@ -505,8 +508,10 @@ class TestOracleBlock:
     """One read-only candidate block per oracle arguments, scanned in pieces."""
 
     @pytest.fixture(autouse=True)
-    def _empty_cache(self, monkeypatch):
-        monkeypatch.setattr(variational, "_last_block", None)
+    def _empty_cache(self):
+        # dropped, never restored: a kept block is only valid until the next
+        # build writes over its memory
+        variational._last_block = None
 
     @pytest.fixture
     def built(self, monkeypatch):
@@ -600,6 +605,84 @@ class TestOracleBlock:
             sys.setswitchinterval(interval)
         assert not any(caller.is_alive() for caller in callers)
         assert got == [want] * 20
+
+    def test_a_build_waits_for_the_scan_before_it(self, monkeypatch):
+        # a second caller arrives in the middle of a scan; it may not write
+        # its block over the one being scanned, so it waits for the scan
+        params = OrderParams(1.0, 2.0)
+        callers = [(nu, g, {"grid_step": 2e-2, "oracle_samples": 2_000, "seed": seed})
+                   for nu, g, seed in (random_instance(3, 31), random_instance(5, 32))]
+        want = [inf_identity(nu, g, params, **kw).to_json_dict() for nu, g, kw in callers]
+        scan, second, got = variational._rhs_values, [], []
+
+        def interrupted(*args):
+            if not second:
+                nu, g, kw = callers[1]
+                second.append(threading.Thread(
+                    target=lambda: got.append(inf_identity(nu, g, params, **kw).to_json_dict())))
+                second[0].start()
+                second[0].join(timeout=0.2)
+                assert second[0].is_alive()
+            return scan(*args)
+
+        monkeypatch.setattr(variational, "_rhs_values", interrupted)
+        nu, g, kw = callers[0]
+        got.insert(0, inf_identity(nu, g, params, **kw).to_json_dict())
+        second[0].join(timeout=60.0)
+        assert got == want
+
+    # (dim, grid_step, samples, seed): each block is written over the last,
+    # smaller after larger and larger after smaller, grid and sample alike
+    _SIZES = [(6, 1e-2, 30_000, 41), (4, 1e-2, 2_000, 42), (3, 5e-2, 0, 43),
+              (2, 1e-5, 0, 44), (5, 1e-2, 50_000, 45), (3, 2.2e-3, 0, 46)]
+
+    @pytest.mark.parametrize("piece", [1000, 1 << 14])
+    def test_each_block_overwrites_the_last_cleanly(self, monkeypatch, piece):
+        # the draws of a piece concatenate bitwise, so any piece size builds
+        # the bits of one whole Dirichlet draw
+        monkeypatch.setattr(variational, "_PIECE", piece)
+        for dim, step, samples, seed in self._SIZES:
+            pts, log_pts, kind, _, floor = variational._oracle_block(dim, step, samples, seed)
+            rows, want_kind, _ = reference_candidates(dim, step, samples, seed)
+            want = np.ascontiguousarray(rows.T)
+            with np.errstate(divide="ignore"):
+                want_log = np.log(want)
+            assert kind == want_kind
+            assert pts.shape == log_pts.shape == want.shape
+            assert np.array_equal(pts.view(np.int64), want.view(np.int64))
+            assert np.array_equal(log_pts.view(np.int64), want_log.view(np.int64))
+            if kind == "grid":
+                assert floor == math.log(round(1.0 / step))
+            else:
+                assert floor == -math.log(np.min(want))
+            # a zero atom keeps the log-sum-exp scan, bitwise the reference's
+            nu = measure_from_weights(np.r_[0.0, np.arange(1.0, dim)])
+            assert_same_report(nu, np.linspace(-1.0, 2.0, dim), OrderParams(1.0, 2.0),
+                               grid_step=step, oracle_samples=samples, seed=seed)
+
+
+class TestBlockMemory:
+    """A block is written into memory the module already holds.
+
+    numpy reports its arrays to tracemalloc. Once blocks of dims 2-6 have
+    been built, rebuilding a (6, 50_000) Dirichlet block allocated 0.16 of
+    a (6, _PIECE) piece: the draws land in a held piece and the row sums
+    in its spent draws. The parent build peaked at 6.1 pieces, two of its
+    three full-size arrays at once.
+    """
+
+    def test_a_warm_rebuild_allocates_under_a_piece(self):
+        variational._last_block = None
+        for dim, step in ((2, 1e-3), (3, 2e-2), (4, 1e-2), (5, 1e-2), (6, 1e-2)):
+            variational._oracle_block(dim, step, 50_000, dim)
+        tracemalloc.start()
+        try:
+            pts = variational._oracle_block(6, 1e-2, 50_000, 99)[0]
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert pts.shape == (6, 50_000)
+        assert peak < 0.5 * variational._PIECE * 6 * pts.itemsize
 
 
 class TestScanMemory:
@@ -715,8 +798,10 @@ def _kl_limit_gaps(nu, g):
     int g d theta - KL(theta || nu), at theta* propto e^{+g} nu.
     """
     t_inf, t_sup = exp_tilt(nu, g, -1.0), exp_tilt(nu, g, 1.0)
-    gap_inf = expectation(nu, g) - risk_sensitive(t_inf, g, 1.0) - kl_discrete(nu, t_inf)
-    gap_sup = risk_sensitive(nu, g, 1.0) - expectation(t_sup, g) + kl_discrete(t_sup, nu)
+    gap_inf = (reference_expectation(nu, g) - risk_sensitive(t_inf, g, 1.0)
+               - reference_kl(nu, t_inf))
+    gap_sup = (risk_sensitive(nu, g, 1.0) - reference_expectation(t_sup, g)
+               + reference_kl(t_sup, nu))
     return abs(gap_inf), abs(gap_sup)
 
 
