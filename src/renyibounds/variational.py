@@ -8,17 +8,22 @@ bounded g on the support of nu,
           (1/gamma) log int exp(gamma g) d theta
           + 1/(gamma - beta) * R_alpha(nu || theta),
 
-with the infimum attained only at d theta* propto exp(-(gamma - beta) g) d nu,
-and the mirrored supremum form
+with the infimum attained only at d theta* propto exp(-(gamma - beta) g) d nu.
+The supremum form
 
     (1/gamma) log int exp(gamma g) d nu
         = sup over theta of
           (1/beta) log int exp(beta g) d theta
-          - 1/(gamma - beta) * R_alpha(theta || nu),
+          - 1/(gamma - beta) * R_alpha(theta || nu)
 
-attained only at d theta* propto exp(+(gamma - beta) g) d nu. Both sides
-are certified numerically: the tilted optimizer must reproduce the left
-side to tolerance, and a simplex oracle (a regular grid in low
+is this infimum mirrored: at orders (-gamma, -beta) and payoff -g the
+span is the same and the order is 1 - alpha, and under the
+1/(alpha (alpha - 1)) normalization R_(1 - alpha)(nu || theta) =
+R_alpha(theta || nu). So the supremum at (beta, gamma, g) is minus the
+infimum at (-gamma, -beta, -g), attained at the same optimizer d theta*
+propto exp(+(gamma - beta) g) d nu, and only the infimum is certified.
+The certificate is numerical: the tilted optimizer must reproduce the
+left side to tolerance, and a simplex oracle (a regular grid in low
 dimension, Dirichlet sampling otherwise) must never beat it by more
 than a rounding allowance. The beta -> 0 and order -> 0 limits give the
 classical Kullback-Leibler dualities and the support functional.
@@ -46,15 +51,13 @@ scaled and logged while it is in cache.
 The scan takes the block's columns in contiguous pieces of ``_PIECE``
 columns, so its temporaries stay cache-sized. On a finite support both
 integrals are weighted sums over the atoms, and the scan sums them as
-such where a range check admits it. With o the risk order (gamma for
-the infimum, beta for the supremum) and (k, e) the powers of nu and
-theta in the divergence ((alpha, 1 - alpha) for the infimum, (1 - alpha,
-alpha) for the supremum), the risk term is s + log sum_i theta_i
-exp(o g_i - s) and the divergence's log-integral t + log sum_i c_i
-theta_i^e, with s = max o g_i, t = max k log nu_i and c_i = exp(k log
-nu_i - t). The check is made once per certificate: nu has no zero atom,
-and |o| ptp(g), |k| ptp(log nu) and max(1, |e|) times the floor of the
-block and of the optimizer and nu are each at most ``_RANGE`` = 300.
+such where a range check admits it. The risk term is s + log sum_i
+theta_i exp(gamma g_i - s) and the divergence's log-integral t + log
+sum_i c_i theta_i^(1 - alpha), with s = max gamma g_i, t = max alpha
+log nu_i and c_i = exp(alpha log nu_i - t). The check is made once per
+certificate: nu has no zero atom, and |gamma| ptp(g), |alpha| ptp(log
+nu) and max(1, |1 - alpha|) times the floor of the block and of the
+optimizer and nu are each at most ``_RANGE`` = 300.
 Then every nonzero term lies in [e^-600, e^300], so each sum is a
 normal double with relative error at most dim eps, and a zero
 coordinate gives the 0 or inf of the log-sum-exp conventions. The atoms
@@ -75,8 +78,9 @@ with one whole block.
 from __future__ import annotations
 
 import math
+import numbers
 import threading
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import partial
 from typing import Callable
 
@@ -195,8 +199,6 @@ def _grid_simplex(
 
 def _held_array(name: str, shape: tuple[int, int]) -> np.ndarray:
     """A C-contiguous view of the named held buffer, grown only when too small."""
-    if min(shape) < 0:
-        raise ValueError("negative dimensions are not allowed")
     size = shape[0] * shape[1]
     if _held[name].size < size:
         # the old buffer goes before the new one comes, so two never coexist
@@ -281,24 +283,20 @@ def _oracle_block(
 
 
 def _atom_sums(
-    direction: str, nu: FiniteMeasure, values: np.ndarray, params: OrderParams, floor: float
+    nu: FiniteMeasure, values: np.ndarray, params: OrderParams, floor: float
 ) -> tuple | None:
-    """(o, s, exp(o g - s), e, t, exp(k log nu - t)) for the atom-weighted
-    scan, or None where the range check of the module docstring fails."""
-    alpha = params.alpha
-    if direction == "infimum":
-        order, k, e = params.gamma, alpha, 1.0 - alpha
-    else:
-        order, k, e = params.beta, 1.0 - alpha, alpha
-    log_nu = nu.log_weights
+    """(gamma, s, exp(gamma g - s), 1 - alpha, t, exp(alpha log nu - t)) for
+    the atom-weighted scan, or None where the range check of the module
+    docstring fails."""
+    gamma, alpha, log_nu = params.gamma, params.alpha, nu.log_weights
     if (np.isneginf(log_nu).any()
-            or abs(order) * np.ptp(values) > _RANGE
-            or abs(k) * np.ptp(log_nu) > _RANGE
-            or max(1.0, abs(e)) * floor > _RANGE):
+            or abs(gamma) * np.ptp(values) > _RANGE
+            or abs(alpha) * np.ptp(log_nu) > _RANGE
+            or max(1.0, abs(1.0 - alpha)) * floor > _RANGE):
         return None
-    risk_exp, div_exp = order * values, k * log_nu
+    risk_exp, div_exp = gamma * values, alpha * log_nu
     s, t = float(np.max(risk_exp)), float(np.max(div_exp))
-    return order, s, np.exp(risk_exp - s), e, t, np.exp(div_exp - t)
+    return gamma, s, np.exp(risk_exp - s), 1.0 - alpha, t, np.exp(div_exp - t)
 
 
 def _atom_weighted(
@@ -331,7 +329,6 @@ def _atom_weighted(
 
 
 def _rhs_values(
-    direction: str,
     candidates: np.ndarray,
     log_candidates: np.ndarray,
     nu: FiniteMeasure,
@@ -339,106 +336,24 @@ def _rhs_values(
     params: OrderParams,
     sums: tuple | None = None,
 ) -> np.ndarray:
-    """The objective at each column of candidates and of their logs.
+    """The infimum's objective at each column of candidates and of their logs.
 
     Without sums both log-integrals are log-sum-exps over the logs; with
     the weights of _atom_sums they are atom-weighted sums.
     """
     alpha = params.alpha
     if sums is None:
-        if direction == "infimum":
-            order = params.gamma
-            div = renyi_log_integral_rows(nu.log_weights[:, None], log_candidates, alpha)
-        else:
-            order = params.beta
-            div = renyi_log_integral_rows(log_candidates, nu.log_weights[:, None], alpha)
+        div = renyi_log_integral_rows(nu.log_weights[:, None], log_candidates, alpha)
         # one exponent array at a time, each shifted in place by the log-sum-exp
-        risk = log_candidates + order * values[:, None]
-        risk = _logsumexp(risk, 0, out=risk) / order
+        risk = log_candidates + params.gamma * values[:, None]
+        risk = _logsumexp(risk, 0, out=risk) / params.gamma
         with np.errstate(invalid="ignore"):
             div = np.where(np.isneginf(div), math.inf, div / (alpha * (alpha - 1.0)))
     else:
         risk, div = _atom_weighted(candidates, log_candidates, sums)
         # each sum is at least exp(-2 _RANGE), so div is never -inf
         div /= alpha * (alpha - 1.0)
-    if direction == "infimum":
-        return risk + div / params.span
-    return risk - div / params.span
-
-
-def _certify(
-    direction: str,
-    nu: FiniteMeasure,
-    g: FunctionLike,
-    params: OrderParams,
-    grid_step: float,
-    oracle_samples: int,
-    seed: int,
-) -> IdentityReport:
-    values = aligned_values(nu, g)
-    sign = -1.0 if direction == "infimum" else 1.0
-    optimizer = exp_tilt(nu, values, sign * params.span)
-    if direction == "infimum":
-        lhs = risk_sensitive(nu, values, params.beta)
-        rhs_opt = risk_sensitive(optimizer, values, params.gamma) + (
-            renyi_discrete(nu, optimizer, params.alpha) / params.span
-        )
-    else:
-        lhs = risk_sensitive(nu, values, params.gamma)
-        rhs_opt = risk_sensitive(optimizer, values, params.beta) - (
-            renyi_discrete(optimizer, nu, params.alpha) / params.span
-        )
-
-    # one column per candidate; the tilted optimizer and nu itself go last
-    extra = np.column_stack([optimizer.probs, nu.probs])
-    with np.errstate(divide="ignore"):
-        log_extra = np.log(extra)
-    extra_floor = _log_floor(extra)
-    with _block_lock:
-        pts, log_pts, kind, resolution, floor = _oracle_block(
-            nu.dim, grid_step, oracle_samples, seed)
-        sums = _atom_sums(direction, nu, values, params, max(floor, extra_floor))
-        n = pts.shape[1]
-        # each column sums its atoms in the same order whatever block or piece
-        # holds it
-        rhs = np.concatenate(
-            [_rhs_values(direction, pts[:, lo:lo + _PIECE], log_pts[:, lo:lo + _PIECE],
-                         nu, values, params, sums)
-             for lo in range(0, n, _PIECE)]
-            + [_rhs_values(direction, extra, log_extra, nu, values, params, sums)])
-
-        if direction == "infimum":
-            best = float(np.min(rhs))
-            margin = best - lhs
-            near = rhs <= lhs + NEAR_OPTIMAL_WINDOW
-        else:
-            best = float(np.max(rhs))
-            margin = lhs - best
-            near = rhs >= lhs - NEAR_OPTIMAL_WINDOW
-
-        if np.ptp(values) == 0.0:
-            # constant g: every candidate with zero divergence is optimal, so
-            # the localization certificate is trivially satisfied
-            max_dist = 0.0
-        elif np.any(near):
-            diffs = np.abs(np.hstack([pts[:, near[:n]], extra[:, near[n:]]])
-                           - optimizer.probs[:, None])
-            max_dist = float(np.max(diffs))
-        else:
-            max_dist = 0.0
-
-    return IdentityReport(
-        direction=direction,
-        lhs=lhs,
-        rhs_at_optimizer=rhs_opt,
-        optimizer=optimizer,
-        oracle_kind=kind,
-        oracle_points=n + 2,
-        oracle_resolution=resolution,
-        oracle_min_or_max=best,
-        dominance_margin=float(margin),
-        near_optimal_max_distance=max_dist,
-    )
+    return risk + div / params.span
 
 
 def inf_identity(
@@ -455,8 +370,66 @@ def inf_identity(
     The report carries the left side, the right side at the tilted
     optimizer, and the oracle scan statistics; report.passes() states
     whether equality, dominance, and optimizer localization all hold.
+    grid_step must be finite and positive with round(1/grid_step) >= 1,
+    and oracle_samples an integer >= 1, whatever the dimension.
     """
-    return _certify("infimum", nu, g, params, grid_step, oracle_samples, seed)
+    # nan, inf, zero, negative and too coarse steps all give round(1/step) < 1
+    parts = 1.0 / grid_step if grid_step > 0.0 else 0.0
+    if not (math.isfinite(parts) and round(parts) >= 1):
+        raise ValueError(f"grid_step must be finite, positive and round(1/grid_step) >= 1: "
+                         f"got {grid_step!r}")
+    if not (isinstance(oracle_samples, numbers.Integral) and oracle_samples >= 1):
+        raise ValueError(f"oracle_samples must be an integer >= 1: got {oracle_samples!r}")
+    values = aligned_values(nu, g)
+    optimizer = exp_tilt(nu, values, -params.span)
+    lhs = risk_sensitive(nu, values, params.beta)
+    rhs_opt = risk_sensitive(optimizer, values, params.gamma) + (
+        renyi_discrete(nu, optimizer, params.alpha) / params.span
+    )
+
+    # one column per candidate; the tilted optimizer and nu itself go last
+    extra = np.column_stack([optimizer.probs, nu.probs])
+    with np.errstate(divide="ignore"):
+        log_extra = np.log(extra)
+    extra_floor = _log_floor(extra)
+    with _block_lock:
+        pts, log_pts, kind, resolution, floor = _oracle_block(
+            nu.dim, grid_step, oracle_samples, seed)
+        sums = _atom_sums(nu, values, params, max(floor, extra_floor))
+        n = pts.shape[1]
+        # each column sums its atoms in the same order whatever block or piece
+        # holds it
+        rhs = np.concatenate(
+            [_rhs_values(pts[:, lo:lo + _PIECE], log_pts[:, lo:lo + _PIECE],
+                         nu, values, params, sums)
+             for lo in range(0, n, _PIECE)]
+            + [_rhs_values(extra, log_extra, nu, values, params, sums)])
+        best = float(np.min(rhs))
+        near = rhs <= lhs + NEAR_OPTIMAL_WINDOW
+
+        if np.ptp(values) == 0.0:
+            # constant g: every candidate with zero divergence is optimal, so
+            # the localization certificate is trivially satisfied
+            max_dist = 0.0
+        elif np.any(near):
+            diffs = np.abs(np.hstack([pts[:, near[:n]], extra[:, near[n:]]])
+                           - optimizer.probs[:, None])
+            max_dist = float(np.max(diffs))
+        else:
+            max_dist = 0.0
+
+    return IdentityReport(
+        direction="infimum",
+        lhs=lhs,
+        rhs_at_optimizer=rhs_opt,
+        optimizer=optimizer,
+        oracle_kind=kind,
+        oracle_points=n + 2,
+        oracle_resolution=resolution,
+        oracle_min_or_max=best,
+        dominance_margin=float(best - lhs),
+        near_optimal_max_distance=max_dist,
+    )
 
 
 def sup_identity(
@@ -468,5 +441,17 @@ def sup_identity(
     oracle_samples: int = 100_000,
     seed: int = 0,
 ) -> IdentityReport:
-    """Certify the supremum form at orders (beta, gamma)."""
-    return _certify("supremum", nu, g, params, grid_step, oracle_samples, seed)
+    """Certify the supremum form at orders (beta, gamma).
+
+    The supremum at (beta, gamma, g) is minus the infimum at
+    (-gamma, -beta, -g), attained at the same optimizer, so this is the
+    certificate of that mirrored infimum with lhs, the right side at the
+    optimizer and the oracle's extreme negated. Its dominance margin,
+    near-optimal distance, optimizer and oracle statistics carry over
+    unchanged.
+    """
+    mirror = inf_identity(nu, -aligned_values(nu, g), OrderParams(-params.gamma, -params.beta),
+                          grid_step=grid_step, oracle_samples=oracle_samples, seed=seed)
+    return replace(mirror, direction="supremum", lhs=-mirror.lhs,
+                   rhs_at_optimizer=-mirror.rhs_at_optimizer,
+                   oracle_min_or_max=-mirror.oracle_min_or_max)

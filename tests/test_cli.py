@@ -171,6 +171,25 @@ class TestIdentityCommand:
         assert "identity certificate failed" in err
         data = json.loads(out)
         assert data["inf"]["passes"] is False
+        # the supremum runs through the mirrored infimum and must fail as well
+        assert data["sup"]["passes"] is False
+
+    @pytest.mark.parametrize("spec,flag,value", [
+        *(pytest.param(["[0.5,0.5]", "[0,1]"], "--grid-step", v, id=f"grid-step={v}")
+          for v in ("0", "-0.1", "nan", "inf", "2")),
+        *(pytest.param(["[0.1,0.2,0.3,0.4]", "[0,1,2,3]"], "--oracle-samples", v,
+                       id=f"oracle-samples={v}") for v in ("0", "-3")),
+    ])
+    def test_bad_oracle_arguments_exit_2(self, capsys, spec, flag, value):
+        # checked before any work, whatever the dimension: no traceback, no
+        # warning, no output, and the message names the argument
+        code, out, err = run_cli(capsys, [
+            "identity", "--measure", spec[0], "--g", spec[1], "--beta", "1", "--gamma", "2",
+            f"{flag}={value}"])
+        assert code == 2
+        assert out == ""
+        assert flag[2:].replace("-", "_") in err
+        assert "Traceback" not in err and "Warning" not in err
 
     def test_file_specs(self, capsys, tmp_path):
         mfile = tmp_path / "measure.json"

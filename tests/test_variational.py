@@ -7,7 +7,7 @@ import math
 import sys
 import threading
 import tracemalloc
-from contextlib import contextmanager
+from contextlib import contextmanager, nullcontext
 from itertools import combinations
 
 import numpy as np
@@ -46,19 +46,30 @@ _PARAM_SET = [
     OrderParams(2.0, 3.0),
     OrderParams(0.5, 1.5),
 ]
+# orders whose alpha is not dyadic, so that 1 - alpha may round otherwise than
+# the mirrored order -beta / span; alpha = 4/3, 1/7, 0.3, -1/99, 300/299, -3/22
+_NON_DYADIC = [
+    OrderParams(1.0, 4.0),
+    OrderParams(-3.0, 0.5),
+    OrderParams(-0.7, 0.3),
+    OrderParams(-300.0, -3.0),
+    OrderParams(0.1, 30.0),
+    OrderParams(-2.5, -0.3),
+]
 
 
 @st.composite
-def identity_instances(draw, min_spread=0.0):
+def identity_instances(draw, min_spread=0.0, allow_zero=False, orders=_PARAM_SET):
     dim = draw(st.integers(2, 5))
-    weights = draw(st.lists(st.integers(1, 1000), min_size=dim, max_size=dim))
+    weights = st.lists(st.integers(0 if allow_zero else 1, 1000), min_size=dim, max_size=dim)
+    weights = draw(weights.filter(any) if allow_zero else weights)
     vals = draw(
         st.lists(
             st.floats(-3.0, 3.0, allow_nan=False, allow_infinity=False, width=32),
             min_size=dim, max_size=dim,
         ).filter(lambda v: max(v) - min(v) >= min_spread)
     )
-    params = draw(st.sampled_from(_PARAM_SET))
+    params = draw(st.sampled_from(orders))
     return measure_from_weights(weights), np.asarray(vals, dtype=float), params
 
 
@@ -263,6 +274,14 @@ def reference_certify(direction, nu, g, params, grid_step=1e-2,
 _FORMS = {"infimum": inf_identity, "supremum": sup_identity}
 
 
+def mirrored(direction, g, params):
+    """The payoff and orders of the infimum a form is certified as, and the
+    sign that turns that infimum's values into the form's."""
+    if direction == "infimum":
+        return g, params, 1.0
+    return -np.asarray(g), OrderParams(-params.gamma, -params.beta), -1.0
+
+
 def random_instance(dim, seed):
     rng = np.random.default_rng(seed)
     nu = FiniteMeasure.from_probs([str(j) for j in range(dim)], rng.dirichlet(np.ones(dim)))
@@ -341,15 +360,17 @@ class TestAtomsMajorOracle:
         assert floor == pytest.approx(_log_floor(pts), rel=1e-15)
         for measure in (nu, zeroed):
             for params in _PARAM_SET:
-                got = _rhs_values(direction, pts, log_pts, measure, g, params)
+                # the supremum's objective is minus its mirrored infimum's
+                g_m, params_m, sign = mirrored(direction, g, params)
+                got = sign * _rhs_values(pts, log_pts, measure, g_m, params_m)
                 want = reference_rhs_values(direction, log_rows, measure, g, params)
                 assert np.array_equal(got.view(np.int64), want.view(np.int64))
-                sums = _atom_sums(direction, measure, g, params, floor)
+                sums = _atom_sums(measure, g_m, params_m, floor)
                 if measure is zeroed:
                     assert sums is None
                 else:
                     assert_close_objective(
-                        _rhs_values(direction, pts, log_pts, measure, g, params, sums), want)
+                        sign * _rhs_values(pts, log_pts, measure, g_m, params_m, sums), want)
 
     @pytest.mark.parametrize("weights,g", [
         ([1, 1, 0], [0.0, 1.0, -2.0]),
@@ -388,14 +409,14 @@ class TestAtomsMajorOracle:
         assert_close_report(nu, g, _PARAM_SET[regime], oracle_samples=20_000, seed=seed)
 
 
-def scan_columns(direction, nu, g, params, pts):
-    """A block's columns with the optimizer and nu, their logs, and the scan's sums."""
-    sign = -1.0 if direction == "infimum" else 1.0
-    optimizer = exp_tilt(nu, g, sign * params.span)
+def scan_columns(nu, g, params, pts):
+    """A block's columns with the infimum's optimizer and nu, their logs, and
+    the scan's sums."""
+    optimizer = exp_tilt(nu, g, -params.span)
     cols = np.column_stack([pts, optimizer.probs, nu.probs])
     with np.errstate(divide="ignore"):
         logs = np.log(cols)
-    return cols, logs, _atom_sums(direction, nu, g, params, _log_floor(cols))
+    return cols, logs, _atom_sums(nu, g, params, _log_floor(cols))
 
 
 @st.composite
@@ -433,12 +454,13 @@ class TestAtomWeightedScan:
     @staticmethod
     def objectives(instance, direction):
         nu, g, params = instance
+        g, params, sign = mirrored(direction, g, params)
         pts = variational._oracle_block(nu.dim, 0.05, 2_000, 5)[0]
-        cols, logs, sums = scan_columns(direction, nu, g, params, pts)
+        cols, logs, sums = scan_columns(nu, g, params, pts)
         # the tilted optimizer's smallest atom can fail the range check first
         assume(sums is not None)
-        return (_rhs_values(direction, cols, logs, nu, g, params),
-                _rhs_values(direction, cols, logs, nu, g, params, sums))
+        return (sign * _rhs_values(cols, logs, nu, g, params),
+                sign * _rhs_values(cols, logs, nu, g, params, sums))
 
     @given(scan_instances(max_spread=6.9 / variational._RANGE, min_scale=1.0))
     def test_matches_the_log_sum_exp_scan(self, instance):
@@ -487,7 +509,8 @@ class TestAtomWeightedScan:
         for f, past in ((1.0 - 1e-9, False), (1.0 + 1e-9, True)):
             log_w, g = build(f)
             nu = normalize(log_w, ["a", "b", "c"])
-            assert (scan_columns(direction, nu, np.asarray(g), params, pts)[2] is None) == past
+            assert (scan_columns(nu, *mirrored(direction, np.asarray(g), params)[:2], pts)[2]
+                    is None) == past
         got = _FORMS[direction](nu, g, params)
         want = reference_certify(direction, nu, np.asarray(g), params)
         assert json.dumps(got.to_json_dict()) == json.dumps(want.to_json_dict())
@@ -498,7 +521,7 @@ class TestAtomWeightedScan:
         g = np.array([0.5, -1.0, 2.0, 0.0])
         for params in _PARAM_SET:
             pts = variational._oracle_block(4, 1e-2, 2_000, 0)[0]
-            assert scan_columns(direction, nu, g, params, pts)[2] is None
+            assert scan_columns(nu, *mirrored(direction, g, params)[:2], pts)[2] is None
             got = _FORMS[direction](nu, g, params, oracle_samples=2_000)
             want = reference_certify(direction, nu, g, params, oracle_samples=2_000)
             assert json.dumps(got.to_json_dict()) == json.dumps(want.to_json_dict())
@@ -633,8 +656,8 @@ class TestOracleBlock:
 
     # (dim, grid_step, samples, seed): each block is written over the last,
     # smaller after larger and larger after smaller, grid and sample alike
-    _SIZES = [(6, 1e-2, 30_000, 41), (4, 1e-2, 2_000, 42), (3, 5e-2, 0, 43),
-              (2, 1e-5, 0, 44), (5, 1e-2, 50_000, 45), (3, 2.2e-3, 0, 46)]
+    _SIZES = [(6, 1e-2, 30_000, 41), (4, 1e-2, 2_000, 42), (3, 5e-2, 1, 43),
+              (2, 1e-5, 1, 44), (5, 1e-2, 50_000, 45), (3, 2.2e-3, 1, 46)]
 
     @pytest.mark.parametrize("piece", [1000, 1 << 14])
     def test_each_block_overwrites_the_last_cleanly(self, monkeypatch, piece):
@@ -700,16 +723,16 @@ class TestScanMemory:
     @staticmethod
     def peak(direction, params, sums_of):
         nu, g, _ = random_instance(6, 29)
-        values = aligned_values(nu, g)
+        values, params, _ = mirrored(direction, aligned_values(nu, g), params)
         rng = np.random.default_rng(29)
         probs = np.ascontiguousarray(rng.dirichlet(np.ones(6), size=1 << 14).T)
         piece = np.log(probs)
         probs.flags.writeable = piece.flags.writeable = False
-        sums = sums_of(direction, nu, values, params, _log_floor(probs))
-        _rhs_values(direction, probs, piece, nu, values, params, sums)
+        sums = sums_of(nu, values, params, _log_floor(probs))
+        _rhs_values(probs, piece, nu, values, params, sums)
         tracemalloc.start()
         try:
-            _rhs_values(direction, probs, piece, nu, values, params, sums)
+            _rhs_values(probs, piece, nu, values, params, sums)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -787,6 +810,45 @@ class TestRandomInstances:
         assert rep.equality_gap <= 1e-12
         assert rep.near_optimal_max_distance == 0.0
         assert rep.passes()
+
+
+class TestMirror:
+    """The supremum form is certified as minus its mirrored infimum."""
+
+    @given(identity_instances(allow_zero=True, orders=_PARAM_SET + _NON_DYADIC), st.booleans())
+    def test_supremum_is_the_mirrored_infimum(self, instance, exact):
+        nu, g, params = instance
+        kwargs = {"oracle_samples": 20_000}
+        with exact_path() if exact else nullcontext():
+            got = sup_identity(nu, g, params, **kwargs)
+            mirror = inf_identity(nu, -g, OrderParams(-params.gamma, -params.beta), **kwargs)
+        # field by field, bit for bit: the values negated, the rest unchanged
+        assert (got.direction, mirror.direction) == ("supremum", "infimum")
+        for name in ("lhs", "rhs_at_optimizer", "oracle_min_or_max"):
+            assert repr(getattr(got, name)) == repr(-getattr(mirror, name))
+        for name in ("dominance_margin", "near_optimal_max_distance", "oracle_kind",
+                     "oracle_points", "oracle_resolution"):
+            assert repr(getattr(got, name)) == repr(getattr(mirror, name))
+        assert got.optimizer.labels == mirror.optimizer.labels
+        assert np.array_equal(got.optimizer.log_weights.view(np.int64),
+                              mirror.optimizer.log_weights.view(np.int64))
+
+        # against the supremum formula itself, on the log-sum-exp scan: where
+        # alpha is dyadic, 1 - alpha is the mirror's order exactly and every
+        # value is equal (bitwise but for the sign of an exact zero). Else the
+        # orders differ in their last bit; over 15,000 instances drawn like
+        # these the values moved by at most 26 eps max(1, |lhs|), and no
+        # distance or verdict moved
+        with exact_path():
+            got = sup_identity(nu, g, params, **kwargs)
+        want = reference_certify("supremum", nu, g, params, **kwargs)
+        assert np.array_equal(got.optimizer.log_weights, want.optimizer.log_weights)
+        assert got.near_optimal_max_distance == want.near_optimal_max_distance
+        assert got.passes() == want.passes()
+        eps = sys.float_info.epsilon
+        tol = 0.0 if params in _PARAM_SET else 64.0 * eps * max(1.0, abs(want.lhs))
+        for name in ("lhs", "rhs_at_optimizer", "oracle_min_or_max", "dominance_margin"):
+            assert abs(getattr(got, name) - getattr(want, name)) <= tol
 
 
 def _kl_limit_gaps(nu, g):
