@@ -192,14 +192,13 @@ def _corrupt_report(report, nu, values, params):
     mixed = 0.5 * report.optimizer.probs
     mixed[0] += 0.5
     theta = FiniteMeasure.from_probs(nu.labels, mixed)
-    if report.direction == "infimum":
-        rhs = risk_sensitive(theta, values, params.gamma) + (
-            renyi_discrete(nu, theta, params.alpha) / params.span
-        )
-    else:
-        rhs = risk_sensitive(theta, values, params.beta) - (
-            renyi_discrete(theta, nu, params.alpha) / params.span
-        )
+    sign = 1.0
+    if report.direction == "supremum":
+        # scored as sup_identity certifies it: minus the infimum at
+        # orders (-gamma, -beta) and payoff -g
+        values, params, sign = -values, OrderParams(-params.gamma, -params.beta), -1.0
+    rhs = sign * (risk_sensitive(theta, values, params.gamma)
+                  + renyi_discrete(nu, theta, params.alpha) / params.span)
     return dataclasses.replace(report, optimizer=theta, rhs_at_optimizer=rhs)
 
 
@@ -466,7 +465,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--beta", type=float, required=True)
     p.add_argument("--gamma", type=float, required=True)
     p.add_argument("--direction", choices=["both", "inf", "sup"], default="both")
-    p.add_argument("--oracle-samples", type=int, default=100_000)
+    p.add_argument("--oracle-samples", type=int, default=100_000,
+                   help="simplex oracle points from 4 atoms on: a lattice shifted by "
+                        "--seed; a larger count appends points (default 100000)")
     p.add_argument("--grid-step", type=float, default=1e-2)
     p.add_argument("--corrupt-optimizer", action="store_true", help=argparse.SUPPRESS)
     p.set_defaults(func=cmd_identity)

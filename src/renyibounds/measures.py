@@ -155,17 +155,25 @@ class FiniteMeasure:
 def normalize(raw_log_weights, labels: Sequence[str]) -> FiniteMeasure:
     """Normalize raw log weights into a FiniteMeasure.
 
-    Rejects inputs whose total mass is zero or undefined.
+    Rejects inputs whose total mass is zero or undefined. The log mass is
+    top + rest, with top the largest log weight and rest the log-sum-exp
+    of the weights shifted by it. Far from 0 their rounded sum can be off
+    by more than the normalization tolerance, so its rounding error
+    (TwoSum) is subtracted second.
     """
     lw = np.asarray(raw_log_weights, dtype=float)
     if lw.ndim != 1:
         raise ValueError("raw log weights must be one-dimensional")
     if np.any(np.isnan(lw)) or np.any(np.isposinf(lw)):
         raise ValueError("raw log weights must be finite or -inf")
-    total = logsumexp(lw)
-    if not math.isfinite(total):
+    top = float(np.max(lw, initial=-math.inf))
+    if top == -math.inf:
         raise ValueError("cannot normalize a zero-mass weight vector")
-    return FiniteMeasure(labels=_as_labels(labels), log_weights=lw - total)
+    rest = logsumexp(lw - top)
+    total = top + rest
+    carried = total - top
+    error = (top - (total - carried)) + (rest - carried)
+    return FiniteMeasure(labels=_as_labels(labels), log_weights=(lw - total) - error)
 
 
 @dataclass(frozen=True)

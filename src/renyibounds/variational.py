@@ -24,18 +24,18 @@ infimum at (-gamma, -beta, -g), attained at the same optimizer d theta*
 propto exp(+(gamma - beta) g) d nu, and only the infimum is certified.
 The certificate is numerical: the tilted optimizer must reproduce the
 left side to tolerance, and a simplex oracle (a regular grid in low
-dimension, Dirichlet sampling otherwise) must never beat it by more
-than a rounding allowance. The beta -> 0 and order -> 0 limits give the
-classical Kullback-Leibler dualities and the support functional.
+dimension, a randomly shifted lattice otherwise) must never beat it by
+more than a rounding allowance. The beta -> 0 and order -> 0 limits
+give the classical Kullback-Leibler dualities and the support functional.
 
 The oracle depends only on (dim, grid_step, oracle_samples, seed), so
 its candidates, their logs and their floor (-log of the smallest
-positive coordinate: log m on the grid of step 1/m, looked up once on a
-sample) are built once, as read-only arrays, and the last such block is
-kept: both forms of one instance scan the same block. A new block is
-written over the old one, in memory the module holds: one buffer for
-the candidates, one for their logs and one draw piece, each grown only
-when a block larger than any before it comes. So the process keeps the
+positive coordinate: log m on the grid of step 1/m, looked up once on
+the lattice) are built once, as read-only arrays, and the last such
+block is kept: both forms of one instance scan the same block. A new
+block is written over the old one, in memory the module holds: one
+buffer for the candidates and one for their logs, each grown only when
+a block larger than any before it comes. So the process keeps the
 memory of the largest block certified so far, as much as it held while
 certifying that block, and a warm certificate faults in no fresh pages.
 One lock covers building a block and scanning it, so no caller's block
@@ -43,10 +43,12 @@ is overwritten under its scan. Callers on threads take turns: separate
 slots would hold one block per thread, for a scan that a second thread
 speeds up little or not at all. The grid is built part by part, each
 stage the size of its output, and written into its buffer row by row.
-The sample is unit exponentials scaled by their sums, as numpy's
-``dirichlet`` draws it, drawn ``_PIECE`` rows at a time from one stream
-(consecutive draws concatenate bitwise); each piece is transposed,
-scaled and logged while it is in cache.
+From dim 4 on the candidates are a Kronecker lattice in the unit cube
+under one random shift (Cranley & Patterson 1976), mapped onto the
+simplex by exponential spacings: the seed picks the shift, and no point
+takes a random draw. The lattice is built ``_PIECE`` points at a time in
+uint64 fixed point, and each piece is scaled and logged while it is in
+cache.
 
 The scan takes the block's columns in contiguous pieces of ``_PIECE``
 columns, so its temporaries stay cache-sized. On a finite support both
@@ -107,7 +109,7 @@ EQUALITY_TOL = 1e-9
 DOMINANCE_SLACK = 1e-9
 NEAR_OPTIMAL_WINDOW = 1e-6
 NEAR_OPTIMAL_DISTANCE = 0.05
-# candidate columns per piece of the oracle scan, and rows per Dirichlet draw
+# candidate columns per piece of the oracle build and scan
 _PIECE = 1 << 14
 # bound on each log-scale of the atom-weighted scan (see the module docstring)
 _RANGE = 300.0
@@ -115,7 +117,7 @@ _RANGE = 300.0
 # the last oracle block built, under its (dim, grid_step, samples, seed)
 _last_block: tuple[tuple, tuple[np.ndarray, np.ndarray, str, float, float]] | None = None
 # the memory every block is written into
-_held = {"points": np.empty(0), "logs": np.empty(0), "draws": np.empty(0)}
+_held = {"points": np.empty(0), "logs": np.empty(0)}
 # held by each caller from building its block to the end of its scan
 _block_lock = threading.Lock()
 
@@ -152,10 +154,12 @@ class IdentityReport:
         )
 
     def to_json_dict(self) -> dict:
+        """The report as JSON values; x + 0.0 prints a zero of either sign as
+        0.0 and leaves every other value as it is."""
         return {
             "direction": self.direction,
-            "lhs": self.lhs,
-            "rhs_at_optimizer": self.rhs_at_optimizer,
+            "lhs": self.lhs + 0.0,
+            "rhs_at_optimizer": self.rhs_at_optimizer + 0.0,
             "equality_gap": self.equality_gap,
             "optimizer": {
                 "labels": list(self.optimizer.labels),
@@ -165,8 +169,8 @@ class IdentityReport:
                 "kind": self.oracle_kind,
                 "points": self.oracle_points,
                 "resolution": self.oracle_resolution,
-                "min_or_max": self.oracle_min_or_max,
-                "dominance_margin": self.dominance_margin,
+                "min_or_max": self.oracle_min_or_max + 0.0,
+                "dominance_margin": self.dominance_margin + 0.0,
                 "near_optimal_max_distance": self.near_optimal_max_distance,
             },
             "passes": self.passes(),
@@ -215,6 +219,22 @@ def _log_floor(pts: np.ndarray) -> float:
     return -math.log(low)
 
 
+def _lattice_basis(dim: int, seed: int) -> tuple[np.ndarray, np.ndarray]:
+    """The lattice's generators and its shift, as uint64 fixed point.
+
+    Generator i is frac(sqrt(p_i)) for the i-th prime p_i, the same in
+    every dimension; the shift is dim words of Philox(key=seed).
+    """
+    primes: list[int] = []
+    candidate = 2
+    while len(primes) < dim:
+        if all(candidate % p for p in primes if p * p <= candidate):
+            primes.append(candidate)
+        candidate += 1
+    gens = np.array([math.isqrt(p << 128) % (1 << 64) for p in primes], dtype=np.uint64)
+    return gens, np.random.Philox(key=int(seed)).random_raw(dim)
+
+
 def _candidates(
     dim: int, grid_step: float, samples: int, seed: int
 ) -> tuple[np.ndarray, np.ndarray, str, float, float]:
@@ -222,12 +242,16 @@ def _candidates(
     and floor, written over the held memory.
 
     The kept block is dropped first, since its arrays are overwritten.
-    From dim 4 on the points are a uniform (flat Dirichlet) sample: unit
-    exponentials in numpy's ``dirichlet`` draw order, each row summed
-    atom by atom and scaled by the reciprocal of its sum. That is how
-    numpy's ``dirichlet`` normalizes the unit-parameter gammas it draws as
-    exponentials, so the bits are those of ``rng.dirichlet(np.ones(dim))``
-    for as long as numpy keeps that algorithm for parameters 1.
+    From dim 4 on the points are a randomly shifted Kronecker lattice
+    mapped onto the simplex. Coordinate i of point j is the 53-bit
+    fixed-point u = ((j G_i + shift_i) mod 2^64) >> 11 of _lattice_basis.
+    Its spacing is -log((2^53 - u) 2^-53), the unit exponential of the
+    uniform u, with the argument of the log in (0, 1] and exact, and the
+    point is the spacings over their sum, added atom by atom. A point
+    depends only on j and the seed, so a larger count appends points and
+    keeps the earlier ones. Each piece of _PIECE points is built in the
+    held points, its uniforms staged in the held logs, and scaled and
+    logged while it is in cache.
     """
     global _last_block
     _last_block = None
@@ -239,23 +263,34 @@ def _candidates(
         return pts, log_pts, "grid", grid_step, math.log(round(1.0 / grid_step))
     n = int(samples)
     pts, log_pts = _held_array("points", (dim, n)), _held_array("logs", (dim, n))
-    draws = _held_array("draws", (min(_PIECE, n), dim))
-    rng = np.random.Generator(np.random.Philox(key=int(seed)))
+    gens, shift = _lattice_basis(dim, seed)
+    steps = np.arange(min(_PIECE, n), dtype=np.uint64)
     low = math.inf
     for lo in range(0, n, _PIECE):
-        cols = pts[:, lo:lo + _PIECE]
-        piece = draws[:cols.shape[1]]
-        np.copyto(cols, rng.standard_exponential(out=piece).T)
-        # the draws are copied out, so their memory takes the row sums
-        scale = np.sum(cols, axis=0, out=piece.reshape(-1)[:cols.shape[1]])
+        cols, logs = pts[:, lo:lo + _PIECE], log_pts[:, lo:lo + _PIECE]
+        bits = cols.view(np.uint64)
+        # uint64 arithmetic wraps, so each row is (j G_i + shift_i) mod 2^64
+        np.multiply(steps[:cols.shape[1]], gens[:, None], out=bits)
+        bits += (gens * np.uint64(lo) + shift)[:, None]
+        bits >>= 11
+        np.copyto(logs, np.subtract(1 << 53, bits, out=bits))
+        logs *= 2.0 ** -53
+        # minus the spacings: each log is <= 0, so the reciprocal of their
+        # sum is negative and scales them onto the simplex
+        np.log(logs, out=cols)
+        scale = np.sum(cols, axis=0, out=logs[0])
         cols *= np.divide(1.0, scale, out=scale)
         with np.errstate(divide="ignore"):
-            np.log(cols, out=log_pts[:, lo:lo + _PIECE])
-        low = min(low, float(np.min(cols)))
+            np.log(cols, out=logs)
+        piece_low = float(np.min(cols))
+        if piece_low == 0.0:
+            # a zero spacing times the negative reciprocal is -0.0
+            np.abs(cols, out=cols)
+        low = min(low, piece_low)
     floor = -math.log(low) if low > 0.0 else _log_floor(pts)
-    # nominal spacing of a uniform sample of the (dim-1)-simplex
+    # nominal spacing of N points spread evenly over the (dim-1)-simplex
     resolution = float(samples) ** (-1.0 / (dim - 1))
-    return pts, log_pts, "dirichlet", resolution, floor
+    return pts, log_pts, "lattice", resolution, floor
 
 
 def _oracle_block(
@@ -405,14 +440,16 @@ def inf_identity(
              for lo in range(0, n, _PIECE)]
             + [_rhs_values(extra, log_extra, nu, values, params, sums)])
         best = float(np.min(rhs))
-        near = rhs <= lhs + NEAR_OPTIMAL_WINDOW
+        near = np.flatnonzero(rhs <= lhs + NEAR_OPTIMAL_WINDOW)
 
         if np.ptp(values) == 0.0:
             # constant g: every candidate with zero divergence is optimal, so
             # the localization certificate is trivially satisfied
             max_dist = 0.0
-        elif np.any(near):
-            diffs = np.abs(np.hstack([pts[:, near[:n]], extra[:, near[n:]]])
+        elif near.size:
+            # the indices ascend, so the block's columns come first
+            split = np.searchsorted(near, n)
+            diffs = np.abs(np.hstack([pts[:, near[:split]], extra[:, near[split:] - n]])
                            - optimizer.probs[:, None])
             max_dist = float(np.max(diffs))
         else:

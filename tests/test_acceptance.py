@@ -90,7 +90,7 @@ def test_c01_variational_identity_suite():
         g = rng.uniform(-3.0, 3.0, dim)
         params = _ORDER_REGIMES[i % len(_ORDER_REGIMES)]
         # keep the dominance oracle around 1e5 candidate points in every
-        # dimension: exhaustive grids below dim 4, dirichlet samples above
+        # dimension: exhaustive grids below dim 4, lattice points above
         step = 1e-5 if dim == 2 else (2.2e-3 if dim == 3 else 1e-2)
         for fn in (inf_identity, sup_identity):
             report = fn(nu, g, params, grid_step=step,

@@ -174,6 +174,39 @@ class TestIdentityCommand:
         # the supremum runs through the mirrored infimum and must fail as well
         assert data["sup"]["passes"] is False
 
+    @pytest.mark.parametrize("g", ["[1000001,1000002,1000003]", "[1e6,1e6,1e6]"])
+    def test_payoffs_far_from_zero(self, capsys, g):
+        # the tilt normalizes log weights near 1e6 gamma to within its tolerance
+        code, out, err = run_cli(capsys, [
+            "identity", "--measure", "[0.2,0.3,0.5]", "--g", g, "--beta", "5", "--gamma", "10",
+            "--format", "json"])
+        assert (code, err) == (0, "")
+        data = json.loads(out)
+        assert data["inf"]["passes"] is True and data["sup"]["passes"] is True
+
+    @pytest.mark.parametrize("orders", [["-2", "-1"], ["1", "2"], ["-1", "1"]])
+    def test_zeros_print_unsigned(self, capsys, orders):
+        # a zero payoff gives zero values, which the negative orders and the
+        # mirrored supremum would print as -0.0
+        code, out, _ = run_cli(capsys, [
+            "identity", "--measure", "[0.5,0.5]", "--g", "[0,0]", "--beta", orders[0],
+            "--gamma", orders[1], "--format", "json"])
+        assert code == 0
+        zeros = []
+
+        def collect(value):
+            if isinstance(value, dict):
+                for item in value.values():
+                    collect(item)
+            elif isinstance(value, list):
+                for item in value:
+                    collect(item)
+            elif isinstance(value, float) and value == 0.0:
+                zeros.append(math.copysign(1.0, value))
+
+        collect(json.loads(out))
+        assert zeros and set(zeros) == {1.0}
+
     @pytest.mark.parametrize("spec,flag,value", [
         *(pytest.param(["[0.5,0.5]", "[0,1]"], "--grid-step", v, id=f"grid-step={v}")
           for v in ("0", "-0.1", "nan", "inf", "2")),

@@ -95,6 +95,24 @@ def test_oracle_sums_without_blas():
     assert found == []
 
 
+# the oracle is a lattice under one shift: a per-point draw would tie its bits
+# to a sampler's algorithm
+RANDOM_DRAWS = {"standard_exponential", "dirichlet", "standard_normal"}
+
+
+def test_oracle_draws_no_samples():
+    tree = ast.parse(ORACLE.read_text(encoding="utf-8"))
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and node.attr in RANDOM_DRAWS:
+            found.append(f"line {node.lineno}: {node.attr}")
+        elif isinstance(node, ast.Name) and node.id in RANDOM_DRAWS:
+            found.append(f"line {node.lineno}: {node.id}")
+        elif isinstance(node, ast.ImportFrom):
+            found += [f"line {node.lineno}: {a.name}" for a in node.names if a.name in RANDOM_DRAWS]
+    assert found == []
+
+
 def test_cli_loads_no_optional_modules():
     # the closed-form and Monte Carlo commands run on numpy and the stdlib;
     # scipy and mpmath are test-only oracles, and numpy.polynomial is large

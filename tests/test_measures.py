@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -143,6 +144,17 @@ class TestFiniteMeasure:
     def test_normalize_scales_mass(self):
         nu = normalize(np.log([2.0, 6.0]), ["x", "y"])
         assert nu.probs == pytest.approx([0.25, 0.75], rel=1e-14)
+
+    @pytest.mark.parametrize("shift", [1e6, 1e9, 1e15, -1e15])
+    def test_normalize_far_from_zero(self, shift):
+        # the shifted log weights are exact, so the measure is the unshifted
+        # one up to the rounding of the final subtraction
+        raw = [1.0, 2.0, 3.0, -math.inf]
+        nu = normalize(np.add(raw, shift), list("abcd"))
+        want = normalize(raw, list("abcd"))
+        assert nu.log_weights[3] == -math.inf
+        assert nu.log_weights[:3] == pytest.approx(want.log_weights[:3], rel=0,
+                                                   abs=2 * sys.float_info.epsilon)
 
     def test_rejects_unnormalized_log_weights(self):
         with pytest.raises(ValueError):
