@@ -29,13 +29,14 @@ more than a rounding allowance. The beta -> 0 and order -> 0 limits
 give the classical Kullback-Leibler dualities and the support functional.
 
 The oracle depends only on (dim, grid_step, oracle_samples, seed), so
-its candidates, their logs and their floor (-log of the smallest
-positive coordinate: log m on the grid of step 1/m, looked up once on
-the lattice) are built once, as read-only arrays, and the last such
-block is kept: both forms of one instance scan the same block. A new
+its candidates and their floor (-log of the smallest positive
+coordinate: log m on the grid of step 1/m, looked up once on the
+lattice) are built once, as a read-only array, and the last such block
+is kept: both forms of one instance scan the same block. A block is the
+points alone; the scan takes the logs it needs a piece at a time. A new
 block is written over the old one, in memory the module holds: one
-buffer for the candidates and one for their logs, each grown only when
-a block larger than any before it comes. So the process keeps the
+buffer for the candidates, grown only when a block larger than any
+before it comes, and one piece of scratch. So the process keeps the
 memory of the largest block certified so far, as much as it held while
 certifying that block, and a warm certificate faults in no fresh pages.
 One lock covers building a block and scanning it, so no caller's block
@@ -47,34 +48,50 @@ From dim 4 on the candidates are a Kronecker lattice in the unit cube
 under one random shift (Cranley & Patterson 1976), mapped onto the
 simplex by exponential spacings: the seed picks the shift, and no point
 takes a random draw. The lattice is built ``_PIECE`` points at a time in
-uint64 fixed point, and each piece is scaled and logged while it is in
-cache.
+uint64 fixed point, its uniforms staged in the scratch, and each piece
+is scaled while it is in cache.
 
-The scan takes the block's columns in contiguous pieces of ``_PIECE``
-columns, so its temporaries stay cache-sized. On a finite support both
-integrals are weighted sums over the atoms, and the scan sums them as
-such where a range check admits it. The risk term is s + log sum_i
-theta_i exp(gamma g_i - s) and the divergence's log-integral t + log
-sum_i c_i theta_i^(1 - alpha), with s = max gamma g_i, t = max alpha
-log nu_i and c_i = exp(alpha log nu_i - t). The check is made once per
-certificate: nu has no zero atom, and |gamma| ptp(g), |alpha| ptp(log
-nu) and max(1, |1 - alpha|) times the floor of the block and of the
-optimizer and nu are each at most ``_RANGE`` = 300.
+The tilted optimizer and nu are scored first, as a separate two-column
+block. Then the scan takes the block's columns in contiguous pieces of
+``_PIECE`` columns, so its temporaries stay cache-sized, and prunes
+them. R_alpha >= 0 under the 1/(alpha (alpha - 1)) normalization and the
+span is positive, so a candidate's objective is at least its risk term.
+Each piece takes the risk term of every column, and the divergence term
+only at the columns whose risk term is at most a bound: the larger of
+the optimizer's objective and lhs + ``NEAR_OPTIMAL_WINDOW``, plus a
+rounding allowance (``_prune_bound``) that covers how far below 0 a
+computed divergence term can fall. A dropped column's objective is
+above both, so it is neither the minimum nor in the near set, and a
+bound that is nan or inf keeps every column. A kept column goes
+through the same elementwise arithmetic as in a full scan, so every
+certificate is bitwise the same as an unpruned one.
+
+On a finite support both integrals are weighted sums over the atoms,
+and the scan sums them as such where a range check admits it. The risk
+term is s + log sum_i theta_i exp(gamma g_i - s) and the divergence's
+log-integral t + log sum_i c_i theta_i^(1 - alpha), with s = max gamma
+g_i, t = max alpha log nu_i and c_i = exp(alpha log nu_i - t). The
+check is made once per certificate: nu has no zero atom, and |gamma|
+ptp(g), |alpha| ptp(log nu) and max(1, |1 - alpha|) times the floor of
+the block and of the optimizer and nu are each at most ``_RANGE`` = 300.
 Then every nonzero term lies in [e^-600, e^300], so each sum is a
 normal double with relative error at most dim eps, and a zero
 coordinate gives the 0 or inf of the log-sum-exp conventions. The atoms
 are added one row at a time, in order, by numpy ufuncs and never by
 BLAS, whose kernels and threads vary by machine. These objectives agree
-with the log-sum-exp ones to a few ulps of their exponents.
+with the log-sum-exp ones to a few ulps of their exponents. The risk
+sum needs the points alone, so the prune compares it with exp of the
+bound, widened for the rounding of the log (``_risk_sum_limit``), and
+only the kept sums and points are logged.
 
 Every other certificate (a zero atom in nu, a far atom, or a payoff
-spread too wide for its order) takes the log-sum-exp scan: each
-exponent array is made once and shifted in place, and a zero-mass
-candidate sends only its own piece through the masked branch
-of ``logsumexp``. On either scan the tilted optimizer and nu are scored
-as a separate two-column block, and each column sums its atoms in the
-same order in any piece, so every certificate is bitwise the same as
-with one whole block.
+spread too wide for its order) takes the log-sum-exp scan: a piece is
+logged whole, each exponent array is made once and shifted in place,
+and a zero-mass candidate sends only its own piece through the masked
+branch of ``logsumexp``. A zero coordinate adds nothing to the risk
+term, whatever gamma g_i is. On either scan each column sums its atoms
+in the same order in any piece, so every certificate is bitwise the
+same as with one whole block.
 """
 
 from __future__ import annotations
@@ -113,11 +130,14 @@ NEAR_OPTIMAL_DISTANCE = 0.05
 _PIECE = 1 << 14
 # bound on each log-scale of the atom-weighted scan (see the module docstring)
 _RANGE = 300.0
+# 2^-40 = 4096 eps: the prune's allowance for rounding, per unit of the
+# scale each rounding bound is stated in (see _prune_bound, _risk_sum_limit)
+_ALLOWANCE = 2.0 ** -40
 
 # the last oracle block built, under its (dim, grid_step, samples, seed)
-_last_block: tuple[tuple, tuple[np.ndarray, np.ndarray, str, float, float]] | None = None
-# the memory every block is written into
-_held = {"points": np.empty(0), "logs": np.empty(0)}
+_last_block: tuple[tuple, tuple[np.ndarray, str, float, float]] | None = None
+# the memory every block is written into, and one piece of scratch
+_held = {"points": np.empty(0), "scratch": np.empty(0)}
 # held by each caller from building its block to the end of its scan
 _block_lock = threading.Lock()
 
@@ -237,9 +257,9 @@ def _lattice_basis(dim: int, seed: int) -> tuple[np.ndarray, np.ndarray]:
 
 def _candidates(
     dim: int, grid_step: float, samples: int, seed: int
-) -> tuple[np.ndarray, np.ndarray, str, float, float]:
-    """The oracle points and their logs as (dim, N) arrays, kind, resolution
-    and floor, written over the held memory.
+) -> tuple[np.ndarray, str, float, float]:
+    """The oracle points as a (dim, N) array, kind, resolution and floor,
+    written over the held memory.
 
     The kept block is dropped first, since its arrays are overwritten.
     From dim 4 on the points are a randomly shifted Kronecker lattice
@@ -250,38 +270,36 @@ def _candidates(
     point is the spacings over their sum, added atom by atom. A point
     depends only on j and the seed, so a larger count appends points and
     keeps the earlier ones. Each piece of _PIECE points is built in the
-    held points, its uniforms staged in the held logs, and scaled and
-    logged while it is in cache.
+    held points, its uniforms staged in the held scratch, and scaled
+    while it is in cache. No logs are taken: the scan logs the columns
+    it keeps.
     """
     global _last_block
     _last_block = None
     if dim <= 3:
         pts = _grid_simplex(dim, grid_step, partial(_held_array, "points"))
-        log_pts = _held_array("logs", pts.shape)
-        with np.errstate(divide="ignore"):
-            np.log(pts, out=log_pts)
-        return pts, log_pts, "grid", grid_step, math.log(round(1.0 / grid_step))
+        return pts, "grid", grid_step, math.log(round(1.0 / grid_step))
     n = int(samples)
-    pts, log_pts = _held_array("points", (dim, n)), _held_array("logs", (dim, n))
+    pts = _held_array("points", (dim, n))
+    scratch = _held_array("scratch", (dim, min(_PIECE, n)))
     gens, shift = _lattice_basis(dim, seed)
     steps = np.arange(min(_PIECE, n), dtype=np.uint64)
     low = math.inf
     for lo in range(0, n, _PIECE):
-        cols, logs = pts[:, lo:lo + _PIECE], log_pts[:, lo:lo + _PIECE]
+        cols = pts[:, lo:lo + _PIECE]
+        uniforms = scratch[:, :cols.shape[1]]
         bits = cols.view(np.uint64)
         # uint64 arithmetic wraps, so each row is (j G_i + shift_i) mod 2^64
         np.multiply(steps[:cols.shape[1]], gens[:, None], out=bits)
         bits += (gens * np.uint64(lo) + shift)[:, None]
         bits >>= 11
-        np.copyto(logs, np.subtract(1 << 53, bits, out=bits))
-        logs *= 2.0 ** -53
+        np.copyto(uniforms, np.subtract(1 << 53, bits, out=bits))
+        uniforms *= 2.0 ** -53
         # minus the spacings: each log is <= 0, so the reciprocal of their
         # sum is negative and scales them onto the simplex
-        np.log(logs, out=cols)
-        scale = np.sum(cols, axis=0, out=logs[0])
+        np.log(uniforms, out=cols)
+        scale = np.sum(cols, axis=0, out=uniforms[0])
         cols *= np.divide(1.0, scale, out=scale)
-        with np.errstate(divide="ignore"):
-            np.log(cols, out=logs)
         piece_low = float(np.min(cols))
         if piece_low == 0.0:
             # a zero spacing times the negative reciprocal is -0.0
@@ -290,13 +308,13 @@ def _candidates(
     floor = -math.log(low) if low > 0.0 else _log_floor(pts)
     # nominal spacing of N points spread evenly over the (dim-1)-simplex
     resolution = float(samples) ** (-1.0 / (dim - 1))
-    return pts, log_pts, "lattice", resolution, floor
+    return pts, "lattice", resolution, floor
 
 
 def _oracle_block(
     dim: int, grid_step: float, samples: int, seed: int
-) -> tuple[np.ndarray, np.ndarray, str, float, float]:
-    """The candidates, their logs (both read-only), kind, resolution and floor.
+) -> tuple[np.ndarray, str, float, float]:
+    """The candidates (read-only), kind, resolution and floor.
 
     The floor is -log of the smallest positive coordinate: log m on the
     grid of step 1/m, looked up once on a sample. The block depends on
@@ -310,9 +328,8 @@ def _oracle_block(
     last = _last_block
     if last is not None and last[0] == key:
         return last[1]
-    pts, log_pts, kind, resolution, floor = _candidates(*key)
-    pts.flags.writeable = log_pts.flags.writeable = False
-    block = (pts, log_pts, kind, resolution, floor)
+    block = _candidates(*key)
+    block[0].flags.writeable = False
     _last_block = (key, block)
     return block
 
@@ -324,8 +341,10 @@ def _atom_sums(
     the atom-weighted scan, or None where the range check of the module
     docstring fails."""
     gamma, alpha, log_nu = params.gamma, params.alpha, nu.log_weights
+    # in Python floats a spread past the float range rounds to inf, which
+    # fails the check, with no overflow warning
     if (np.isneginf(log_nu).any()
-            or abs(gamma) * np.ptp(values) > _RANGE
+            or abs(gamma) * (float(np.max(values)) - float(np.min(values))) > _RANGE
             or abs(alpha) * np.ptp(log_nu) > _RANGE
             or max(1.0, abs(1.0 - alpha)) * floor > _RANGE):
         return None
@@ -334,33 +353,78 @@ def _atom_sums(
     return gamma, s, np.exp(risk_exp - s), 1.0 - alpha, t, np.exp(div_exp - t)
 
 
-def _atom_weighted(
-    candidates: np.ndarray, log_candidates: np.ndarray, sums: tuple
-) -> tuple[np.ndarray, np.ndarray]:
-    """The risk term and the divergence's log-integral as atom-weighted sums.
+def _risk_terms(
+    candidates: np.ndarray,
+    log_candidates: np.ndarray | None,
+    values: np.ndarray,
+    params: OrderParams,
+    sums: tuple | None,
+) -> np.ndarray:
+    """(1/gamma) log int exp(gamma g) d theta at each column.
 
-    The atoms are added one row at a time, in order. A zero coordinate
-    adds 0 to the risk sum, and 0^e is 0 for e > 0 and inf for e < 0,
-    the values the log-sum-exp conventions give.
+    Without sums a log-sum-exp over the logs, in which a zero coordinate
+    adds nothing whatever gamma g_i is; with the weights of _atom_sums an
+    atom-weighted sum over the points, where a zero coordinate adds 0.
     """
-    order, s, risk_w, e, t, div_w = sums
-    term = np.empty(candidates.shape[1])
+    if sums is None:
+        with np.errstate(over="ignore", invalid="ignore"):
+            exps = params.gamma * values
+            risk = log_candidates + exps[:, None]
+        if np.isposinf(exps).any():
+            risk[np.isneginf(log_candidates) & np.isposinf(exps)[:, None]] = -math.inf
+        # one exponent array, shifted in place by the log-sum-exp
+        return _logsumexp(risk, 0, out=risk) / params.gamma
+    return _risk_logs(_risk_sums(candidates, sums), sums)
+
+
+def _risk_sums(candidates: np.ndarray, sums: tuple) -> np.ndarray:
+    """sum_i theta_i exp(gamma g_i - s) at each column, one atom row at a time."""
+    risk_w = sums[2]
     risk = np.multiply(candidates[0], risk_w[0])
+    term = np.empty_like(risk)
+    for i in range(1, candidates.shape[0]):
+        risk += np.multiply(candidates[i], risk_w[i], out=term)
+    return risk
+
+
+def _risk_logs(risk: np.ndarray, sums: tuple) -> np.ndarray:
+    """The risk terms (log S + s) / gamma of the sums S, in place."""
+    order, s = sums[:2]
+    np.log(risk, out=risk)
+    risk += s
+    risk /= order
+    return risk
+
+
+def _divergence_terms(
+    log_candidates: np.ndarray, nu: FiniteMeasure, params: OrderParams, sums: tuple | None
+) -> np.ndarray:
+    """R_alpha(nu || theta) at each column of the logs.
+
+    Without sums the log-integral is a log-sum-exp; with the weights of
+    _atom_sums it is an atom-weighted sum, in which 0^e is 0 for e > 0
+    and inf for e < 0, the values the log-sum-exp conventions give.
+    """
+    alpha = params.alpha
+    if sums is None:
+        div = renyi_log_integral_rows(nu.log_weights[:, None], log_candidates, alpha)
+        with np.errstate(invalid="ignore"):
+            return np.where(np.isneginf(div), math.inf, div / (alpha * (alpha - 1.0)))
+    e, t, div_w = sums[3:]
     div = np.multiply(log_candidates[0], e)
     np.exp(div, out=div)
     div *= div_w[0]
-    for i in range(1, candidates.shape[0]):
-        risk += np.multiply(candidates[i], risk_w[i], out=term)
+    term = np.empty_like(div)
+    for i in range(1, log_candidates.shape[0]):
         np.multiply(log_candidates[i], e, out=term)
         np.exp(term, out=term)
         term *= div_w[i]
         div += term
-    np.log(risk, out=risk)
-    risk += s
-    risk /= order
     np.log(div, out=div)
     div += t
-    return risk, div
+    # each sum is at least exp(-2 _RANGE), so div is never -inf
+    div /= alpha * (alpha - 1.0)
+    return div
 
 
 def _rhs_values(
@@ -376,19 +440,110 @@ def _rhs_values(
     Without sums both log-integrals are log-sum-exps over the logs; with
     the weights of _atom_sums they are atom-weighted sums.
     """
-    alpha = params.alpha
-    if sums is None:
-        div = renyi_log_integral_rows(nu.log_weights[:, None], log_candidates, alpha)
-        # one exponent array at a time, each shifted in place by the log-sum-exp
-        risk = log_candidates + params.gamma * values[:, None]
-        risk = _logsumexp(risk, 0, out=risk) / params.gamma
-        with np.errstate(invalid="ignore"):
-            div = np.where(np.isneginf(div), math.inf, div / (alpha * (alpha - 1.0)))
-    else:
-        risk, div = _atom_weighted(candidates, log_candidates, sums)
-        # each sum is at least exp(-2 _RANGE), so div is never -inf
-        div /= alpha * (alpha - 1.0)
-    return risk + div / params.span
+    return (_risk_terms(candidates, log_candidates, values, params, sums)
+            + _divergence_terms(log_candidates, nu, params, sums) / params.span)
+
+
+def _prune_bound(nu: FiniteMeasure, params: OrderParams, floor: float, top: float) -> float:
+    """The risk term above which a column's objective exceeds top.
+
+    R_alpha >= 0, so the objective is at least the risk term, less what
+    rounding takes off the divergence term. With L = max |log nu_i| over
+    the support, the term's finite exponents are at most |alpha| L +
+    |1 - alpha| floor in size, each log-integral sums dim of them, and nu
+    and a candidate each sum to 1 only within about dim eps, which moves
+    the log-integral by up to (|alpha| + |1 - alpha|) dim eps. So it is
+    off by a few eps times size = |alpha| (L + dim) + |1 - alpha| (floor
+    + dim) + dim, and the term by that over |alpha (alpha - 1)| span; on
+    dims 2-7 with zero and far atoms, eleven order pairs and both scans
+    no term fell below -0.14 eps size / scale. The allowance is
+    _ALLOWANCE = 4096 eps times size / scale, plus _ALLOWANCE max(1, |top|)
+    for the rounding of the objective's sum and of the bound. A top that
+    is nan or inf, or an allowance that is not finite, gives a bound
+    that keeps every column.
+    """
+    alpha, dim = params.alpha, float(nu.dim)
+    scale = abs(alpha * (alpha - 1.0)) * params.span
+    if not scale > 0.0:
+        return math.inf
+    log_nu = nu.log_weights[np.isfinite(nu.log_weights)]
+    size = (abs(alpha) * (float(np.max(np.abs(log_nu))) + dim)
+            + abs(1.0 - alpha) * (floor + dim) + dim)
+    return top + _ALLOWANCE * (max(1.0, abs(top)) + size / scale)
+
+
+def _risk_sum_limit(sums: tuple, bound: float) -> float:
+    """The limit on the atom-weighted risk sum S past which a column's risk
+    term (log S + s) / gamma is above bound.
+
+    Where the range check passes, |log S| <= _RANGE, so np.log, the add
+    of s and the division by gamma move the computed term by a few eps
+    (|gamma bound| + |s| + _RANGE) at most; the margin is 2 _ALLOWANCE
+    times that sum, plus 1. A column is past the limit where S > limit
+    for gamma > 0 and S < limit for gamma < 0. exp is capped at e^700,
+    above every sum, and a bound that is nan gives a nan limit, which no
+    sum is past.
+    """
+    order, s = sums[:2]
+    margin = 2.0 * _ALLOWANCE * (1.0 + abs(order * bound) + abs(s) + _RANGE)
+    return math.exp(min(order * bound - s + math.copysign(margin, order), 700.0))
+
+
+def _pruned_values(
+    pts: np.ndarray,
+    nu: FiniteMeasure,
+    values: np.ndarray,
+    params: OrderParams,
+    sums: tuple | None,
+    bound: float,
+) -> np.ndarray:
+    """The objective at each column of pts whose risk term is not above
+    bound, and +inf at the others.
+
+    The log-sum-exp scan logs each piece of _PIECE columns and takes its
+    risk terms in full. The atom-weighted scan takes each column's risk
+    sum and keeps those not past _risk_sum_limit, a superset of the
+    columns whose risk term is at most bound; it logs the points and the
+    sums of the kept columns alone. Either scan then takes the
+    divergence terms at the kept columns, gathered in order, so each kept
+    column's objective is bitwise the one a full scan computes.
+    """
+    rhs = np.full(pts.shape[1], math.inf)
+    if sums is not None:
+        limit = _risk_sum_limit(sums, bound)
+        past = np.greater if sums[0] > 0.0 else np.less
+    for lo in range(0, pts.shape[1], _PIECE):
+        cols = pts[:, lo:lo + _PIECE]
+        # a nan compares false, so its column is kept
+        if sums is None:
+            logs = _held_array("scratch", cols.shape)
+            with np.errstate(divide="ignore"):
+                np.log(cols, out=logs)
+            risk = _risk_terms(cols, logs, values, params, None)
+            kept = np.flatnonzero(~(risk > bound))
+        else:
+            risk = _risk_sums(cols, sums)
+            kept = np.flatnonzero(~past(risk, limit))
+        if kept.size == 0:
+            continue
+        if kept.size == 1 < risk.size:
+            # numpy sums the atoms of a lone column pairwise from 8 atoms on,
+            # so the column keeps company
+            kept = np.array([0, max(kept[0], 1)])
+        whole = kept.size == risk.size
+        if sums is None:
+            logs = logs if whole else np.take(logs, kept, axis=1, mode="clip")
+            risk = risk[kept]
+        else:
+            logs = _held_array("scratch", (cols.shape[0], kept.size))
+            if not whole:
+                # mode="clip" writes into out directly; the indices are in range
+                cols = np.take(cols, kept, axis=1, out=logs, mode="clip")
+            with np.errstate(divide="ignore"):
+                np.log(cols, out=logs)
+            risk = _risk_logs(risk[kept], sums)
+        rhs[lo + kept] = risk + _divergence_terms(logs, nu, params, sums) / params.span
+    return rhs
 
 
 def inf_identity(
@@ -421,6 +576,7 @@ def inf_identity(
     rhs_opt = risk_sensitive(optimizer, values, params.gamma) + (
         renyi_discrete(nu, optimizer, params.alpha) / params.span
     )
+    window = lhs + NEAR_OPTIMAL_WINDOW
 
     # one column per candidate; the tilted optimizer and nu itself go last
     extra = np.column_stack([optimizer.probs, nu.probs])
@@ -428,19 +584,17 @@ def inf_identity(
         log_extra = np.log(extra)
     extra_floor = _log_floor(extra)
     with _block_lock:
-        pts, log_pts, kind, resolution, floor = _oracle_block(
-            nu.dim, grid_step, oracle_samples, seed)
-        sums = _atom_sums(nu, values, params, max(floor, extra_floor))
+        pts, kind, resolution, floor = _oracle_block(nu.dim, grid_step, oracle_samples, seed)
+        floor = max(floor, extra_floor)
+        sums = _atom_sums(nu, values, params, floor)
+        rhs_extra = _rhs_values(extra, log_extra, nu, values, params, sums)
+        # the optimizer's objective is at least the minimum; np.maximum keeps a nan
+        top = float(np.maximum(rhs_extra[0], window))
+        bound = _prune_bound(nu, params, floor, top)
         n = pts.shape[1]
-        # each column sums its atoms in the same order whatever block or piece
-        # holds it
-        rhs = np.concatenate(
-            [_rhs_values(pts[:, lo:lo + _PIECE], log_pts[:, lo:lo + _PIECE],
-                         nu, values, params, sums)
-             for lo in range(0, n, _PIECE)]
-            + [_rhs_values(extra, log_extra, nu, values, params, sums)])
+        rhs = np.concatenate([_pruned_values(pts, nu, values, params, sums, bound), rhs_extra])
         best = float(np.min(rhs))
-        near = np.flatnonzero(rhs <= lhs + NEAR_OPTIMAL_WINDOW)
+        near = np.flatnonzero(rhs <= window)
 
         if np.ptp(values) == 0.0:
             # constant g: every candidate with zero divergence is optimal, so

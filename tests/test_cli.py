@@ -184,6 +184,19 @@ class TestIdentityCommand:
         data = json.loads(out)
         assert data["inf"]["passes"] is True and data["sup"]["passes"] is True
 
+    def test_a_zero_coordinate_meets_an_infinite_exponent(self, capsys):
+        # gamma g_2 overflows to inf; the grid point (1, 0) puts no mass there,
+        # so its risk exponent is -inf, not nan, and every objective is inf
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code, out, _ = run_cli(capsys, [
+                "identity", "--measure", "[0.5,0.5]", "--g", "[0,1.7976931348623157e308]",
+                "--beta", "1", "--gamma", "2", "--format", "json"])
+        assert code == 1
+        oracle = json.loads(out)["inf"]["oracle"]
+        assert (oracle["min_or_max"], oracle["dominance_margin"]) == ("inf", "inf")
+        assert not [w for w in caught if w.filename.endswith("variational.py")]
+
     @pytest.mark.parametrize("orders", [["-2", "-1"], ["1", "2"], ["-1", "1"]])
     def test_zeros_print_unsigned(self, capsys, orders):
         # a zero payoff gives zero values, which the negative orders and the

@@ -8,6 +8,7 @@ import sys
 import threading
 import tracemalloc
 from contextlib import contextmanager, nullcontext
+from dataclasses import replace
 from itertools import combinations
 
 import numpy as np
@@ -380,11 +381,12 @@ class TestAtomsMajorOracle:
         # dropped, and the log-sum-exp scan is the only one
         zeroed = measure_from_weights(np.r_[0.0, nu.probs[1:]])
         step = {2: 1e-3}.get(dim, 1e-2)
-        pts, log_pts, kind, _, floor = _candidates(dim, step, 20_000, seed)
+        pts, kind, _, floor = _candidates(dim, step, 20_000, seed)
         rows, want_kind, _ = reference_candidates(dim, step, 20_000, seed)
         assert kind == want_kind
         assert np.array_equal(pts.view(np.int64), np.ascontiguousarray(rows.T).view(np.int64))
         with np.errstate(divide="ignore"):
+            log_pts = np.log(pts)
             log_rows = np.log(rows)
         assert np.array_equal(log_pts.view(np.int64),
                               np.ascontiguousarray(log_rows.T).view(np.int64))
@@ -600,16 +602,16 @@ class TestOracleBlock:
     def test_cached_arrays_are_read_only(self, dim):
         nu, g, seed = random_instance(dim, 13)
         inf_identity(nu, g, OrderParams(1.0, 2.0), oracle_samples=5_000, seed=seed)
-        pts, log_pts, *_ = variational._oracle_block(dim, 1e-2, 5_000, seed)
-        for array in (pts, log_pts):
-            with pytest.raises(ValueError, match="read-only"):
-                array[0, 0] = 0.5
+        # the block holds the points alone
+        pts, *_ = variational._oracle_block(dim, 1e-2, 5_000, seed)
+        with pytest.raises(ValueError, match="read-only"):
+            pts[0, 0] = 0.5
         assert variational._last_block[1][0] is pts
 
     @pytest.mark.parametrize("dim,step", [(2, 1e-5), (3, 2.2e-3), (5, 1e-2)])
     def test_block_records_its_floor(self, dim, step):
         # -log of the smallest positive coordinate: log m on the grid of step 1/m
-        pts, _, kind, _, floor = variational._oracle_block(dim, step, 5_000, 7)
+        pts, kind, _, floor = variational._oracle_block(dim, step, 5_000, 7)
         smallest = np.min(pts[pts > 0.0])
         if kind == "grid":
             assert floor == math.log(round(1.0 / step))
@@ -698,10 +700,11 @@ class TestOracleBlock:
         # builds the bits of one whole lattice
         monkeypatch.setattr(variational, "_PIECE", piece)
         for dim, step, samples, seed in self._SIZES:
-            pts, log_pts, kind, _, floor = variational._oracle_block(dim, step, samples, seed)
+            pts, kind, _, floor = variational._oracle_block(dim, step, samples, seed)
             rows, want_kind, _ = reference_candidates(dim, step, samples, seed)
             want = np.ascontiguousarray(rows.T)
             with np.errstate(divide="ignore"):
+                log_pts = np.log(pts)
                 want_log = np.log(want)
             assert kind == want_kind
             assert pts.shape == log_pts.shape == want.shape
@@ -728,9 +731,11 @@ class TestLattice:
 
     @staticmethod
     def block(dim, samples, seed):
-        pts, log_pts, kind, _, floor = _candidates(dim, 1e-2, samples, seed)
-        # copies, since the next build writes over the held memory
-        return pts.copy(), log_pts.copy(), kind, floor
+        pts, kind, _, floor = _candidates(dim, 1e-2, samples, seed)
+        with np.errstate(divide="ignore"):
+            log_pts = np.log(pts)
+        # a copy, since the next build writes over the held memory
+        return pts.copy(), log_pts, kind, floor
 
     @pytest.mark.parametrize("dim", [4, 5, 6, 9])
     def test_every_column_lies_on_the_simplex(self, dim):
@@ -786,16 +791,178 @@ class TestLattice:
             assert rep.dominance_margin == pytest.approx(exact.dominance_margin, abs=1e-14)
 
 
+def unpruned(direction, nu, g, params, grid_step=1e-2, oracle_samples=100_000, seed=0):
+    """oracle_min_or_max, dominance_margin and near_optimal_max_distance of a
+    full scan: the objective at every column of the block and of the
+    optimizer and nu, as one whole block, with no column pruned."""
+    values, params, sign = mirrored(direction, aligned_values(nu, g), params)
+    optimizer = exp_tilt(nu, values, -params.span)
+    lhs = risk_sensitive(nu, values, params.beta)
+    pts, _, _, floor = variational._oracle_block(nu.dim, grid_step, oracle_samples, seed)
+    cols = np.column_stack([pts, optimizer.probs, nu.probs])
+    with np.errstate(divide="ignore"):
+        logs = np.log(cols)
+    sums = _atom_sums(nu, values, params, max(floor, _log_floor(cols[:, -2:])))
+    rhs = _rhs_values(cols, logs, nu, values, params, sums)
+    best = float(np.min(rhs))
+    near = rhs <= lhs + variational.NEAR_OPTIMAL_WINDOW
+    if np.ptp(values) == 0.0 or not near.any():
+        distance = 0.0
+    else:
+        distance = float(np.max(np.abs(cols[:, near] - optimizer.probs[:, None])))
+    return sign * best, float(best - lhs), distance
+
+
+def assert_as_unpruned(nu, g, params, **kwargs):
+    for direction, form in _FORMS.items():
+        got = form(nu, g, params, **kwargs)
+        best, margin, distance = unpruned(direction, nu, g, params, **kwargs)
+        want = replace(got, oracle_min_or_max=best, dominance_margin=margin,
+                       near_optimal_max_distance=distance)
+        for name in ("oracle_min_or_max", "dominance_margin", "near_optimal_max_distance"):
+            assert repr(getattr(got, name)) == repr(getattr(want, name)), name
+        assert got.passes() == want.passes()
+
+
+@st.composite
+def prune_instances(draw):
+    """Instances as test_full_certificate draws them, with zero atoms, atoms
+    up to e^-400 below the largest and the non-dyadic orders as well."""
+    nu, g, params = draw(identity_instances(allow_zero=True, orders=_PARAM_SET + _NON_DYADIC))
+    drop = draw(st.lists(st.sampled_from([0.0, 0.0, 60.0, 200.0, 400.0]),
+                         min_size=nu.dim, max_size=nu.dim))
+    return normalize(nu.log_weights - np.asarray(drop), nu.labels), g, params
+
+
+class TestPrune:
+    """A column whose risk term alone is above the bound is not scored, and
+    the certificate stays bitwise that of a full scan."""
+
+    @pytest.fixture(autouse=True)
+    def _empty_cache(self):
+        # dropped, never restored: a kept block is only valid until the next
+        # build writes over its memory
+        variational._last_block = None
+
+    @given(prune_instances(), st.booleans())
+    def test_pruned_equals_a_full_scan(self, instance, exact):
+        # dims 2-3 scan the grid and dims 4-5 the lattice, on either scan
+        with exact_path() if exact else nullcontext():
+            assert_as_unpruned(*instance, oracle_samples=20_000)
+
+    @given(prune_instances(), st.booleans(), st.sampled_from([7, 1000, 1 << 14]))
+    def test_kept_columns_score_as_in_a_full_scan(self, instance, exact, piece):
+        # column by column: a kept column's objective is bitwise the full
+        # scan's, and a dropped one's lies above the top its bound guards
+        nu, g, params = instance
+        with exact_path() if exact else nullcontext(), pytest.MonkeyPatch.context() as mp:
+            mp.setattr(variational, "_PIECE", piece)
+            for direction in _FORMS:
+                values, params, _ = mirrored(direction, aligned_values(nu, g), params)
+                pts, _, _, floor = variational._oracle_block(nu.dim, 1e-2, 20_000, 0)
+                with np.errstate(divide="ignore"):
+                    logs = np.log(pts)
+                sums = _atom_sums(nu, values, params, floor)
+                full = _rhs_values(pts, logs, nu, values, params, sums)
+                risk = variational._risk_terms(pts, logs, values, params, sums)
+                top = risk_sensitive(nu, values, params.beta) + NEAR_OPTIMAL_WINDOW
+                bound = variational._prune_bound(nu, params, floor, top)
+                got = variational._pruned_values(pts, nu, values, params, sums, bound)
+                assert not bound < top
+                same = got.view(np.int64) == full.view(np.int64)
+                assert np.all(same[~(risk > bound)])
+                assert np.all(same | ((got == math.inf) & (risk > bound) & (full > top)))
+
+    @pytest.mark.parametrize("params", _PARAM_SET)
+    def test_a_column_at_the_bound_is_kept(self, params):
+        # the atom-weighted scan compares risk sums against exp of the bound;
+        # a column whose risk term is the bound itself is kept all the same
+        nu, g, seed = random_instance(3, 47)
+        pts = variational._oracle_block(3, 2e-2, 1, seed)[0]
+        with np.errstate(divide="ignore"):
+            logs = np.log(pts)
+        sums = _atom_sums(nu, g, params, _log_floor(pts))
+        risk = variational._risk_terms(pts, logs, g, params, sums)
+        full = _rhs_values(pts, logs, nu, g, params, sums)
+        for j in np.random.default_rng(47).choice(pts.shape[1], 100, replace=False):
+            got = variational._pruned_values(pts, nu, g, params, sums, float(risk[j]))
+            assert got[j].view(np.int64) == full[j].view(np.int64)
+
+    def test_a_lone_kept_column_scores_as_in_its_piece(self):
+        # from 8 atoms on numpy sums the atoms of a one-column array pairwise,
+        # and those of a wider one in order; a zero atom keeps the
+        # log-sum-exp scan, and each bound keeps one column
+        for seed in range(10):
+            nu, g, _ = random_instance(9, 43 + seed)
+            nu = measure_from_weights(np.r_[0.0, nu.probs[1:]])
+            params = _PARAM_SET[seed % len(_PARAM_SET)]
+            pts = variational._oracle_block(9, 1e-2, 3_000, seed)[0]
+            with np.errstate(divide="ignore"):
+                logs = np.log(pts)
+            risk = variational._risk_terms(pts, logs, g, params, None)
+            lone = int(np.argmin(risk))
+            got = variational._pruned_values(pts, nu, g, params, None, float(risk[lone]))
+            want = _rhs_values(pts, logs, nu, g, params)
+            assert got[lone].view(np.int64) == want[lone].view(np.int64)
+
+    @pytest.mark.parametrize("window", [1e-3, 0.1])
+    @pytest.mark.parametrize("dim", [2, 3, 5])
+    def test_the_prune_reads_the_near_window(self, monkeypatch, dim, window):
+        # a wider window keeps more columns: the near set stays whole
+        monkeypatch.setattr(variational, "NEAR_OPTIMAL_WINDOW", window)
+        nu, g, seed = random_instance(dim, 37 * dim)
+        for params in _PARAM_SET:
+            assert_as_unpruned(nu, g, params, oracle_samples=20_000, seed=seed)
+
+    @pytest.mark.parametrize("bound", [math.nan, math.inf])
+    def test_a_bound_that_is_not_finite_keeps_every_column(self, bound):
+        nu, g, seed = random_instance(5, 41)
+        params = OrderParams(1.0, 2.0)
+        pts, _, _, floor = variational._oracle_block(5, 1e-2, 20_000, seed)
+        for sums in (None, _atom_sums(nu, g, params, floor)):
+            got = variational._pruned_values(pts, nu, g, params, sums, bound)
+            with np.errstate(divide="ignore"):
+                want = _rhs_values(pts, np.log(pts), nu, g, params, sums)
+            assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
+    def test_a_negative_divergence_term_is_kept(self, monkeypatch):
+        # the grid point (0.05, 0.95) lies 3e-10 from nu, on the side away from
+        # the optimizer, at the edge of the near window: its divergence term
+        # rounds below 0, so its objective is in the window and its risk term
+        # alone is not. The allowance keeps it; with none it is dropped, and
+        # the distance reads that of nu instead
+        nu = FiniteMeasure.from_probs(["a", "b"], [0.05 - 3e-10, 0.95 + 3e-10])
+        g = np.array([0.0, -0.006469984158298175])
+        params, kwargs = OrderParams(1.0, 2.0), {"grid_step": 1e-5}
+        rep = inf_identity(nu, g, params, **kwargs)
+        pts, _, _, floor = variational._oracle_block(2, 1e-5, 100_000, 0)
+        column = pts[:, 5_000:5_001]
+        assert column[:, 0].tolist() == [0.05, 0.95]
+        optimizer = exp_tilt(nu, g, -params.span)
+        sums = _atom_sums(nu, g, params, max(floor, _log_floor(optimizer.probs)))
+        risk = variational._risk_terms(column, None, g, params, sums)[0]
+        term = variational._divergence_terms(np.log(column), nu, params, sums)[0] / params.span
+        window = rep.lhs + NEAR_OPTIMAL_WINDOW
+        assert term < 0.0 and risk + term <= window < risk
+        assert rep.near_optimal_max_distance == 0.0003064313051342124
+        assert_as_unpruned(nu, g, params, **kwargs)
+        monkeypatch.setattr(variational, "_ALLOWANCE", 0.0)
+        variational._last_block = None
+        dropped = inf_identity(nu, g, params, **kwargs)
+        assert dropped.near_optimal_max_distance == 0.00030643100513421534
+
+
 class TestBlockMemory:
-    """A block is written into memory the module already holds.
+    """A block is the points alone, written into memory the module holds.
 
     numpy reports its arrays to tracemalloc. Once blocks of dims 2-6 have
     been built, rebuilding a (6, 50_000) lattice block allocates 0.33 of
     a (6, _PIECE) piece: one piece-long row of point indices, and numpy's
     buffers on the last, partial piece. Each piece is built in the held
-    points, with its uniforms staged in the held logs. A build that
-    allocated each block anew peaked at 6.1 pieces, two of its three
-    full-size arrays at once.
+    points, with its uniforms staged in one held piece of scratch. A
+    build that allocated each block anew peaked at 6.1 pieces, two of
+    its three full-size arrays at once. The module holds no logs of the
+    block: the scans take the logs they need a piece at a time.
     """
 
     def test_a_warm_rebuild_allocates_under_a_piece(self):
@@ -810,6 +977,19 @@ class TestBlockMemory:
             tracemalloc.stop()
         assert pts.shape == (6, 50_000)
         assert peak < 0.5 * variational._PIECE * 6 * pts.itemsize
+
+    def test_the_module_holds_the_points_and_one_piece(self, monkeypatch):
+        # from empty buffers, restored afterwards; a (dim, N) buffer of logs
+        # would add the size of the points again
+        monkeypatch.setattr(variational, "_held", {name: np.empty(0) for name in variational._held})
+        variational._last_block = None
+        for dim, step in ((2, 1e-3), (3, 2e-2), (4, 1e-2), (5, 1e-2), (6, 1e-2)):
+            pts = variational._oracle_block(dim, step, 50_000, dim)[0]
+            inf_identity(measure_from_weights(range(1, dim + 1)), np.linspace(-1.0, 1.0, dim),
+                         OrderParams(1.0, 2.0), grid_step=step, oracle_samples=50_000, seed=dim)
+        held = sum(array.nbytes for array in variational._held.values())
+        assert pts.nbytes == variational._held["points"].nbytes
+        assert held <= pts.nbytes + variational._PIECE * 6 * pts.itemsize
 
 
 class TestScanMemory:
