@@ -42,29 +42,36 @@ certifying that block, and a warm certificate faults in no fresh pages.
 One lock covers building a block and scanning it, so no caller's block
 is overwritten under its scan. Callers on threads take turns: separate
 slots would hold one block per thread, for a scan that a second thread
-speeds up little or not at all. The grid is built part by part, each
-stage the size of its output, and written into its buffer row by row.
-From dim 4 on the candidates are a Kronecker lattice in the unit cube
-under one random shift (Cranley & Patterson 1976), mapped onto the
-simplex by exponential spacings: the seed picks the shift, and no point
-takes a random draw. The lattice is built ``_PIECE`` points at a time in
-uint64 fixed point, its uniforms staged in the scratch, and each piece
-is scaled while it is in cache.
+speeds up little or not at all. The grid is built part by part, and
+its last stage is written into the buffer as exact-integer floats a
+piece at a time and divided in place, so no temporary is longer than a
+piece. From dim 4 on the candidates are a Kronecker lattice in the
+unit cube under one random shift (Cranley & Patterson 1976), mapped
+onto the simplex by exponential spacings: the seed picks the shift, and
+no point takes a random draw. The lattice is built ``_PIECE`` points at
+a time in uint64 fixed point, its uniforms staged in the scratch, and
+each piece is scaled while it is in cache.
 
-The tilted optimizer and nu are scored first, as a separate two-column
-block. Then the scan takes the block's columns in contiguous pieces of
-``_PIECE`` columns, so its temporaries stay cache-sized, and prunes
-them. R_alpha >= 0 under the 1/(alpha (alpha - 1)) normalization and the
-span is positive, so a candidate's objective is at least its risk term.
-Each piece takes the risk term of every column, and the divergence term
-only at the columns whose risk term is at most a bound: the larger of
-the optimizer's objective and lhs + ``NEAR_OPTIMAL_WINDOW``, plus a
-rounding allowance (``_prune_bound``) that covers how far below 0 a
-computed divergence term can fall. A dropped column's objective is
-above both, so it is neither the minimum nor in the near set, and a
-bound that is nan or inf keeps every column. A kept column goes
-through the same elementwise arithmetic as in a full scan, so every
-certificate is bitwise the same as an unpruned one.
+A certificate allocates nothing block-sized beyond the held points: the
+scan takes the columns in contiguous pieces of ``_PIECE`` columns, so
+its temporaries stay cache-sized, and reduces each piece as it goes to
+two numbers, its least objective and the largest L-inf distance from
+the optimizer of its columns within ``NEAR_OPTIMAL_WINDOW`` of lhs. Min
+and max do not depend on the order of the pieces, and numpy's minimum
+keeps a nan, so the report is that of one whole scan. The tilted optimizer
+and nu go first, through the same path with nothing pruned. The block's
+pieces are pruned. R_alpha >= 0 under the 1/(alpha (alpha - 1))
+normalization and the span is positive, so a candidate's objective is
+at least its risk term. Each piece takes the risk term of every column,
+and the divergence term only at the columns whose risk term is at most
+a bound: the larger of the least objective of the optimizer and nu and
+lhs + ``NEAR_OPTIMAL_WINDOW``, plus a rounding allowance
+(``_prune_bound``) that covers how far below 0 a computed divergence
+term can fall. A dropped column's objective is above both, so it is
+neither the minimum nor in the near set, and a bound that is nan or inf
+keeps every column. A kept column goes through the same elementwise
+arithmetic as in a full scan, so every certificate is bitwise the same
+as an unpruned one.
 
 On a finite support both integrals are weighted sums over the atoms,
 and the scan sums them as such where a range check admits it. The risk
@@ -202,23 +209,40 @@ def _grid_simplex(
 ) -> np.ndarray:
     """Grid points of the simplex as the columns of a (dim, N) array.
 
-    The points are written row by row into the array empty((dim, N)).
+    The points are written into the array empty((dim, N)) and divided
+    by m = round(1/step) in place.
     """
     m = int(round(1.0 / step))
-    # the first dim - 1 parts, one prefix per column in lexicographic order:
-    # each stage extends every prefix by each next part that keeps its sum
-    # <= m, and the last part is m - sum
-    rows, sums = [], np.zeros(1, dtype=np.int64)
-    for _ in range(dim - 1):
-        lengths = m + 1 - sums
+    # stage k holds the first k parts of every point, one prefix per column
+    # in lexicographic order, and under them the room m - sum they leave;
+    # each stage extends every prefix by each next part from 0 to its
+    # room, and the last stage is the output. Its rows are exact-integer
+    # floats, written a piece of _PIECE columns at a time from the blocks
+    # of columns that share a prefix, so no temporary is longer than a piece
+    stage = (empty if dim == 1 else np.empty)((1, 1))
+    stage.fill(m)
+    for k in range(1, dim):
+        lengths = stage[-1] + 1.0
         ends = np.cumsum(lengths)
-        nxt = np.arange(ends[-1]) - np.repeat(ends - lengths, lengths)
-        rows = [np.repeat(r, lengths) for r in rows] + [nxt]
-        sums = np.repeat(sums, lengths) + nxt
-    out = empty((dim, sums.size))
-    for i, row in enumerate(rows + [np.subtract(m, sums, out=sums)]):
-        np.divide(row, m, out=out[i])
-    return out
+        starts = ends - lengths
+        nxt = (empty if k == dim - 1 else np.empty)((k + 1, int(ends[-1])))
+        for lo in range(0, nxt.shape[1], _PIECE):
+            out = nxt[:, lo:lo + _PIECE]
+            hi = lo + out.shape[1]
+            # the blocks that meet the piece, and how many columns each has in it
+            first = np.searchsorted(ends, lo, side="right")
+            last = np.searchsorted(starts, hi)
+            counts = (np.minimum(ends[first:last], hi)
+                      - np.maximum(starts[first:last], lo)).astype(np.intp)
+            for row, values in zip(out[:k - 1], stage[:-1]):
+                row[:] = np.repeat(values[first:last], counts)
+            # the new part counts up from 0 in each block and takes its room
+            np.subtract(np.arange(lo, hi, dtype=float), np.repeat(starts[first:last], counts),
+                        out=out[k - 1])
+            np.subtract(np.repeat(stage[-1, first:last], counts), out[k - 1], out=out[k])
+        stage = nxt
+    stage /= m
+    return stage
 
 
 def _held_array(name: str, shape: tuple[int, int]) -> np.ndarray:
@@ -348,7 +372,11 @@ def _atom_sums(
             or abs(alpha) * np.ptp(log_nu) > _RANGE
             or max(1.0, abs(1.0 - alpha)) * floor > _RANGE):
         return None
-    risk_exp, div_exp = gamma * values, alpha * log_nu
+    with np.errstate(over="ignore"):
+        risk_exp, div_exp = gamma * values, alpha * log_nu
+    # a payoff with no spread may still lie past the float range once scaled
+    if not (np.isfinite(risk_exp).all() and np.isfinite(div_exp).all()):
+        return None
     s, t = float(np.max(risk_exp)), float(np.max(div_exp))
     return gamma, s, np.exp(risk_exp - s), 1.0 - alpha, t, np.exp(div_exp - t)
 
@@ -427,23 +455,6 @@ def _divergence_terms(
     return div
 
 
-def _rhs_values(
-    candidates: np.ndarray,
-    log_candidates: np.ndarray,
-    nu: FiniteMeasure,
-    values: np.ndarray,
-    params: OrderParams,
-    sums: tuple | None = None,
-) -> np.ndarray:
-    """The infimum's objective at each column of candidates and of their logs.
-
-    Without sums both log-integrals are log-sum-exps over the logs; with
-    the weights of _atom_sums they are atom-weighted sums.
-    """
-    return (_risk_terms(candidates, log_candidates, values, params, sums)
-            + _divergence_terms(log_candidates, nu, params, sums) / params.span)
-
-
 def _prune_bound(nu: FiniteMeasure, params: OrderParams, floor: float, top: float) -> float:
     """The risk term above which a column's objective exceeds top.
 
@@ -489,61 +500,96 @@ def _risk_sum_limit(sums: tuple, bound: float) -> float:
     return math.exp(min(order * bound - s + math.copysign(margin, order), 700.0))
 
 
-def _pruned_values(
+def _score_piece(
+    cols: np.ndarray,
+    nu: FiniteMeasure,
+    values: np.ndarray,
+    params: OrderParams,
+    sums: tuple | None,
+    bound: float,
+) -> tuple[np.ndarray, np.ndarray]:
+    """The indices of the columns of a piece that it scores, and the
+    objective at each of those.
+
+    The scored columns include every column whose risk term is not above
+    bound. The log-sum-exp scan logs the piece and takes its risk terms
+    in full. The atom-weighted scan takes each column's risk sum and
+    keeps those not past _risk_sum_limit; it logs the points and the sums
+    of the kept columns alone. Either scan then takes the divergence
+    terms at the kept columns, gathered in order, so each kept column's
+    objective is bitwise the one a full scan computes.
+    """
+    # a nan compares false, so its column is kept
+    if sums is None:
+        logs = _held_array("scratch", cols.shape)
+        with np.errstate(divide="ignore"):
+            np.log(cols, out=logs)
+        risk = _risk_terms(cols, logs, values, params, None)
+        kept = np.flatnonzero(~(risk > bound))
+    else:
+        past = np.greater if sums[0] > 0.0 else np.less
+        risk = _risk_sums(cols, sums)
+        kept = np.flatnonzero(~past(risk, _risk_sum_limit(sums, bound)))
+    if kept.size == 0:
+        return kept, risk[:0]
+    if kept.size == 1 < risk.size:
+        # numpy sums the atoms of a lone column pairwise from 8 atoms on,
+        # so the column keeps company
+        kept = np.array([0, max(kept[0], 1)])
+    whole = kept.size == risk.size
+    if sums is None:
+        logs = logs if whole else np.take(logs, kept, axis=1, mode="clip")
+        risk = risk if whole else risk[kept]
+    else:
+        logs = _held_array("scratch", (cols.shape[0], kept.size))
+        if not whole:
+            # row by row, since np.take copies a strided piece whole first;
+            # mode="clip" writes into out directly, and the indices are in range
+            for row, out in zip(cols, logs):
+                np.take(row, kept, out=out, mode="clip")
+            cols = logs
+        with np.errstate(divide="ignore"):
+            np.log(cols, out=logs)
+        risk = _risk_logs(risk if whole else risk[kept], sums)
+    div = _divergence_terms(logs, nu, params, sums)
+    div /= params.span
+    risk += div
+    return kept, risk
+
+
+def _scan(
     pts: np.ndarray,
     nu: FiniteMeasure,
     values: np.ndarray,
     params: OrderParams,
     sums: tuple | None,
     bound: float,
-) -> np.ndarray:
-    """The objective at each column of pts whose risk term is not above
-    bound, and +inf at the others.
+    window: float,
+    center: np.ndarray,
+) -> tuple[float, float]:
+    """The least objective over the scored columns of pts, and the largest
+    L-inf distance from center of a column whose objective is at most
+    window.
 
-    The log-sum-exp scan logs each piece of _PIECE columns and takes its
-    risk terms in full. The atom-weighted scan takes each column's risk
-    sum and keeps those not past _risk_sum_limit, a superset of the
-    columns whose risk term is at most bound; it logs the points and the
-    sums of the kept columns alone. Either scan then takes the
-    divergence terms at the kept columns, gathered in order, so each kept
-    column's objective is bitwise the one a full scan computes.
+    Each piece of _PIECE columns is scored and reduced to those two
+    numbers before the next, so its arrays go with it. np.min keeps a
+    nan, so a nan objective reads nan, as the minimum of the whole row
+    would; with no column scored the least is inf.
     """
-    rhs = np.full(pts.shape[1], math.inf)
-    if sums is not None:
-        limit = _risk_sum_limit(sums, bound)
-        past = np.greater if sums[0] > 0.0 else np.less
-    for lo in range(0, pts.shape[1], _PIECE):
-        cols = pts[:, lo:lo + _PIECE]
-        # a nan compares false, so its column is kept
-        if sums is None:
-            logs = _held_array("scratch", cols.shape)
-            with np.errstate(divide="ignore"):
-                np.log(cols, out=logs)
-            risk = _risk_terms(cols, logs, values, params, None)
-            kept = np.flatnonzero(~(risk > bound))
-        else:
-            risk = _risk_sums(cols, sums)
-            kept = np.flatnonzero(~past(risk, limit))
-        if kept.size == 0:
-            continue
-        if kept.size == 1 < risk.size:
-            # numpy sums the atoms of a lone column pairwise from 8 atoms on,
-            # so the column keeps company
-            kept = np.array([0, max(kept[0], 1)])
-        whole = kept.size == risk.size
-        if sums is None:
-            logs = logs if whole else np.take(logs, kept, axis=1, mode="clip")
-            risk = risk[kept]
-        else:
-            logs = _held_array("scratch", (cols.shape[0], kept.size))
-            if not whole:
-                # mode="clip" writes into out directly; the indices are in range
-                cols = np.take(cols, kept, axis=1, out=logs, mode="clip")
-            with np.errstate(divide="ignore"):
-                np.log(cols, out=logs)
-            risk = _risk_logs(risk[kept], sums)
-        rhs[lo + kept] = risk + _divergence_terms(logs, nu, params, sums) / params.span
-    return rhs
+    def extremes(lo: int) -> tuple[float, float]:
+        kept, rhs = _score_piece(pts[:, lo:lo + _PIECE], nu, values, params, sums, bound)
+        near = kept[rhs <= window]
+        near += lo
+        far = 0.0
+        if near.size:
+            for row, at in zip(pts, center):
+                diff = row[near]
+                diff -= at
+                far = max(far, float(np.max(np.abs(diff, out=diff))))
+        return np.min(rhs, initial=math.inf), far
+
+    least, far = zip(*map(extremes, range(0, pts.shape[1], _PIECE)))
+    return float(np.min(least)), max(far)
 
 
 def inf_identity(
@@ -578,36 +624,24 @@ def inf_identity(
     )
     window = lhs + NEAR_OPTIMAL_WINDOW
 
-    # one column per candidate; the tilted optimizer and nu itself go last
+    # the tilted optimizer and nu itself are candidates too, scored first
     extra = np.column_stack([optimizer.probs, nu.probs])
-    with np.errstate(divide="ignore"):
-        log_extra = np.log(extra)
     extra_floor = _log_floor(extra)
     with _block_lock:
         pts, kind, resolution, floor = _oracle_block(nu.dim, grid_step, oracle_samples, seed)
         floor = max(floor, extra_floor)
         sums = _atom_sums(nu, values, params, floor)
-        rhs_extra = _rhs_values(extra, log_extra, nu, values, params, sums)
-        # the optimizer's objective is at least the minimum; np.maximum keeps a nan
-        top = float(np.maximum(rhs_extra[0], window))
-        bound = _prune_bound(nu, params, floor, top)
+        scan = partial(_scan, nu=nu, values=values, params=params, sums=sums, window=window,
+                       center=optimizer.probs)
+        best_extra, far_extra = scan(extra, bound=math.inf)
+        # the least objective so far is at least the minimum; np.maximum keeps a nan
+        top = float(np.maximum(best_extra, window))
+        best, far = scan(pts, bound=_prune_bound(nu, params, floor, top))
+        best = float(np.minimum(best, best_extra))
         n = pts.shape[1]
-        rhs = np.concatenate([_pruned_values(pts, nu, values, params, sums, bound), rhs_extra])
-        best = float(np.min(rhs))
-        near = np.flatnonzero(rhs <= window)
-
-        if np.ptp(values) == 0.0:
-            # constant g: every candidate with zero divergence is optimal, so
-            # the localization certificate is trivially satisfied
-            max_dist = 0.0
-        elif near.size:
-            # the indices ascend, so the block's columns come first
-            split = np.searchsorted(near, n)
-            diffs = np.abs(np.hstack([pts[:, near[:split]], extra[:, near[split:] - n]])
-                           - optimizer.probs[:, None])
-            max_dist = float(np.max(diffs))
-        else:
-            max_dist = 0.0
+    # constant g: every candidate with zero divergence is optimal, so the
+    # localization certificate is trivially satisfied
+    max_dist = 0.0 if np.ptp(values) == 0.0 else max(far, far_extra)
 
     return IdentityReport(
         direction="infimum",

@@ -197,6 +197,19 @@ class TestIdentityCommand:
         assert (oracle["min_or_max"], oracle["dominance_margin"]) == ("inf", "inf")
         assert not [w for w in caught if w.filename.endswith("variational.py")]
 
+    def test_a_flat_payoff_past_the_float_range_once_scaled(self, capsys):
+        # no spread passes the range check, but gamma g overflows to inf: the
+        # log-sum-exp scan takes it, and every objective is inf, not nan
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code, out, _ = run_cli(capsys, [
+                "identity", "--measure", "[0.5,0.5]", "--g", "[1e308,1e308]",
+                "--beta", "1", "--gamma", "2", "--format", "json"])
+        assert code == 1
+        oracle = json.loads(out)["inf"]["oracle"]
+        assert (oracle["min_or_max"], oracle["dominance_margin"]) == ("inf", "inf")
+        assert not [w for w in caught if w.filename.endswith("variational.py")]
+
     @pytest.mark.parametrize("orders", [["-2", "-1"], ["1", "2"], ["-1", "1"]])
     def test_zeros_print_unsigned(self, capsys, orders):
         # a zero payoff gives zero values, which the negative orders and the

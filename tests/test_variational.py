@@ -33,7 +33,6 @@ from renyibounds.variational import (
     _candidates,
     _grid_simplex,
     _log_floor,
-    _rhs_values,
     inf_identity,
     sup_identity,
 )
@@ -358,6 +357,24 @@ def exact_path():
         yield
 
 
+def objective(cols, logs, nu, values, params, sums=None):
+    """The infimum's objective at every column of cols and of their logs,
+    with none pruned: the risk term plus the divergence term over the span."""
+    return (variational._risk_terms(cols, logs, values, params, sums)
+            + variational._divergence_terms(logs, nu, params, sums) / params.span)
+
+
+def scored(pts, nu, values, params, sums, bound):
+    """The objective at each column of pts that the scan scores, piece by
+    piece, and inf at the others."""
+    rhs = np.full(pts.shape[1], math.inf)
+    for lo in range(0, pts.shape[1], variational._PIECE):
+        kept, obj = variational._score_piece(pts[:, lo:lo + variational._PIECE], nu, values,
+                                             params, sums, bound)
+        rhs[lo + kept] = obj
+    return rhs
+
+
 class TestAtomsMajorOracle:
     @pytest.mark.parametrize("regime", range(len(_PARAM_SET)))
     @pytest.mark.parametrize("dim", [2, 3, 4, 5, 6, 7])
@@ -395,7 +412,7 @@ class TestAtomsMajorOracle:
             for params in _PARAM_SET:
                 # the supremum's objective is minus its mirrored infimum's
                 g_m, params_m, sign = mirrored(direction, g, params)
-                got = sign * _rhs_values(pts, log_pts, measure, g_m, params_m)
+                got = sign * objective(pts, log_pts, measure, g_m, params_m)
                 want = reference_rhs_values(direction, log_rows, measure, g, params)
                 assert np.array_equal(got.view(np.int64), want.view(np.int64))
                 sums = _atom_sums(measure, g_m, params_m, floor)
@@ -403,7 +420,7 @@ class TestAtomsMajorOracle:
                     assert sums is None
                 else:
                     assert_close_objective(
-                        sign * _rhs_values(pts, log_pts, measure, g_m, params_m, sums), want)
+                        sign * objective(pts, log_pts, measure, g_m, params_m, sums), want)
 
     @pytest.mark.parametrize("weights,g", [
         ([1, 1, 0], [0.0, 1.0, -2.0]),
@@ -494,8 +511,8 @@ class TestAtomWeightedScan:
         cols, logs, sums = scan_columns(nu, g, params, pts)
         # the tilted optimizer's smallest atom can fail the range check first
         assume(sums is not None)
-        return (sign * _rhs_values(cols, logs, nu, g, params),
-                sign * _rhs_values(cols, logs, nu, g, params, sums))
+        return (sign * objective(cols, logs, nu, g, params),
+                sign * objective(cols, logs, nu, g, params, sums))
 
     @given(scan_instances(max_spread=6.9 / variational._RANGE, min_scale=1.0))
     def test_matches_the_log_sum_exp_scan(self, instance):
@@ -671,7 +688,7 @@ class TestOracleBlock:
         callers = [(nu, g, {"grid_step": 2e-2, "oracle_samples": 2_000, "seed": seed})
                    for nu, g, seed in (random_instance(3, 31), random_instance(5, 32))]
         want = [inf_identity(nu, g, params, **kw).to_json_dict() for nu, g, kw in callers]
-        scan, second, got = variational._rhs_values, [], []
+        scan, second, got = variational._divergence_terms, [], []
 
         def interrupted(*args):
             if not second:
@@ -683,7 +700,7 @@ class TestOracleBlock:
                 assert second[0].is_alive()
             return scan(*args)
 
-        monkeypatch.setattr(variational, "_rhs_values", interrupted)
+        monkeypatch.setattr(variational, "_divergence_terms", interrupted)
         nu, g, kw = callers[0]
         got.insert(0, inf_identity(nu, g, params, **kw).to_json_dict())
         second[0].join(timeout=60.0)
@@ -803,7 +820,7 @@ def unpruned(direction, nu, g, params, grid_step=1e-2, oracle_samples=100_000, s
     with np.errstate(divide="ignore"):
         logs = np.log(cols)
     sums = _atom_sums(nu, values, params, max(floor, _log_floor(cols[:, -2:])))
-    rhs = _rhs_values(cols, logs, nu, values, params, sums)
+    rhs = objective(cols, logs, nu, values, params, sums)
     best = float(np.min(rhs))
     near = rhs <= lhs + variational.NEAR_OPTIMAL_WINDOW
     if np.ptp(values) == 0.0 or not near.any():
@@ -863,11 +880,11 @@ class TestPrune:
                 with np.errstate(divide="ignore"):
                     logs = np.log(pts)
                 sums = _atom_sums(nu, values, params, floor)
-                full = _rhs_values(pts, logs, nu, values, params, sums)
+                full = objective(pts, logs, nu, values, params, sums)
                 risk = variational._risk_terms(pts, logs, values, params, sums)
                 top = risk_sensitive(nu, values, params.beta) + NEAR_OPTIMAL_WINDOW
                 bound = variational._prune_bound(nu, params, floor, top)
-                got = variational._pruned_values(pts, nu, values, params, sums, bound)
+                got = scored(pts, nu, values, params, sums, bound)
                 assert not bound < top
                 same = got.view(np.int64) == full.view(np.int64)
                 assert np.all(same[~(risk > bound)])
@@ -883,9 +900,9 @@ class TestPrune:
             logs = np.log(pts)
         sums = _atom_sums(nu, g, params, _log_floor(pts))
         risk = variational._risk_terms(pts, logs, g, params, sums)
-        full = _rhs_values(pts, logs, nu, g, params, sums)
+        full = objective(pts, logs, nu, g, params, sums)
         for j in np.random.default_rng(47).choice(pts.shape[1], 100, replace=False):
-            got = variational._pruned_values(pts, nu, g, params, sums, float(risk[j]))
+            got = scored(pts, nu, g, params, sums, float(risk[j]))
             assert got[j].view(np.int64) == full[j].view(np.int64)
 
     def test_a_lone_kept_column_scores_as_in_its_piece(self):
@@ -901,9 +918,43 @@ class TestPrune:
                 logs = np.log(pts)
             risk = variational._risk_terms(pts, logs, g, params, None)
             lone = int(np.argmin(risk))
-            got = variational._pruned_values(pts, nu, g, params, None, float(risk[lone]))
-            want = _rhs_values(pts, logs, nu, g, params)
+            got = scored(pts, nu, g, params, None, float(risk[lone]))
+            want = objective(pts, logs, nu, g, params)
             assert got[lone].view(np.int64) == want[lone].view(np.int64)
+
+    @pytest.mark.parametrize("which", ["optimizer and nu", "first piece", "last piece"])
+    @pytest.mark.parametrize("dim,step", [(2, 1e-4), (5, 1e-2)])
+    def test_a_nan_objective_reads_nan(self, monkeypatch, dim, step, which):
+        # one column's divergence term turns nan, in the first call (the
+        # optimizer and nu), the second (the block's first scored piece) or
+        # the last: the least objective reads nan, as the minimum of one
+        # whole row of objectives does, and so does the margin
+        monkeypatch.setattr(variational, "_PIECE", 1000)
+        nu, g, seed = random_instance(dim, 59 * dim)
+        divergence, calls, poison = variational._divergence_terms, [], []
+
+        def poisoned(*args):
+            div = divergence(*args)
+            if len(calls) in poison:
+                div[-1] = math.nan
+            calls.append(div.size)
+            return div
+
+        monkeypatch.setattr(variational, "_divergence_terms", poisoned)
+        for exact in (False, True):
+            with exact_path() if exact else nullcontext():
+                for form in _FORMS.values():
+                    kwargs = {"grid_step": step, "oracle_samples": 20_000, "seed": seed}
+                    calls.clear()
+                    form(nu, g, OrderParams(1.0, 2.0), **kwargs)
+                    assert len(calls) >= 2
+                    poison[:] = [{"optimizer and nu": 0, "first piece": 1}.get(which, len(calls) - 1)]
+                    calls.clear()
+                    rep = form(nu, g, OrderParams(1.0, 2.0), **kwargs)
+                    assert math.isnan(rep.oracle_min_or_max)
+                    assert math.isnan(rep.dominance_margin)
+                    assert math.isnan(rep.to_json_dict()["oracle"]["min_or_max"])
+                    poison.clear()
 
     @pytest.mark.parametrize("window", [1e-3, 0.1])
     @pytest.mark.parametrize("dim", [2, 3, 5])
@@ -920,9 +971,9 @@ class TestPrune:
         params = OrderParams(1.0, 2.0)
         pts, _, _, floor = variational._oracle_block(5, 1e-2, 20_000, seed)
         for sums in (None, _atom_sums(nu, g, params, floor)):
-            got = variational._pruned_values(pts, nu, g, params, sums, bound)
+            got = scored(pts, nu, g, params, sums, bound)
             with np.errstate(divide="ignore"):
-                want = _rhs_values(pts, np.log(pts), nu, g, params, sums)
+                want = objective(pts, np.log(pts), nu, g, params, sums)
             assert np.array_equal(got.view(np.int64), want.view(np.int64))
 
     def test_a_negative_divergence_term_is_kept(self, monkeypatch):
@@ -961,8 +1012,12 @@ class TestBlockMemory:
     buffers on the last, partial piece. Each piece is built in the held
     points, with its uniforms staged in one held piece of scratch. A
     build that allocated each block anew peaked at 6.1 pieces, two of
-    its three full-size arrays at once. The module holds no logs of the
-    block: the scans take the logs they need a piece at a time.
+    its three full-size arrays at once. The grid is written into the held
+    points too, a piece at a time: a warm (3, 104_196) grid rebuild
+    allocates 0.72 of a (3, _PIECE) piece, where staging its parts as
+    int64 arrays the size of the block took 6.5. The module holds no
+    logs of the block: the scans take the logs they need a piece at a
+    time.
     """
 
     def test_a_warm_rebuild_allocates_under_a_piece(self):
@@ -993,15 +1048,29 @@ class TestBlockMemory:
 
 
 class TestScanMemory:
-    """Each scan of a piece makes few piece-sized temporaries.
+    """Each scan of a piece makes few piece-sized temporaries, and a
+    certificate none longer than a piece beyond the held buffers.
 
-    numpy reports its arrays to tracemalloc. On a (6, 2^14) piece the
-    log-sum-exp scan peaked at 2.5 piece-sized arrays when the
-    log-sum-exp shifted a copy and both divergence terms were
-    materialized; it now peaks at 1.5: one exponent array and a few
-    one-per-column vectors. The atom-weighted scan makes one exponent row
-    at a time and peaks at four one-per-column vectors, 0.67 of a piece
-    at dim 6; its pin leaves a margin of about 20%.
+    numpy reports its arrays to tracemalloc. Scoring a (6, 2^14) piece in
+    full on the log-sum-exp scan peaked at 2.5 piece-sized arrays when
+    the log-sum-exp shifted a copy and both divergence terms were
+    materialized; it now peaks at 1.67: one exponent array and a few
+    one-per-column vectors, the indices of the scored columns among them.
+    The atom-weighted scan makes one exponent row at a time and peaks at
+    four one-per-column vectors, 0.67 of a piece at dim 6; its pin leaves
+    a margin of about 20%.
+
+    A certificate pair at the certify workload's sizes (about 1e5
+    candidates) peaked 1.5-2.5 MB above the held buffers when the scan
+    kept an objective per candidate, the near set's indices and a
+    concatenation with the optimizer and nu, and the grid staged its
+    int64 parts: 6.4 pieces at dim 2 and 2.2 at dim 6. Each piece is now
+    scored and reduced to its least objective and near distance before
+    the next, and the grid is written into the held points. On the
+    atom-weighted scan a pair peaks at 4.06 rows of a piece (one-per-
+    column vectors of _PIECE floats) at dims 2 and 3, 2.3-3.4 at dims
+    4-6, where the block's rebuild is the peak; the pin is 4.9 rows,
+    2.45 pieces at dim 2 and 0.82 at dim 6.
     """
 
     @staticmethod
@@ -1010,17 +1079,16 @@ class TestScanMemory:
         values, params, _ = mirrored(direction, aligned_values(nu, g), params)
         rng = np.random.default_rng(29)
         probs = np.ascontiguousarray(rng.dirichlet(np.ones(6), size=1 << 14).T)
-        piece = np.log(probs)
-        probs.flags.writeable = piece.flags.writeable = False
+        probs.flags.writeable = False
         sums = sums_of(nu, values, params, _log_floor(probs))
-        _rhs_values(probs, piece, nu, values, params, sums)
+        variational._score_piece(probs, nu, values, params, sums, math.inf)
         tracemalloc.start()
         try:
-            _rhs_values(probs, piece, nu, values, params, sums)
+            variational._score_piece(probs, nu, values, params, sums, math.inf)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        return peak / piece.nbytes
+        return peak / probs.nbytes
 
     @pytest.mark.parametrize("direction", list(_FORMS))
     @pytest.mark.parametrize("params", [OrderParams(1.0, 2.0), OrderParams(-2.0, -1.0)])
@@ -1031,6 +1099,27 @@ class TestScanMemory:
     @pytest.mark.parametrize("params", [OrderParams(1.0, 2.0), OrderParams(-2.0, -1.0)])
     def test_atom_weighted_scan_makes_rows(self, direction, params):
         assert self.peak(direction, params, _atom_sums) < 0.8
+
+    @pytest.mark.parametrize("dim", [2, 3, 4, 5, 6])
+    def test_a_warm_pair_allocates_under_five_rows(self, dim):
+        # the workload's sizes; each pair builds its own block, over the
+        # held buffers that blocks of dims 2-6 have grown to
+        steps = {2: 1e-5, 3: 2.2e-3}
+        variational._last_block = None
+        for d in range(2, 7):
+            variational._oracle_block(d, steps.get(d, 1e-2), 100_000, d)
+        nu, g, seed = random_instance(dim, 53 * dim)
+        for i, params in enumerate(_PARAM_SET):
+            kwargs = {"grid_step": steps.get(dim, 1e-2), "oracle_samples": 100_000,
+                      "seed": seed + i}
+            tracemalloc.start()
+            try:
+                for form in _FORMS.values():
+                    form(nu, g, params, **kwargs)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < 4.9 * variational._PIECE * 8
 
 
 class TestScalingInvariance:
